@@ -13,11 +13,10 @@ from .linalg import (
     err_p,
     optimal_subspace,
     orthonormal_basis,
-    residual_distance,
     residual_distances,
     simplex_volume_sq,
 )
-from .outliers import InlierSet, OutlierConfig, check_lambda, nearest_inliers, robust_select
+from .outliers import InlierSet, check_lambda, nearest_inliers, robust_select
 from .samplers import (
     ChainState,
     DerivedParams,
@@ -32,7 +31,6 @@ from .samplers import (
     mh_accept,
     proposal_q,
     select_subset,
-    squared_length_sample,
     tv_distance_diag,
     volume_sample_dpp,
     volume_sample_exact,
@@ -43,7 +41,6 @@ from .stream import (
     DatasetSource,
     PassCountError,
     PassLog,
-    ReservoirDraw,
     generate_synthetic,
     open_source,
     weighted_reservoir_sample,
@@ -61,11 +58,9 @@ __all__ = [
     "ExactFitReached",
     "InlierSet",
     "OrthonormalBasis",
-    "OutlierConfig",
     "PassCountError",
     "PassLog",
     "PointSet",
-    "ReservoirDraw",
     "SamplingConfig",
     "SelectionResult",
     "adaptive_sample",
@@ -83,12 +78,10 @@ __all__ = [
     "optimal_subspace",
     "orthonormal_basis",
     "proposal_q",
-    "residual_distance",
     "residual_distances",
     "robust_select",
     "select_subset",
     "simplex_volume_sq",
-    "squared_length_sample",
     "tv_distance_diag",
     "volume_sample_dpp",
     "volume_sample_exact",

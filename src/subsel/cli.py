@@ -29,24 +29,24 @@ from .linalg import (
     orthonormal_basis,
 )
 from .outliers import check_lambda, robust_select
-from .rng import derive_rng, derive_seed_sequence
+from .rng import derive_seed_sequence
 from .samplers import (
+    ExactFitReached,
     SamplingConfig,
     adaptive_sample,
+    adaptive_sample_round,
     derive_params,
     greedy_max_volume_init,
+    init_pivot,
     select_subset,
     tv_distance_diag,
-    volume_sample_dpp,
-    volume_sample_exact,
-    volume_sample_mcmc,
     volume_walk_distribution,
 )
 from .stream import (
     PassCountError,
+    PassLog,
     generate_synthetic,
     open_source,
-    weighted_reservoir_sample,
     write_binary,
     write_csv,
 )
@@ -162,23 +162,17 @@ class ExperimentSpec:
             raise ValueError("timing must be real or zero")
 
 
-def _expected_passes(spec: ExperimentSpec, result) -> int:
-    if spec.algorithm == "mcmc":
-        if spec.init_mode == "adaptive-k-pass" or spec.p != 2.0:
-            return len(result.initial_ids) + 1
-        return 2
-    if spec.algorithm == "adaptive":
-        return len(result.blocks)
-    return 1
-
-
 def run_experiment(spec: ExperimentSpec, input_path: str,
                    truth: dict | None = None) -> tuple[list[ReportRow], dict]:
     """Execute all trials; returns report rows (ordered by trial) and a
-    summary dict. Raises PassCountError when a pass assertion fails."""
+    summary dict. Raises PassCountError when a pass assertion fails.
+
+    The input is opened and validated once; every trial reads that one
+    source with a fresh pass log. Trial warnings are printed to stderr.
+    """
     spec.validate()
-    eval_points = open_source(input_path, "memory").collect("report:oracle",
-                                                            reporting=True)
+    source = open_source(input_path, spec.mode)
+    eval_points = source.collect("report:oracle", reporting=True)
     optimum = None
     if spec.p == 2.0:
         if spec.beta > 0.0 and truth is not None and truth.get("inlier_ids"):
@@ -190,7 +184,8 @@ def run_experiment(spec: ExperimentSpec, input_path: str,
     rows = []
     for trial in range(spec.trials):
         seed = trial_seed(spec.seed, trial)
-        rows.append(_run_trial(spec, input_path, trial, seed, eval_points,
+        source.pass_log = PassLog()
+        rows.append(_run_trial(spec, source, trial, seed, eval_points,
                                optimum, truth))
     ratios = [r.ratio for r in rows if r.ratio is not None]
     summary = {
@@ -204,96 +199,91 @@ def run_experiment(spec: ExperimentSpec, input_path: str,
     return rows, summary
 
 
-def _run_trial(spec: ExperimentSpec, input_path: str, trial: int, seed: int,
-               eval_points: PointSet, optimum: float | None,
-               truth: dict | None) -> ReportRow:
-    source = open_source(input_path, spec.mode)
-    start = time.perf_counter()
-    accept_rate = None
-    err_span = None
+# Each trial function runs one algorithm on a source and returns (basis,
+# pass log, extras). The basis spans the selected subset; extras override
+# what the shared tail in _run_trial would otherwise derive: err_p (default:
+# best k-subspace in the span), err_span (default: err_p of the span),
+# subset_size (default: the span's source ids), accept_rate, warnings and
+# expected_passes (default 1).
 
-    if spec.algorithm == "mcmc" and spec.beta > 0.0:
-        truth_basis = None
-        truth_inliers = None
+def _trial_mcmc(spec, source, seed, eval_points, truth):
+    init = dict(init_mode=spec.init_mode, points_per_round=spec.points_per_round,
+                rounds=spec.rounds, chain_steps=spec.chain_steps,
+                init_walk_steps=spec.walk_steps)
+    extras = {}
+    if spec.beta > 0.0:
+        truth_basis = truth_inliers = None
         if truth is not None and truth.get("planted_basis"):
             truth_basis = OrthonormalBasis(eval_points.d,
                                            np.array(truth["planted_basis"]), ())
             truth_inliers = truth.get("inlier_ids")
         result, inliers = robust_select(
-            source, spec.k, spec.epsilon, spec.beta, spec.lam, seed,
-            init_mode=spec.init_mode, points_per_round=spec.points_per_round,
-            rounds=spec.rounds, chain_steps=spec.chain_steps,
-            init_walk_steps=spec.walk_steps,
+            source, spec.k, spec.epsilon, spec.beta, spec.lam, seed, **init,
             ground_truth_basis=truth_basis, ground_truth_inliers=truth_inliers)
-        err = inliers.inlier_error
-        err_span = result.total_error
-        size = result.size
-        passes_log = result.passes
-        accept_rate = result.acceptance_rate
-    elif spec.algorithm == "mcmc":
-        cfg = SamplingConfig(k=spec.k, epsilon=spec.epsilon, p=spec.p, seed=seed,
-                             init_mode=spec.init_mode,
-                             points_per_round=spec.points_per_round,
-                             rounds=spec.rounds, chain_steps=spec.chain_steps,
-                             init_walk_steps=spec.walk_steps)
-        result = select_subset(source, cfg)
-        err_span = result.total_error
-        _, err = best_rank_k_in_span(eval_points, result.basis, spec.k)
-        size = result.size
-        passes_log = result.passes
-        accept_rate = result.acceptance_rate
-    elif spec.algorithm == "adaptive":
-        t = spec.points_per_round or derive_params(spec.k, spec.epsilon).points_per_round
-        l = spec.rounds if spec.rounds is not None else derive_params(
-            spec.k, spec.epsilon).rounds
-        result = adaptive_sample(source, [], t, l, spec.p, seed)
-        err_span = result.total_error
-        basis = orthonormal_basis(eval_points, result.selected_ids)
-        _, err = best_rank_k_in_span(eval_points, basis, spec.k)
-        size = result.size
-        passes_log = result.passes
-        _check_passes(passes_log, len(result.blocks))
-        wall = _elapsed(spec, start)
-        return ReportRow(trial=trial, algorithm=spec.algorithm, err_p=float(err),
-                         err_span=float(err_span), optimum=optimum,
-                         ratio=_ratio(err, optimum), passes=passes_log.total_passes,
-                         subset_size=size, wall_time_s=wall,
-                         accept_rate=None, seed=seed)
-    elif spec.algorithm == "fkv":
-        t = spec.points_per_round or derive_params(spec.k, spec.epsilon).points_per_round
-        l = spec.rounds if spec.rounds is not None else 1
-        draws = weighted_reservoir_sample(
-            source, lambda c: np.linalg.norm(c, axis=1) ** spec.p, t * l, seed,
-            label="fkv")
-        ids = [d.source_id for d in draws]
-        basis = orthonormal_basis(eval_points, ids)
-        _, err = best_rank_k_in_span(eval_points, basis, spec.k)
-        err_span = err_p(eval_points, basis, spec.p)
-        size = len(ids)
-        passes_log = source.pass_log
-    elif spec.algorithm == "svd-oracle":
-        pts = source.collect("svd-oracle")
-        _, err = optimal_subspace(pts, spec.k)
-        err_span = err
-        size = spec.k
-        passes_log = source.pass_log
-    else:  # volume-exact | volume-mcmc
-        pts = source.collect(f"init:{spec.algorithm}")
-        rng = derive_rng(seed, "init", spec.algorithm)
-        if spec.algorithm == "volume-exact":
-            if spec.p == 2.0:
-                ids = volume_sample_dpp(pts, spec.k, rng=rng)
-            else:
-                ids = volume_sample_exact(pts, spec.k, spec.p, rng=rng)
-        else:
-            ids = volume_sample_mcmc(pts, spec.k, spec.walk_steps or 1000, rng=rng)
-        basis = orthonormal_basis(eval_points, ids)
-        _, err = best_rank_k_in_span(eval_points, basis, spec.k)
-        err_span = err_p(eval_points, basis, spec.p)
-        size = len(ids)
-        passes_log = source.pass_log
+        extras["err_p"] = inliers.inlier_error
+    else:
+        result = select_subset(source, SamplingConfig(
+            k=spec.k, epsilon=spec.epsilon, p=spec.p, seed=seed, **init))
+    k_pass_init = spec.init_mode == "adaptive-k-pass" or spec.p != 2.0
+    return result.basis, result.passes, {
+        **extras, "err_span": result.total_error, "subset_size": result.size,
+        "accept_rate": result.acceptance_rate, "warnings": result.warnings,
+        "expected_passes": len(result.initial_ids) + 1 if k_pass_init else 2}
 
-    _check_passes(passes_log, _expected_passes(spec, result) if spec.algorithm == "mcmc" else 1)
+
+def _trial_adaptive(spec, source, seed, eval_points, truth):
+    t = spec.points_per_round or derive_params(spec.k, spec.epsilon).points_per_round
+    l = spec.rounds if spec.rounds is not None else derive_params(
+        spec.k, spec.epsilon).rounds
+    result = adaptive_sample(source, [], t, l, spec.p, seed)
+    return orthonormal_basis(eval_points, result.selected_ids), result.passes, {
+        "err_span": result.total_error, "warnings": result.warnings,
+        "expected_passes": len(result.blocks)}
+
+
+def _trial_fkv(spec, source, seed, eval_points, truth):
+    # length-squared sampling: an adaptive round against the empty span
+    t = spec.points_per_round or derive_params(spec.k, spec.epsilon).points_per_round
+    l = spec.rounds if spec.rounds is not None else 1
+    ids, _ = adaptive_sample_round(source, (), t * l, spec.p, seed, label="fkv")
+    return orthonormal_basis(eval_points, ids), source.pass_log, {}
+
+
+def _trial_svd_oracle(spec, source, seed, eval_points, truth):
+    basis, err = optimal_subspace(source.collect("svd-oracle"), spec.k)
+    return basis, source.pass_log, {"err_p": err, "err_span": err,
+                                    "subset_size": spec.k}
+
+
+def _trial_volume(spec, source, seed, eval_points, truth):
+    init_mode = "exact-volume" if spec.algorithm == "volume-exact" else "mcmc-volume"
+    ids, _, _ = init_pivot(source, spec.k, spec.p, seed, init_mode,
+                           spec.walk_steps or 1000)
+    return orthonormal_basis(eval_points, ids), source.pass_log, {}
+
+
+TRIALS = {
+    "mcmc": _trial_mcmc,
+    "adaptive": _trial_adaptive,
+    "fkv": _trial_fkv,
+    "svd-oracle": _trial_svd_oracle,
+    "volume-exact": _trial_volume,
+    "volume-mcmc": _trial_volume,
+}
+
+
+def _run_trial(spec: ExperimentSpec, source, trial: int, seed: int,
+               eval_points: PointSet, optimum: float | None,
+               truth: dict | None) -> ReportRow:
+    start = time.perf_counter()
+    basis, passes, extras = TRIALS[spec.algorithm](spec, source, seed, eval_points, truth)
+    for message in extras.get("warnings", ()):
+        print(f"warning: trial {trial}: {message}", file=sys.stderr)
+    err = (extras["err_p"] if "err_p" in extras
+           else best_rank_k_in_span(eval_points, basis, spec.k)[1])
+    err_span = (extras["err_span"] if "err_span" in extras
+                else err_p(eval_points, basis, spec.p))
+    passes.assert_passes(extras.get("expected_passes", 1))
     wall = _elapsed(spec, start)
     ratio = _ratio(err, optimum)
     # with an exact p=2 optimum and no trimming, no subset can beat it
@@ -302,13 +292,10 @@ def _run_trial(spec: ExperimentSpec, input_path: str, trial: int, seed: int,
                              "the exact optimum")
     return ReportRow(trial=trial, algorithm=spec.algorithm, err_p=float(err),
                      err_span=float(err_span), optimum=optimum,
-                     ratio=ratio, passes=passes_log.total_passes,
-                     subset_size=size, wall_time_s=wall, accept_rate=accept_rate,
+                     ratio=ratio, passes=passes.total_passes,
+                     subset_size=extras.get("subset_size", len(basis.source_ids)),
+                     wall_time_s=wall, accept_rate=extras.get("accept_rate"),
                      seed=seed)
-
-
-def _check_passes(pass_log, expected: int) -> None:
-    pass_log.assert_passes(expected)
 
 
 def _elapsed(spec: ExperimentSpec, start: float) -> float:
@@ -387,7 +374,7 @@ def cmd_run(args) -> int:
     except GuaranteeError as exc:
         print(f"guarantee check failed: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ExactFitReached) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = emit_report(rows)

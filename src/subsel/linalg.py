@@ -46,9 +46,6 @@ class PointSet:
     def d(self) -> int:
         return self.data.shape[1]
 
-    def point(self, i: int) -> np.ndarray:
-        return self.data[int(i)]
-
 
 @dataclass(frozen=True)
 class OrthonormalBasis:
@@ -145,14 +142,6 @@ def residual_distances(rows: np.ndarray, basis: OrthonormalBasis) -> np.ndarray:
         return np.linalg.norm(rows, axis=1)
     resid = rows - (rows @ basis.vectors.T) @ basis.vectors
     return np.linalg.norm(resid, axis=1)
-
-
-def residual_distance(x: np.ndarray, basis: OrthonormalBasis) -> float:
-    """Distance of one point to span(basis)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (basis.d,):
-        raise ValueError(f"point dimension {x.shape} != basis dimension ({basis.d},)")
-    return float(residual_distances(x[None, :], basis)[0])
 
 
 def err_p(points: PointSet, basis: OrthonormalBasis, p: float) -> float:

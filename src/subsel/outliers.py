@@ -19,21 +19,6 @@ from .stream import as_source, inlier_count
 
 
 @dataclass(frozen=True)
-class OutlierConfig:
-    """beta bounds the outlier fraction; lambda is the assumed lower bound on
-    the inlier share of the total error under the optimal inlier subspace."""
-
-    beta: float
-    lam: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.beta < 1.0:
-            raise ValueError("beta must lie in [0, 1)")
-        if not 0.0 < self.lam <= 1.0:
-            raise ValueError("lambda must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
 class InlierSet:
     """Indices of the nearest ceil((1-beta) n) points to a subspace and their
     summed squared distances."""
@@ -106,13 +91,20 @@ def robust_select(source_or_points, k: int, epsilon: float, beta: float,
     """Two-pass robust pipeline: lambda-scaled constants, sampling over all
     points, beta used only for evaluation.
 
+    beta bounds the outlier fraction; lam is the assumed lower bound on the
+    inlier share of the total error under the optimal inlier subspace. Both
+    are validated before any pass.
+
     The returned InlierSet is evaluated against the best k-dimensional
     subspace inside the selected span (fitted on the span-trimmed points and
     re-trimmed against the fitted subspace). A violated lambda assumption is
     recorded as a warning on the result, not a failure: the guarantee is
     conditional on it.
     """
-    OutlierConfig(beta=beta, lam=lam)
+    if not 0.0 <= beta < 1.0:
+        raise ValueError("beta must lie in [0, 1)")
+    if not 0.0 < lam <= 1.0:
+        raise ValueError("lambda must lie in (0, 1]")
     source = as_source(source_or_points)
     if k > source.d:
         raise ValueError(f"k={k} exceeds data dimension d={source.d}")

@@ -1,14 +1,15 @@
 """Sampling algorithms for subset selection.
 
-Squared-length and adaptive sampling, volume sampling (enumeration,
-determinantal, lazy random walk), the pivot-proposal Metropolis selection
-that compresses the adaptive rounds into a single pass, closed-form
-parameter derivation, and distributional diagnostics.
+Adaptive sampling (squared-length sampling is its round with an empty
+span), volume sampling (enumeration, determinantal, lazy random walk), the
+pivot-proposal Metropolis selection that compresses the adaptive rounds into
+a single pass, closed-form parameter derivation, and distributional
+diagnostics.
 
-The source-driven operations (adaptive_sample, mcmc_select, select_subset)
-do all data access through pass-counted sequential scans and consume their
-random streams identically for in-memory and streaming sources. The pure
-PointSet samplers are the exact in-memory counterparts used as oracles.
+The source-driven operations (adaptive sampling, mcmc_select,
+select_subset) do all data access through pass-counted sequential scans and
+consume their random streams identically for in-memory and streaming
+sources; a PointSet argument is wrapped in an in-memory source.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .rng import derive_rng
 from .stream import (
     DatasetSource,
     PassLog,
-    ReservoirDraw,
     as_source,
     proposal_prefetch_pass,
     weighted_reservoir_sample,
@@ -228,70 +228,38 @@ class SelectionResult:
 
 
 # ---------------------------------------------------------------------------
-# basic samplers (exact in-memory paths)
+# adaptive sampling
 # ---------------------------------------------------------------------------
-
-def squared_length_sample(points: PointSet, count: int, p: float = 2.0,
-                          seed: int = 0, *, rng: np.random.Generator | None = None,
-                          ) -> list[int]:
-    """count i.i.d. draws with probability proportional to |x|^p."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    w = np.linalg.norm(points.data, axis=1) ** p
-    total = float(w.sum())
-    if total <= 0.0:
-        raise ValueError("all points have zero length")
-    rng = rng if rng is not None else derive_rng(seed, "squared-length")
-    return [int(i) for i in rng.choice(points.n, size=count, p=w / total)]
-
 
 def adaptive_sample_round(source_or_points, current: Sequence[int], count: int,
                           p: float = 2.0, seed: int = 0, *,
                           basis: OrthonormalBasis | None = None,
                           rng: np.random.Generator | None = None,
-                          label: str = "adaptive-round") -> list[int]:
+                          label: str = "adaptive-round",
+                          ) -> tuple[list[int], np.ndarray]:
     """count i.i.d. draws with probability proportional to the residual
-    distance (to the span of `current`) raised to p.
+    distance (to the span of `current`, or to `basis` when given) raised to
+    p, in one reservoir pass; returns (ids, coordinates).
 
-    A PointSet is sampled exactly in memory; a DatasetSource is sampled by
-    one reservoir pass. Raises ExactFitReached when every residual is zero.
+    With an empty span this is squared-length sampling. A streaming source
+    with a nonempty `current` needs `basis`. Raises ExactFitReached when
+    every residual is zero.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    source = as_source(source_or_points)
     rng = rng if rng is not None else derive_rng(seed, "adaptive-round", label)
-    if isinstance(source_or_points, PointSet):
-        points = source_or_points
-        basis = basis if basis is not None else orthonormal_basis(points, current)
-        w = residual_distances(points.data, basis) ** p
-        total = float(w.sum())
-        if total <= 0.0:
-            raise ExactFitReached("span of the current subset fits every point")
-        return [int(i) for i in rng.choice(points.n, size=count, p=w / total)]
-    draws = _adaptive_round_draws(source_or_points, current, count, p,
-                                  basis=basis, rng=rng, label=label)
-    return [d.source_id for d in draws]
-
-
-def _adaptive_round_draws(source: DatasetSource, current: Sequence[int], count: int,
-                          p: float, *, basis: OrthonormalBasis | None,
-                          rng: np.random.Generator, label: str) -> list[ReservoirDraw]:
     if basis is None:
-        resident = source.in_memory_points()
-        if current and resident is None:
-            raise ValueError("streaming adaptive round needs an explicit basis "
-                             "(subset coordinates are not randomly accessible)")
-        if resident is not None:
-            basis = orthonormal_basis(resident, current)
-        else:
-            basis = OrthonormalBasis(source.d, np.zeros((0, source.d)), ())
+        basis = _pivot_basis(source, tuple(check_subset_ids(current, source.n)), None)
     try:
-        return weighted_reservoir_sample(
+        bank = weighted_reservoir_sample(
             source, lambda chunk: residual_distances(chunk, basis) ** p,
             count, seed=0, rng=rng, label=label)
     except ValueError as exc:
         if "degenerate weights" in str(exc):
             raise ExactFitReached("span of the current subset fits every point") from None
         raise
+    return [int(i) for i in bank.ids], bank.points_for(bank.ids)
 
 
 def adaptive_sample(source_or_points, initial_ids: Sequence[int], count: int,
@@ -312,14 +280,12 @@ def adaptive_sample(source_or_points, initial_ids: Sequence[int], count: int,
     for i in range(rounds):
         rng = derive_rng(seed, "adaptive-round", i)
         try:
-            draws = _adaptive_round_draws(source, (), count, p, basis=basis,
-                                          rng=rng, label=f"adaptive:{i + 1}")
+            ids, coords = adaptive_sample_round(source, (), count, p, basis=basis,
+                                                rng=rng, label=f"adaptive:{i + 1}")
         except ExactFitReached:
             warnings.append(f"exact fit after {i} rounds; stopped early")
             break
-        ids = tuple(d.source_id for d in draws)
-        coords = np.array([d.point for d in draws])
-        blocks.append(ids)
+        blocks.append(tuple(ids))
         basis = extend_basis(basis, coords, ids)
     total_error = _err_report_pass(source, basis, p, "report:total-error")
     return SelectionResult(
@@ -381,6 +347,8 @@ def volume_sample_dpp(points: PointSet, k: int, seed: int = 0, *,
     if not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= n")
     u, s, _ = np.linalg.svd(points.data, full_matrices=False)
+    # exact power-of-two rescale so s ** 2 cannot overflow at extreme scales
+    s = np.ldexp(s, -np.frexp(s[0])[1])
     lam = s ** 2
     lam[s <= s[0] * 1e-12] = 0.0
     r = int(np.count_nonzero(lam))
@@ -531,41 +499,24 @@ def volume_walk_distribution(points: PointSet, k: int, steps: int, walks: int,
 
 
 def adaptive_volume_init(source_or_points, k: int, p: float = 2.0,
-                         seed: int = 0) -> list[int]:
+                         seed: int = 0) -> tuple[list[int], np.ndarray]:
     """k rounds of single-point adaptive sampling (k passes on a source);
-    an approximate volume sampler suitable as the pivot for p >= 2."""
-    if isinstance(source_or_points, PointSet):
-        points = source_or_points
-        ids: list[int] = []
-        basis = orthonormal_basis(points, [])
-        for i in range(k):
-            rng = derive_rng(seed, "adaptive-init", i)
-            try:
-                pick = adaptive_sample_round(points, ids, 1, p, basis=basis, rng=rng)
-            except ExactFitReached:
-                break
-            ids.extend(pick)
-            basis = extend_basis(basis, points.data[pick], pick)
-        return ids
-    ids, _ = _adaptive_init_draws(source_or_points, k, p, seed)
-    return ids
-
-
-def _adaptive_init_draws(source: DatasetSource, k: int, p: float,
-                         seed: int) -> tuple[list[int], np.ndarray]:
+    an approximate volume sampler suitable as the pivot for p >= 2. Returns
+    (ids, coordinates); stops early once the picks fit every point."""
+    source = as_source(source_or_points)
     ids: list[int] = []
     coords = np.zeros((0, source.d))
     basis = OrthonormalBasis(source.d, np.zeros((0, source.d)), ())
     for i in range(k):
         rng = derive_rng(seed, "adaptive-init", i)
         try:
-            draws = _adaptive_round_draws(source, (), 1, p, basis=basis, rng=rng,
-                                          label=f"init:adaptive:{i + 1}")
+            pick, row = adaptive_sample_round(source, (), 1, p, basis=basis, rng=rng,
+                                              label=f"init:adaptive:{i + 1}")
         except ExactFitReached:
             break
-        ids.append(draws[0].source_id)
-        coords = np.vstack([coords, draws[0].point[None, :]])
-        basis = extend_basis(basis, draws[0].point, [draws[0].source_id])
+        ids.extend(pick)
+        coords = np.vstack([coords, row])
+        basis = extend_basis(basis, row, pick)
     return ids, coords
 
 
@@ -586,14 +537,14 @@ def proposal_q(x_residual_p, err_p_pivot: float, n: int):
     return 0.5 * np.asarray(x_residual_p, dtype=np.float64) / err_p_pivot + 0.5 / n
 
 
-def mh_accept(p_y: float, q_x: float, p_x: float, q_y: float, u: float) -> bool:
-    """Accept the move iff p_y q_x > u p_x q_y.
+def mh_accept(p_y, q_x, p_x, q_y, u):
+    """Accept the move iff p_y q_x > u p_x q_y; elementwise on arrays.
 
     Cross-multiplied so a zero-mass current state (p_x = 0) never divides:
     any positive-mass proposal is then accepted, and a zero-mass proposal is
     never accepted.
     """
-    return bool(p_y * q_x > u * p_x * q_y)
+    return p_y * q_x > u * p_x * q_y
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +666,7 @@ def mcmc_select(source_or_points, pivot_ids: Sequence[int], params: DerivedParam
                 y = slot_pool[base + j]
                 p_y = w_pool[y]
                 q_y = q_pool[y]
-                acc = p_y * q_x > us[:, j - 1] * p_x * q_y
+                acc = mh_accept(p_y, q_x, p_x, q_y, us[:, j - 1])
                 x[acc] = y[acc]
                 p_x[acc] = p_y[acc]
                 q_x[acc] = q_y[acc]
@@ -779,7 +730,7 @@ def init_pivot(source: DatasetSource, k: int, p: float, seed: int, init_mode: st
         return ids, pts.data[ids], alpha
     if init_mode != "adaptive-k-pass":
         raise ValueError(f"unknown init_mode {init_mode!r}")
-    ids, coords = _adaptive_init_draws(source, k, p, seed)
+    ids, coords = adaptive_volume_init(source, k, p, seed)
     return ids, coords, (float(math.factorial(k)) if p == 2.0 else 1.0)
 
 
@@ -852,7 +803,7 @@ def tv_distance_diag(points: PointSet, pivot_ids: Sequence[int],
     for _ in range(chain_steps - 1):
         y = rng.choice(n, size=trials, p=q)
         u = rng.random(trials)
-        acc = target[y] * q[state] > u * target[state] * q[y]
+        acc = mh_accept(target[y], q[state], target[state], q[y], u)
         state[acc] = y[acc]
     emp = np.bincount(state, minlength=n) / trials
     tv = 0.5 * float(np.abs(emp - target).sum())

@@ -78,15 +78,6 @@ class PassLog:
                 + ", ".join(e.label for e in self.entries if not e.reporting))
 
 
-@dataclass(frozen=True)
-class ReservoirDraw:
-    """One weighted draw: the point itself, its row index, and its race key."""
-
-    point: np.ndarray
-    source_id: int
-    key: float
-
-
 class DatasetSource:
     """Sequential-only access to a dataset; create via open_source()."""
 
@@ -121,17 +112,6 @@ class DatasetSource:
         for start, chunk in self._chunks():
             visitor(start, chunk)
             entry.rows_visited += len(chunk)
-        return entry
-
-    def stream_pass(self, label: str, visitor: Callable[[int, np.ndarray], None],
-                    *, reporting: bool = False) -> PassEntry:
-        """Per-row variant of stream_pass_chunks; aborts leave the entry incomplete."""
-        entry = PassEntry(label, 0, self.n, reporting)
-        self.pass_log.entries.append(entry)
-        for start, chunk in self._chunks():
-            for i in range(len(chunk)):
-                visitor(start + i, chunk[i])
-                entry.rows_visited += 1
         return entry
 
     def collect(self, label: str, *, reporting: bool = False) -> PointSet:
@@ -316,8 +296,8 @@ class ReservoirBank:
     with probability w_i / W, so one exponential plus one uniform per slot
     and chunk reproduces the per-row exponential-jump keys exactly. Winner
     coordinates are captured at win time (keyed by row id), so draws never
-    need to re-access the source. ids/keys expose the slots as arrays;
-    draw_list() materializes ReservoirDraw records.
+    need to re-access the source. ids/keys expose the slots as arrays and
+    points_for(ids) returns the captured coordinates.
     """
 
     def __init__(self, slots: int, rng: np.random.Generator):
@@ -357,46 +337,34 @@ class ReservoirBank:
         if self.total_weight <= 0.0:
             raise ValueError("degenerate weights: every row has weight zero")
 
-    def point(self, source_id: int) -> np.ndarray:
-        return self._coords[int(source_id)]
-
     def points_for(self, ids: np.ndarray) -> np.ndarray:
         return np.array([self._coords[int(i)] for i in ids])
 
     def coord_map(self) -> dict[int, np.ndarray]:
         return self._coords
 
-    def draw_list(self) -> list[ReservoirDraw]:
-        self.require_nondegenerate()
-        return [ReservoirDraw(point=self._coords[int(i)], source_id=int(i), key=float(k))
-                for i, k in zip(self.ids, self.keys)]
-
-
-def _chunk_weights(weight_fn, chunk: np.ndarray) -> np.ndarray:
-    """Apply a weight function to a chunk; scalar per-point functions are
-    broadcast row by row."""
-    try:
-        w = np.asarray(weight_fn(chunk), dtype=np.float64)
-        if w.shape == (len(chunk),):
-            return w
-    except Exception:
-        pass
-    return np.array([float(weight_fn(row)) for row in chunk], dtype=np.float64)
-
 
 def weighted_reservoir_sample(source: DatasetSource, weight_fn, slots: int,
                               seed: int, *, label: str = "reservoir",
-                              rng: np.random.Generator | None = None) -> list[ReservoirDraw]:
+                              rng: np.random.Generator | None = None) -> ReservoirBank:
     """`slots` independent draws with probability proportional to weight_fn,
     in exactly one sequential pass regardless of slots.
 
-    weight_fn may map a single point to a nonnegative weight or a whole
-    (rows, d) chunk to a weight vector (much faster).
+    weight_fn maps a (rows, d) chunk to a (rows,) vector of nonnegative
+    weights. Raises ValueError when every row has weight zero.
     """
     bank = ReservoirBank(slots, rng or derive_rng(seed, "reservoir", label))
-    source.stream_pass_chunks(label, lambda start, chunk: bank.offer(
-        start, chunk, _chunk_weights(weight_fn, chunk)))
-    return bank.draw_list()
+
+    def visit(start: int, chunk: np.ndarray) -> None:
+        w = np.asarray(weight_fn(chunk), dtype=np.float64)
+        if w.shape != (len(chunk),):
+            raise ValueError(f"weight_fn returned shape {w.shape} for a chunk of "
+                             f"{len(chunk)} rows; expected ({len(chunk)},)")
+        bank.offer(start, chunk, w)
+
+    source.stream_pass_chunks(label, visit)
+    bank.require_nondegenerate()
+    return bank
 
 
 def proposal_prefetch_pass(source: DatasetSource, pivot_basis: OrthonormalBasis,

@@ -27,7 +27,6 @@ from subsel.samplers import (
     derive_params,
     enumerate_volume_distribution,
     select_subset,
-    squared_length_sample,
     tv_distance_diag,
     volume_sample_dpp,
     volume_sample_exact,
@@ -54,7 +53,7 @@ def test_criterion_1_approximation_guarantee():
     start = time.perf_counter()
     pts, _ = generate_synthetic(n=2000, d=50, rank=5, noise_sigma=0.1, seed=0)
     _, opt = optimal_subspace(pts, 5)
-    chain_steps = 64  # recorded override; derived m here would be 140223
+    chain_steps = 64  # recorded override; derived m here would be 140218
     ratios = []
     for seed in range(20):
         cfg = SamplingConfig(k=5, epsilon=0.5, seed=seed, chain_steps=chain_steps)
@@ -101,10 +100,10 @@ def test_criterion_2_pass_complexity():
     from subsel.stream import open_source, weighted_reservoir_sample
 
     src = open_source(pts)
-    draws = weighted_reservoir_sample(
+    bank = weighted_reservoir_sample(
         src, lambda c: np.linalg.norm(c, axis=1) ** 2, 4, seed=6, label="init:fkv")
-    seeded = adaptive_sample(src, [d.source_id for d in draws], 10, rounds, seed=7,
-                             initial_coords=np.array([d.point for d in draws]))
+    seeded = adaptive_sample(src, bank.ids, 10, rounds, seed=7,
+                             initial_coords=bank.points_for(bank.ids))
     seeded.passes.assert_passes(rounds + 1)
 
     report("criterion-2", True,
@@ -250,7 +249,7 @@ def test_criterion_7_distributional_oracles():
     details = []
 
     w = np.linalg.norm(pts.data, axis=1) ** 2
-    tv_sl = empirical_tv(squared_length_sample(pts, trials, seed=701),
+    tv_sl = empirical_tv(adaptive_sample_round(pts, [], trials, seed=701)[0],
                          w / w.sum(), 5)
     assert tv_sl <= 0.05
     details.append(f"squared-length tv={tv_sl:.4f}")
@@ -259,7 +258,7 @@ def test_criterion_7_distributional_oracles():
     from subsel.linalg import residual_distances
 
     res = residual_distances(pts.data, basis) ** 2
-    tv_ad = empirical_tv(adaptive_sample_round(pts, [0], trials, seed=702),
+    tv_ad = empirical_tv(adaptive_sample_round(pts, [0], trials, seed=702)[0],
                          res / res.sum(), 5)
     assert tv_ad <= 0.05
     details.append(f"adaptive-round tv={tv_ad:.4f}")

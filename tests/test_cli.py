@@ -141,6 +141,14 @@ def test_run_fkv_single_pass(tmp_path):
     assert rows[0].subset_size == 20
 
 
+def test_run_fkv_all_zero_input_usage_error(tmp_path, capsys):
+    path = tmp_path / "zeros.csv"
+    path.write_text("0.0,0.0\n0.0,0.0\n")
+    assert main(["run", "--input", str(path), "--alg", "fkv", "--k", "1",
+                 "--t", "2", "--l", "1"]) == 2
+    assert "fits every point" in capsys.readouterr().err
+
+
 def test_run_volume_algs(tmp_path):
     path = gen_dataset(tmp_path, n=40, d=5, rank=3)
     for alg, extra in (("volume-exact", []), ("volume-mcmc", ["--steps", "200"])):
@@ -172,6 +180,39 @@ def test_run_robust_uses_truth(tmp_path):
     rows = parse_report(out.read_text())
     assert rows[0].passes == 2
     assert rows[0].optimum is not None
+
+
+def test_run_opens_input_once(tmp_path, monkeypatch):
+    import subsel.cli
+
+    path = gen_dataset(tmp_path)
+    opened = []
+
+    def counting_open(path_or_points, mode="memory"):
+        if not hasattr(path_or_points, "data"):
+            opened.append(mode)
+        return open_source(path_or_points, mode)
+
+    monkeypatch.setattr(subsel.cli, "open_source", counting_open)
+    for mode in ("memory", "streaming"):
+        counts = []
+        for trials in ("1", "3"):
+            opened.clear()
+            assert main(["run", "--input", str(path), "--alg", "mcmc", "--k", "3",
+                         "--m", "8", "--trials", trials, "--mode", mode,
+                         "--out", str(tmp_path / "r.csv")]) == 0
+            counts.append(len(opened))
+        assert counts[0] == counts[1] == 1
+
+
+def test_run_prints_warnings(tmp_path, capsys):
+    path = gen_dataset(tmp_path, n=150, d=8, rank=2, outlier_frac=0.05,
+                       outlier_scale=4.0)
+    capsys.readouterr()
+    assert main(["run", "--input", str(path), "--alg", "mcmc", "--k", "2",
+                 "--beta", "0.05", "--lambda", "1.0", "--m", "8",
+                 "--out", str(tmp_path / "rob.csv")]) == 0
+    assert "assumption violated" in capsys.readouterr().err
 
 
 def test_run_rejects_incompatible_flags(tmp_path):

@@ -12,7 +12,6 @@ from subsel.linalg import (
     extend_basis,
     orthonormal_basis,
     optimal_subspace,
-    residual_distance,
     residual_distances,
     simplex_volume_sq,
 )
@@ -157,8 +156,12 @@ def test_subset_id_validation():
 
 
 # ---------------------------------------------------------------------------
-# residual_distance
+# residual distances
 # ---------------------------------------------------------------------------
+
+def residual_distance(x, basis):
+    return float(residual_distances(x[None, :], basis)[0])
+
 
 def test_residual_axis_projection():
     ps = PointSet(np.array([[1.0, 0.0]]))
@@ -184,7 +187,7 @@ def test_residual_dimension_mismatch():
     ps = PointSet(np.array([[1.0, 0.0]]))
     b = orthonormal_basis(ps, [0])
     with pytest.raises(ValueError, match="dimension"):
-        residual_distance(np.array([1.0, 2.0, 3.0]), b)
+        residual_distances(np.array([[1.0, 2.0, 3.0]]), b)
 
 
 def test_projection_contraction_and_pythagoras():

@@ -6,13 +6,12 @@ import pytest
 
 from subsel.linalg import OrthonormalBasis, PointSet, orthonormal_basis
 from subsel.outliers import (
-    OutlierConfig,
     check_lambda,
     fit_trimmed_subspace,
     nearest_inliers,
     robust_select,
 )
-from subsel.stream import generate_synthetic, inlier_count
+from subsel.stream import generate_synthetic, inlier_count, open_source
 
 
 def axis_basis(d, axes):
@@ -91,12 +90,11 @@ def test_inlier_error_monotone_in_span():
 
 
 def test_outlier_config_validation():
-    with pytest.raises(ValueError):
-        OutlierConfig(beta=1.0)
-    with pytest.raises(ValueError):
-        OutlierConfig(beta=-0.1)
-    with pytest.raises(ValueError):
-        OutlierConfig(beta=0.1, lam=0.0)
+    src = open_source(PointSet(np.eye(3)))
+    for beta, lam in ((1.0, 1.0), (-0.1, 1.0), (0.1, 0.0)):
+        with pytest.raises(ValueError):
+            robust_select(src, 1, 0.5, beta, lam)
+    assert src.pass_log.entries == []  # rejected before any pass
     with pytest.raises(ValueError):
         nearest_inliers(PointSet(np.eye(2)), axis_basis(2, [0]), 1.0)
 

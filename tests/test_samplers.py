@@ -18,7 +18,6 @@ from subsel.samplers import (
     mh_accept,
     proposal_q,
     select_subset,
-    squared_length_sample,
     tv_distance_diag,
     volume_sample_dpp,
     volume_sample_exact,
@@ -137,42 +136,44 @@ def test_derive_params_validation():
 
 
 # ---------------------------------------------------------------------------
-# squared-length and adaptive sampling
+# adaptive sampling; squared-length sampling is a round with an empty span
 # ---------------------------------------------------------------------------
 
 def test_squared_length_zero_weight_excluded():
     pts = PointSet(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    assert set(squared_length_sample(pts, 50, seed=1)) == {0}
+    ids, coords = adaptive_sample_round(pts, [], 50, seed=1)
+    assert set(ids) == {0}
+    assert np.array_equal(coords, np.tile([1.0, 0.0], (50, 1)))
 
 
 def test_squared_length_frequency():
     pts = PointSet(np.array([[1.0, 0.0], [2.0, 0.0]]))
-    draws = squared_length_sample(pts, 50_000, p=2.0, seed=2)
+    draws, _ = adaptive_sample_round(pts, [], 50_000, p=2.0, seed=2)
     freq1 = np.mean(np.asarray(draws) == 1)
     assert abs(freq1 - 0.8) <= 3 * math.sqrt(0.8 * 0.2 / 50_000)
 
 
 def test_squared_length_symmetry():
     pts = PointSet(np.array([[1.0, 0.0], [1.0, 0.0]]))
-    draws = squared_length_sample(pts, 50_000, seed=3)
+    draws, _ = adaptive_sample_round(pts, [], 50_000, seed=3)
     freq0 = np.mean(np.asarray(draws) == 0)
     assert abs(freq0 - 0.5) <= 3 * math.sqrt(0.25 / 50_000)
 
 
 def test_squared_length_all_zero_errors():
-    with pytest.raises(ValueError, match="zero length"):
-        squared_length_sample(PointSet(np.zeros((3, 2))), 1)
+    with pytest.raises(ExactFitReached):
+        adaptive_sample_round(PointSet(np.zeros((3, 2))), [], 1)
 
 
 def test_adaptive_round_unique_nonzero_residual():
     pts = PointSet(np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]]))
-    draws = adaptive_sample_round(pts, [0], 20, seed=4)
+    draws, _ = adaptive_sample_round(pts, [0], 20, seed=4)
     assert set(draws) == {1}
 
 
 def test_adaptive_round_empty_current_is_squared_length():
     pts = instance(5, 3, seed=6)
-    a = adaptive_sample_round(pts, [], 30_000, seed=7)
+    a, _ = adaptive_sample_round(pts, [], 30_000, seed=7)
     w = np.linalg.norm(pts.data, axis=1) ** 2
     probs = w / w.sum()
     assert empirical_tv(a, probs, 5) <= 0.02
@@ -180,7 +181,7 @@ def test_adaptive_round_empty_current_is_squared_length():
 
 def test_adaptive_round_residual_weights():
     pts = PointSet(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 2.0]]))
-    draws = adaptive_sample_round(pts, [0], 50_000, seed=8)
+    draws, _ = adaptive_sample_round(pts, [0], 50_000, seed=8)
     freq2 = np.mean(np.asarray(draws) == 2)
     assert abs(freq2 - 0.8) <= 3 * math.sqrt(0.8 * 0.2 / 50_000)
     assert 0 not in set(draws)
@@ -196,7 +197,7 @@ def test_adaptive_round_source_and_points_agree_in_distribution():
     pts = instance(6, 3, seed=10)
     src = open_source(pts)
     basis = orthonormal_basis(pts, [0])
-    via_source = adaptive_sample_round(src, [0], 30_000, seed=11, basis=basis)
+    via_source, _ = adaptive_sample_round(src, [0], 30_000, seed=11, basis=basis)
     w = residual_distances(pts.data, basis) ** 2
     probs = w / w.sum()
     assert empirical_tv(via_source, probs, 6) <= 0.02
@@ -330,6 +331,17 @@ def test_volume_dpp_rank_deficient():
         volume_sample_dpp(flat, 2)
 
 
+def test_volume_dpp_extreme_scale_no_overflow():
+    # squared singular values of data near 1e180 would overflow without the
+    # power-of-two rescale; SVD is not exactly scale-equivariant, so only the
+    # contract is checked, not the ids of the unscaled run
+    x = instance(40, 6, seed=30).data
+    with np.errstate(all="raise"):
+        ids = volume_sample_dpp(PointSet(x * 2.0 ** 600), 3, seed=31)
+    assert len(set(ids)) == 3 and all(0 <= i < 40 for i in ids)
+    assert np.linalg.matrix_rank(x[ids]) == 3
+
+
 def test_greedy_init_nonzero_volume():
     pts = instance(10, 4, seed=29)
     ids = greedy_max_volume_init(pts, 3)
@@ -405,7 +417,8 @@ def test_volume_walk_exact_transition_matrix_oracle():
 def test_adaptive_volume_init_exact_directions():
     pts = PointSet(np.array([[3.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0],
                              [2.0, 0.0, 0.0]]))
-    ids = adaptive_volume_init(pts, 3, seed=37)
+    ids, coords = adaptive_volume_init(pts, 3, seed=37)
+    assert np.array_equal(coords, pts.data[ids])
     basis = orthonormal_basis(pts, ids)
     assert basis.r == 3
     assert err_p(pts, basis, 2.0) == pytest.approx(0.0, abs=1e-18)
@@ -413,7 +426,7 @@ def test_adaptive_volume_init_exact_directions():
 
 def test_adaptive_volume_init_early_stop():
     pts = PointSet(np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
-    ids = adaptive_volume_init(pts, 2, seed=38)
+    ids, _ = adaptive_volume_init(pts, 2, seed=38)
     assert len(ids) == 1
 
 
@@ -425,7 +438,7 @@ def test_adaptive_volume_init_expectation_bound():
     _, opt = optimal_subspace(pts, 2)
     errs = np.empty(20_000)
     for trial in range(len(errs)):
-        ids = adaptive_volume_init(pts, 2, seed=trial)
+        ids, _ = adaptive_volume_init(pts, 2, seed=trial)
         errs[trial] = err_p(pts, orthonormal_basis(pts, ids), 2.0)
     mean = float(errs.mean())
     sem = float(errs.std(ddof=1) / math.sqrt(len(errs)))

@@ -135,11 +135,11 @@ def test_stream_pass_visits_rows_in_order():
     seen = []
     acc = [0.0]
 
-    def visit(i, row):
-        seen.append(i)
-        acc[0] += float(row @ row)
+    def visit(start, chunk):
+        seen.extend(range(start, start + len(chunk)))
+        acc[0] += float(np.sum(chunk * chunk))
 
-    entry = src.stream_pass("sumsq", visit)
+    entry = src.stream_pass_chunks("sumsq", visit)
     assert seen == [0, 1, 2]
     assert entry.rows_visited == 3 and entry.complete
     assert acc[0] == pytest.approx(1 + 4 + 5)
@@ -148,22 +148,22 @@ def test_stream_pass_visits_rows_in_order():
 
 def test_two_passes_counted():
     src = open_source(PointSet(np.eye(3)))
-    src.stream_pass("first", lambda i, row: None)
-    src.stream_pass("second", lambda i, row: None)
+    src.stream_pass_chunks("first", lambda start, chunk: None)
+    src.stream_pass_chunks("second", lambda start, chunk: None)
     assert src.pass_log.total_passes == 2
     src.pass_log.assert_passes(2)
 
 
 def test_aborted_pass_is_incomplete():
-    src = open_source(PointSet(np.eye(3)))
+    src = open_source(PointSet(np.ones((CHUNK_ROWS + 5, 2))))
 
-    def visit(i, row):
-        if i == 1:
+    def visit(start, chunk):
+        if start > 0:
             raise RuntimeError("abort")
 
     with pytest.raises(RuntimeError, match="abort"):
-        src.stream_pass("doomed", visit)
-    assert src.pass_log.entries[-1].rows_visited == 1
+        src.stream_pass_chunks("doomed", visit)
+    assert src.pass_log.entries[-1].rows_visited == CHUNK_ROWS
     assert not src.pass_log.entries[-1].complete
     with pytest.raises(PassCountError, match="incomplete"):
         src.pass_log.assert_passes(1)
@@ -171,8 +171,8 @@ def test_aborted_pass_is_incomplete():
 
 def test_reporting_passes_tallied_separately():
     src = open_source(PointSet(np.eye(3)))
-    src.stream_pass("algo", lambda i, row: None)
-    src.stream_pass("report:err", lambda i, row: None, reporting=True)
+    src.stream_pass_chunks("algo", lambda start, chunk: None)
+    src.stream_pass_chunks("report:err", lambda start, chunk: None, reporting=True)
     assert src.pass_log.total_passes == 1
     assert src.pass_log.reporting_passes == 1
     src.pass_log.assert_passes(1)
@@ -180,7 +180,7 @@ def test_reporting_passes_tallied_separately():
 
 def test_wrong_pass_count_raises():
     src = open_source(PointSet(np.eye(3)))
-    src.stream_pass("only", lambda i, row: None)
+    src.stream_pass_chunks("only", lambda start, chunk: None)
     with pytest.raises(PassCountError, match="expected 2"):
         src.pass_log.assert_passes(2)
 
@@ -207,16 +207,16 @@ def test_reservoir_single_support():
     pts = PointSet(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
     for seed in range(10):
         src = open_source(pts)
-        draws = weighted_reservoir_sample(src, sq_norms, 5, seed=seed)
-        assert all(d.source_id == 0 for d in draws)
-        assert all(np.array_equal(d.point, [1.0, 0.0]) for d in draws)
+        bank = weighted_reservoir_sample(src, sq_norms, 5, seed=seed)
+        assert np.all(bank.ids == 0)
+        assert np.array_equal(bank.points_for(bank.ids), np.tile([1.0, 0.0], (5, 1)))
 
 
 def test_reservoir_uniform_counts():
     pts = PointSet(np.ones((4, 2)))
     src = open_source(pts)
-    draws = weighted_reservoir_sample(src, lambda c: np.ones(len(c)), 10000, seed=99)
-    counts = np.bincount([d.source_id for d in draws], minlength=4)
+    bank = weighted_reservoir_sample(src, lambda c: np.ones(len(c)), 10000, seed=99)
+    counts = np.bincount(bank.ids, minlength=4)
     sigma = math.sqrt(10000 * 0.25 * 0.75)
     assert np.all(np.abs(counts - 2500) <= 3 * sigma)
     assert src.pass_log.total_passes == 1
@@ -225,8 +225,8 @@ def test_reservoir_uniform_counts():
 def test_reservoir_weighted_counts():
     pts = PointSet(np.array([[math.sqrt(3.0), 0.0], [1.0, 0.0]]))
     src = open_source(pts)
-    draws = weighted_reservoir_sample(src, sq_norms, 40000, seed=7)
-    freq0 = np.mean([d.source_id == 0 for d in draws])
+    bank = weighted_reservoir_sample(src, sq_norms, 40000, seed=7)
+    freq0 = np.mean(bank.ids == 0)
     sigma = math.sqrt(0.75 * 0.25 / 40000)
     assert abs(freq0 - 0.75) <= 3 * sigma
 
@@ -253,8 +253,8 @@ def test_reservoir_single_slot_matches_enumeration():
     counts = np.zeros(4)
     for trial in range(trials):
         src = open_source(pts)
-        draw = weighted_reservoir_sample(src, sq_norms, 1, seed=trial)[0]
-        counts[draw.source_id] += 1
+        bank = weighted_reservoir_sample(src, sq_norms, 1, seed=trial)
+        counts[bank.ids[0]] += 1
     sigma = np.sqrt(trials * probs * (1 - probs))
     assert np.all(np.abs(counts - trials * probs) <= 3 * sigma)
 
@@ -266,8 +266,8 @@ def test_reservoir_matches_inverse_cdf_in_distribution():
     pts = PointSet(np.diag(np.sqrt(weights)))
     src = open_source(pts)
     slots = 60000
-    draws = weighted_reservoir_sample(src, sq_norms, slots, seed=11)
-    emp_res = np.bincount([d.source_id for d in draws], minlength=5) / slots
+    bank = weighted_reservoir_sample(src, sq_norms, slots, seed=11)
+    emp_res = np.bincount(bank.ids, minlength=5) / slots
     rng = derive_rng(11, "inverse-cdf")
     emp_cdf = np.bincount(rng.choice(5, size=slots, p=weights / weights.sum()),
                           minlength=5) / slots
@@ -275,27 +275,34 @@ def test_reservoir_matches_inverse_cdf_in_distribution():
     assert tv <= 0.02
 
 
-def test_reservoir_bit_identical_across_modes(tmp_path):
+@pytest.mark.parametrize("n", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+def test_reservoir_bit_identical_across_modes(tmp_path, n):
     rng = np.random.default_rng(5)
-    data = rng.standard_normal((CHUNK_ROWS + 50, 3))
+    data = rng.standard_normal((n, 3))
     path = tmp_path / "c.csv"
     write_csv(path, data)
     mem = open_source(path, mode="memory")
     strm = open_source(path, mode="streaming")
-    d_mem = weighted_reservoir_sample(mem, sq_norms, 64, seed=42)
-    d_strm = weighted_reservoir_sample(strm, sq_norms, 64, seed=42)
-    assert [d.source_id for d in d_mem] == [d.source_id for d in d_strm]
-    assert [d.key for d in d_mem] == [d.key for d in d_strm]
-    for a, b in zip(d_mem, d_strm):
-        assert np.array_equal(a.point, b.point)
+    b_mem = weighted_reservoir_sample(mem, sq_norms, 64, seed=42)
+    b_strm = weighted_reservoir_sample(strm, sq_norms, 64, seed=42)
+    assert np.array_equal(b_mem.ids, b_strm.ids)
+    assert np.array_equal(b_mem.keys, b_strm.keys)
+    assert np.array_equal(b_mem.points_for(b_mem.ids), b_strm.points_for(b_strm.ids))
 
 
-def test_reservoir_scalar_weight_fn_fallback():
+def test_reservoir_weight_fn_frequency():
     pts = PointSet(np.array([[1.0, 0.0], [0.0, 2.0]]))
     src = open_source(pts)
-    draws = weighted_reservoir_sample(src, lambda x: float(x @ x), 2000, seed=1)
-    freq1 = np.mean([d.source_id == 1 for d in draws])
+    bank = weighted_reservoir_sample(src, lambda c: np.einsum("ij,ij->i", c, c), 2000, seed=1)
+    freq1 = np.mean(bank.ids == 1)
     assert abs(freq1 - 0.8) <= 3 * math.sqrt(0.8 * 0.2 / 2000)
+
+
+def test_reservoir_rejects_misshaped_weights():
+    src = open_source(PointSet(np.eye(3)))
+    with pytest.raises(ValueError, match="shape"):
+        weighted_reservoir_sample(src, lambda c: sq_norms(c)[:, None], 4, seed=0)
+    assert not src.pass_log.entries[-1].complete
 
 
 # ---------------------------------------------------------------------------
