@@ -23,6 +23,7 @@ from .samplers import (
     ExactFitReached,
     SamplingConfig,
     SelectionResult,
+    SlotBudgetError,
     adaptive_sample,
     adaptive_sample_round,
     adaptive_volume_init,
@@ -63,6 +64,7 @@ __all__ = [
     "PointSet",
     "SamplingConfig",
     "SelectionResult",
+    "SlotBudgetError",
     "adaptive_sample",
     "adaptive_sample_round",
     "adaptive_volume_init",

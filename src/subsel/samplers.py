@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,8 +46,23 @@ ENUMERATION_GUARD = 10 ** 6
 TV_DIAG_MAX_POINTS = 4096
 
 
+# Peak bytes per proposal slot in mcmc_select: the two banks' int64 ids, the
+# mixture coins' float64 uniforms, the candidate ids and their pool indices.
+# A 22.4M-slot selection peaks at 37 B/slot above the process's baseline.
+SLOT_BYTES = 48
+
+
 class ExactFitReached(RuntimeError):
     """The selected span already fits every point; residual weights vanish."""
+
+
+class SlotBudgetError(ValueError):
+    """The t*l*m proposal slots would not fit in physical memory."""
+
+
+def physical_memory_bytes() -> int:
+    """Physical memory of this machine, which bounds the proposal slots."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 # ---------------------------------------------------------------------------
@@ -586,9 +602,11 @@ def mcmc_select(source_or_points, pivot_ids: Sequence[int], params: DerivedParam
     (m-1)-step Metropolis chain over prefetched proposal draws, all fed by a
     single sequential pass.
 
-    The pass accumulates err_p against the pivot span and fills the residual
-    and uniform reservoir banks; a fair coin then assigns each chain slot to
-    a bank, realizing i.i.d. draws from the mixture q. Chains within a round
+    The pass accumulates err_p against the pivot span, fills the residual
+    reservoir bank and captures the rows of the uniform bank; a fair coin
+    then assigns each chain slot to a bank, realizing i.i.d. draws from the
+    mixture q. The slots (t*l*m) must fit in physical memory, or
+    SlotBudgetError is raised before the pass. Chains within a round
     are independent (fresh q-draw starts, per-chain derived seeds) and their
     target is the span of everything selected before the round. When every
     prefetched candidate already fits the current span, the remaining blocks
@@ -601,10 +619,13 @@ def mcmc_select(source_or_points, pivot_ids: Sequence[int], params: DerivedParam
     pivot_basis = _pivot_basis(source, pivot, pivot_coords)
 
     slots = t * l * m
-    if slots > 10 ** 8:
-        raise ValueError(
-            f"t*l*m = {slots} proposal slots exceed the in-memory budget; "
-            "derived chain lengths at this size need a chain_steps override")
+    need = slots * SLOT_BYTES + t * (m - 1) * 8
+    have = physical_memory_bytes()
+    if need > have:
+        raise SlotBudgetError(
+            f"t*l*m = {slots} proposal slots need about {need / 2**30:.1f} GiB, more "
+            f"than the {have / 2**30:.1f} GiB of physical memory; derived chain "
+            "lengths at this size need a chain_steps override")
     err_pivot, bank_w, bank_u = proposal_prefetch_pass(
         source, pivot_basis, p, slots, seed, label="mcmc:select")
     coins = derive_rng(seed, "mixture-coins").random(slots) < 0.5
@@ -616,7 +637,11 @@ def mcmc_select(source_or_points, pivot_ids: Sequence[int], params: DerivedParam
         cand_ids = bank_u.ids
         coord_map = bank_u.coord_map()
 
-    pool_ids, slot_pool = np.unique(cand_ids, return_inverse=True)
+    # every id lies in [0, n): a bincount gives the sorted pool and each
+    # slot's index into it in O(slots + n)
+    present = np.bincount(cand_ids, minlength=n) > 0
+    pool_ids = np.flatnonzero(present)
+    slot_pool = (np.cumsum(present) - 1)[cand_ids]
     pool_coords = np.array([coord_map[int(i)] for i in pool_ids])
     w_pivot_pool = residual_distances(pool_coords, pivot_basis) ** p
     if err_pivot > 0.0:

@@ -7,8 +7,10 @@ seeded algorithm consumes its random stream identically in both modes and
 produces bit-identical results.
 
 Also provides weighted reservoir sampling (many independent single draws in
-one pass), the proposal prefetch pass used by the Metropolis selection, the
-CSV and binary file formats, and synthetic instance generation.
+one pass, at a cost proportional to the slots each chunk replaces: skip to
+the replaced slots, fill them with one block per chunk, shuffle once at the
+end), the proposal prefetch pass used by the Metropolis selection, the CSV
+and binary file formats, and synthetic instance generation.
 """
 
 from __future__ import annotations
@@ -288,60 +290,98 @@ def write_binary(path: str, data: np.ndarray) -> None:
 # weighted reservoir sampling
 # ---------------------------------------------------------------------------
 
-class ReservoirBank:
-    """`slots` independent single draws, each proportional to a row weight.
+class SlotBank:
+    """Row ids drawn into `slots` slots, plus the coordinates of every drawn
+    row, captured while the pass visits its chunk so that draws never need to
+    re-access the source. points_for(ids) returns the captured coordinates."""
 
-    Each slot runs an exponential race: over a chunk with weights w and total
-    W, the minimum of Exp(1)/w_i is distributed Exp(W) and lands on row i
-    with probability w_i / W, so one exponential plus one uniform per slot
-    and chunk reproduces the per-row exponential-jump keys exactly. Winner
-    coordinates are captured at win time (keyed by row id), so draws never
-    need to re-access the source. ids/keys expose the slots as arrays and
-    points_for(ids) returns the captured coordinates.
-    """
-
-    def __init__(self, slots: int, rng: np.random.Generator):
-        if slots < 1:
-            raise ValueError("slots must be >= 1")
-        self.rng = rng
-        self.keys = np.full(slots, np.inf)
-        self.ids = np.full(slots, -1, dtype=np.int64)
-        self.total_weight = 0.0
+    def __init__(self, ids: np.ndarray):
+        self.ids = ids
         self._coords: dict[int, np.ndarray] = {}
 
-    def offer(self, start: int, chunk: np.ndarray, weights: np.ndarray) -> None:
-        if np.any(weights < 0) or not np.all(np.isfinite(weights)):
-            raise ValueError("weights must be nonnegative and finite")
-        total = float(weights.sum())
-        # fixed consumption per chunk keeps streaming/in-memory runs identical
-        keys = self.rng.exponential(size=self.keys.shape[0])
-        picks = self.rng.random(size=self.keys.shape[0])
-        self.total_weight += total
-        if total <= 0.0:
-            return
-        keys /= total
-        upd = keys < self.keys
-        if not np.any(upd):
-            return
-        cum = np.cumsum(weights)
-        rows = np.searchsorted(cum, picks[upd] * total, side="right")
-        rows = np.minimum(rows, len(weights) - 1)
-        self.keys[upd] = keys[upd]
-        self.ids[upd] = start + rows
-        for row in np.unique(rows):
+    def capture(self, start: int, chunk: np.ndarray, rows: np.ndarray) -> None:
+        for row in rows:
             i = start + int(row)
             if i not in self._coords:
                 self._coords[i] = chunk[row].copy()
-
-    def require_nondegenerate(self) -> None:
-        if self.total_weight <= 0.0:
-            raise ValueError("degenerate weights: every row has weight zero")
 
     def points_for(self, ids: np.ndarray) -> np.ndarray:
         return np.array([self._coords[int(i)] for i in ids])
 
     def coord_map(self) -> dict[int, np.ndarray]:
         return self._coords
+
+
+class ReservoirBank(SlotBank):
+    """`slots` independent single draws, each proportional to a row weight.
+
+    After chunks 1..c every slot holds a row drawn with probability
+    w_i / W_cum, W_cum being the weight of those chunks. Chunk c keeps that
+    true by replacing each slot independently with probability
+    pi_c = W_c / W_cum with a fresh draw from the chunk. This is the
+    exponential race of Efraimidis & Spirakis with the chunk as the unit: the
+    chunk's smallest Exp(1)/w_i key beats the slot's standing key with
+    exactly that probability. The replaced positions are found by skipping
+    geometric gaps (Vitter's skips) and filled with one multinomial block in
+    row order, so a chunk costs O(replacements + rows), not O(slots). The
+    positions are a uniform subset chosen independently of the slots'
+    contents, so the final multiset of ids is exact; finish() shuffles the
+    slots once at the end of the pass, which makes them i.i.d. again.
+    """
+
+    def __init__(self, slots: int, rng: np.random.Generator):
+        if slots < 1:
+            raise ValueError("slots must be >= 1")
+        super().__init__(np.full(slots, -1, dtype=np.int64))
+        self.rng = rng
+        self.total_weight = 0.0
+
+    def offer(self, start: int, chunk: np.ndarray, weights: np.ndarray) -> None:
+        if np.any(weights < 0) or not np.all(np.isfinite(weights)):
+            raise ValueError("weights must be nonnegative and finite")
+        total = float(weights.sum())
+        self.total_weight += total
+        if not math.isfinite(self.total_weight):
+            raise ValueError("weights overflow: their running sum is not finite")
+        if total <= 0.0:
+            return
+        pi = total / self.total_weight
+        if pi >= 1.0:
+            positions, replaced = slice(None), len(self.ids)
+        else:
+            positions = self._replaced_positions(pi)
+            replaced = len(positions)
+        # rows of zero weight stay out, so the multinomial's remainder
+        # category is a row that can be drawn
+        support = np.flatnonzero(weights > 0.0)
+        counts = self.rng.multinomial(replaced, weights[support] / total)
+        hit = counts > 0
+        rows = support[hit]
+        self.ids[positions] = start + np.repeat(rows, counts[hit])
+        self.capture(start, chunk, rows)
+
+    def _replaced_positions(self, pi: float) -> np.ndarray:
+        """Each slot independently with probability pi, in increasing order:
+        partial sums of Geometric(pi) gaps, drawn in batches."""
+        slots = len(self.ids)
+        mean = slots * pi
+        batch = int(mean + 4.0 * math.sqrt(mean)) + 16
+        parts = []
+        last = -1
+        while last < slots:
+            # a gap past the end ends the scan; capping it keeps the sums in range
+            gaps = np.minimum(self.rng.geometric(pi, size=batch), slots + 1)
+            parts.append(last + np.cumsum(gaps))
+            last = int(parts[-1][-1])
+        positions = np.concatenate(parts)
+        return positions[:np.searchsorted(positions, slots)]
+
+    def finish(self) -> None:
+        """End of the pass: reject all-zero weights, then shuffle the slots,
+        which offer() fills in row order."""
+        if self.total_weight <= 0.0:
+            raise ValueError("degenerate weights: every row has weight zero")
+        self.rng.shuffle(self.ids)
 
 
 def weighted_reservoir_sample(source: DatasetSource, weight_fn, slots: int,
@@ -363,25 +403,30 @@ def weighted_reservoir_sample(source: DatasetSource, weight_fn, slots: int,
         bank.offer(start, chunk, w)
 
     source.stream_pass_chunks(label, visit)
-    bank.require_nondegenerate()
+    bank.finish()
     return bank
 
 
 def proposal_prefetch_pass(source: DatasetSource, pivot_basis: OrthonormalBasis,
                            p: float, slots: int, seed: int, *,
                            label: str = "mcmc-prefetch",
-                           ) -> tuple[float, ReservoirBank | None, ReservoirBank]:
-    """The single Metropolis pass: accumulate err_p against the pivot span and
-    fill two reservoir banks, one weighted by residual^p and one uniform.
+                           ) -> tuple[float, ReservoirBank | None, SlotBank]:
+    """The single Metropolis pass: accumulate err_p against the pivot span,
+    fill a reservoir bank weighted by residual^p, and capture the rows of a
+    uniform bank.
 
     The proposal mixture q(x) = (1/2) residual^p / err + 1/(2n) cannot be
     sampled directly mid-pass because its normalizer err is only known at the
     end; assigning each slot to one of the banks with a fair coin afterwards
-    gives exactly i.i.d. draws from q. Returns (err_p_pivot, residual bank or
-    None when the pivot span fits everything, uniform bank).
+    gives exactly i.i.d. draws from q. n is known before the pass, so the
+    uniform bank's ids are drawn up front and the pass only captures their
+    rows. Returns (err_p_pivot, residual bank or None when the pivot span
+    fits everything, uniform bank).
     """
     bank_w = ReservoirBank(slots, derive_rng(seed, "bank-residual", label))
-    bank_u = ReservoirBank(slots, derive_rng(seed, "bank-uniform", label))
+    bank_u = SlotBank(derive_rng(seed, "bank-uniform", label).integers(0, source.n, slots))
+    needed = np.zeros(source.n, dtype=bool)
+    needed[bank_u.ids] = True
     err_acc = 0.0
 
     def visit(start: int, chunk: np.ndarray) -> None:
@@ -389,12 +434,13 @@ def proposal_prefetch_pass(source: DatasetSource, pivot_basis: OrthonormalBasis,
         w = residual_distances(chunk, pivot_basis) ** p
         err_acc += float(w.sum())
         bank_w.offer(start, chunk, w)
-        bank_u.offer(start, chunk, np.ones(len(chunk)))
+        bank_u.capture(start, chunk, np.flatnonzero(needed[start:start + len(chunk)]))
 
     source.stream_pass_chunks(label, visit)
-    weighted = bank_w if err_acc > 0.0 else None
-    bank_u.require_nondegenerate()
-    return err_acc, weighted, bank_u
+    if err_acc <= 0.0:
+        return err_acc, None, bank_u
+    bank_w.finish()
+    return err_acc, bank_w, bank_u
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ import pytest
 
 from subsel.linalg import PointSet, err_p, orthonormal_basis, residual_distances
 from subsel.rng import derive_rng
+from subsel import samplers
 from subsel.samplers import (
     ExactFitReached,
     SamplingConfig,
+    SlotBudgetError,
     adaptive_sample,
     adaptive_sample_round,
     adaptive_volume_init,
@@ -24,7 +26,7 @@ from subsel.samplers import (
     volume_sample_mcmc,
     volume_walk_distribution,
 )
-from subsel.stream import open_source, write_csv
+from subsel.stream import CHUNK_ROWS, open_source, write_csv
 
 
 def instance(n, d, seed, scale=None):
@@ -548,6 +550,22 @@ def test_mcmc_select_deterministic_and_mode_identical(tmp_path):
     assert other.selected_ids != a.selected_ids
 
 
+def test_mcmc_select_mode_identical_across_chunks(tmp_path):
+    pts = instance(2 * CHUNK_ROWS + 3, 6, seed=52)
+    path = tmp_path / "data.csv"
+    write_csv(path, pts.data)
+    params = derive_params(3, 0.5, points_per_round=8, rounds=2, chain_steps=200)
+    pivot = [1, CHUNK_ROWS + 5, 2 * CHUNK_ROWS + 2]
+    coords = pts.data[pivot]
+    mem, strm = (mcmc_select(open_source(path, mode=mode), pivot, params, seed=53,
+                             pivot_coords=coords) for mode in ("memory", "streaming"))
+    assert mem.selected_ids == strm.selected_ids
+    assert mem.total_error == strm.total_error
+    assert mem.accept_counts == strm.accept_counts
+    assert [s.proposal_prob for s in mem.final_states] == \
+        [s.proposal_prob for s in strm.final_states]
+
+
 def test_mcmc_select_single_point_distribution():
     # t chains in one round are i.i.d., so the histogram of one run with huge
     # t equals the law of the single selected point over that many runs
@@ -733,6 +751,20 @@ def test_mcmc_select_refuses_oversized_slot_budget():
     assert params.total_points * params.chain_steps > 10 ** 8
     with pytest.raises(ValueError, match="chain_steps override"):
         mcmc_select(pts, [0, 1, 2], params, p=3.0, seed=76)
+
+
+def test_mcmc_select_slot_budget_checks_physical_memory(monkeypatch):
+    # 32768 slots need more than the 1 MiB the probe reports: refused before
+    # any pass, without allocating the slots
+    pts = instance(20, 6, seed=77)
+    params = derive_params(2, 0.5, points_per_round=4, rounds=2, chain_steps=4096)
+    monkeypatch.setattr(samplers, "physical_memory_bytes", lambda: 2 ** 20)
+    src = open_source(pts)
+    with pytest.raises(SlotBudgetError, match="chain_steps override"):
+        mcmc_select(src, [0, 1], params, seed=78)
+    assert src.pass_log.entries == []
+    monkeypatch.setattr(samplers, "physical_memory_bytes", lambda: 2 ** 30)
+    assert mcmc_select(src, [0, 1], params, seed=78).size == 2 + 4 * 2
 
 
 def test_mcmc_select_streaming_needs_pivot_coords(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subsel.linalg import PointSet, err_p, optimal_subspace, orthonormal_basis, residual_distances
 from subsel.rng import derive_rng
@@ -286,8 +288,85 @@ def test_reservoir_bit_identical_across_modes(tmp_path, n):
     b_mem = weighted_reservoir_sample(mem, sq_norms, 64, seed=42)
     b_strm = weighted_reservoir_sample(strm, sq_norms, 64, seed=42)
     assert np.array_equal(b_mem.ids, b_strm.ids)
-    assert np.array_equal(b_mem.keys, b_strm.keys)
+    assert b_mem.total_weight == b_strm.total_weight
     assert np.array_equal(b_mem.points_for(b_mem.ids), b_strm.points_for(b_strm.ids))
+
+
+def first_column(chunk):
+    return chunk[:, 0].copy()
+
+
+def test_reservoir_cross_chunk_row_frequencies():
+    # four chunks: graded weights, an all-zero chunk, graded weights again and
+    # a 7-row last chunk carrying half of the total weight
+    n = 3 * CHUNK_ROWS + 7
+    w = 1.0 + np.arange(n) % 4
+    w[CHUNK_ROWS:2 * CHUNK_ROWS] = 0.0
+    w[3 * CHUNK_ROWS:] = w[:3 * CHUNK_ROWS].sum() / 7
+    probs = w / w.sum()
+    slots = 200_000
+    src = open_source(PointSet(np.column_stack([w, np.zeros(n)])))
+    bank = weighted_reservoir_sample(src, first_column, slots, seed=17)
+    src.pass_log.assert_passes(1)
+    counts = np.bincount(bank.ids, minlength=n)
+    assert not counts[w == 0.0].any()
+    live = w > 0.0
+    expected = slots * probs[live]
+    chi2 = float(((counts[live] - expected) ** 2 / expected).sum())
+    dof = int(live.sum()) - 1
+    assert chi2 <= dof + 5 * math.sqrt(2 * dof)
+    sigma = np.sqrt(slots * probs * (1 - probs))
+    last = slice(3 * CHUNK_ROWS, n)
+    assert np.all(np.abs(counts[last] - slots * probs[last]) <= 4 * sigma[last])
+
+
+def test_reservoir_slots_independent():
+    # adjacent slot pairs must be independent: the group of rows (a quarter
+    # chunk) each member came from has a joint law equal to the product of
+    # its marginals. The replaced positions are independent per slot, so
+    # chunk labels alone would not see slots left in the order offer() fills
+    # them; quarter-chunk groups do.
+    n = 2 * CHUNK_ROWS + 3
+    w = 1.0 + np.arange(n) % 3
+    slots = 100_000
+    src = open_source(PointSet(np.column_stack([w, np.ones(n)])))
+    bank = weighted_reservoir_sample(src, first_column, slots, seed=23)
+    group = bank.ids // (CHUNK_ROWS // 4)
+    groups = int(group.max()) + 1
+    joint = np.zeros((groups, groups))
+    np.add.at(joint, (group[0::2], group[1::2]), 1.0)
+    pairs = slots // 2
+    expected = np.outer(joint.sum(axis=1), joint.sum(axis=0)) / pairs
+    keep = expected > 0
+    chi2 = float(((joint[keep] - expected[keep]) ** 2 / expected[keep]).sum())
+    dof = (groups - 1) ** 2
+    assert chi2 <= dof + 5 * math.sqrt(2 * dof)
+
+
+@settings(derandomize=True, max_examples=24, deadline=None)
+@given(n=st.sampled_from([CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1]),
+       zero_chunks=st.sets(st.integers(0, 2)),
+       slots=st.integers(1, 5000),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_reservoir_mode_identity_property(tmp_path_factory, n, zero_chunks, slots, seed):
+    data = np.random.default_rng(seed).standard_normal((n, 3))
+    for c in zero_chunks:
+        data[c * CHUNK_ROWS:(c + 1) * CHUNK_ROWS] = 0.0
+    path = tmp_path_factory.mktemp("prop") / "p.bin"
+    write_binary(path, data)
+    banks = []
+    for mode in ("memory", "streaming"):
+        src = open_source(path, mode=mode)
+        if not data.any():
+            with pytest.raises(ValueError, match="degenerate weights"):
+                weighted_reservoir_sample(src, sq_norms, slots, seed=seed)
+            continue
+        banks.append(weighted_reservoir_sample(src, sq_norms, slots, seed=seed))
+    if banks:
+        b_mem, b_strm = banks
+        assert np.array_equal(b_mem.ids, b_strm.ids)
+        assert b_mem.total_weight == b_strm.total_weight
+        assert np.array_equal(b_mem.points_for(b_mem.ids), b_strm.points_for(b_strm.ids))
 
 
 def test_reservoir_weight_fn_frequency():
@@ -296,6 +375,13 @@ def test_reservoir_weight_fn_frequency():
     bank = weighted_reservoir_sample(src, lambda c: np.einsum("ij,ij->i", c, c), 2000, seed=1)
     freq1 = np.mean(bank.ids == 1)
     assert abs(freq1 - 0.8) <= 3 * math.sqrt(0.8 * 0.2 / 2000)
+
+
+def test_reservoir_rejects_overflowing_weight_sum():
+    # every weight is finite (2e306) but a chunk of 200 sums past the float range
+    src = open_source(PointSet(np.full((200, 2), 1e153)))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
+        weighted_reservoir_sample(src, sq_norms, 5, seed=0)
 
 
 def test_reservoir_rejects_misshaped_weights():
