@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import OrthonormalBasis, PointSet, residual_distances
+from .linalg import OrthonormalBasis, PointSet, _gram_eigh, residual_distances
 from .samplers import SelectionResult, derive_params, init_pivot, mcmc_select
 from .stream import as_source, inlier_count
 
@@ -71,14 +71,13 @@ def check_lambda(points: PointSet, reference_basis: OrthonormalBasis, beta: floa
 def fit_trimmed_subspace(points: PointSet, span: OrthonormalBasis, k: int,
                          beta: float) -> OrthonormalBasis:
     """Best k-dimensional subspace inside `span` fitted on the span-trimmed
-    points: trim to the nearest (1-beta)n rows, then take the top-k right
-    singular subspace of their in-span coordinates."""
+    points: trim to the nearest (1-beta)n rows, then take the top-k
+    eigenvectors of the Gram of their in-span coordinates."""
     if span.r <= k:
         return span
     keep = _trim(residual_distances(points.data, span), beta).ids
-    coords = points.data[list(keep)] @ span.vectors.T
-    _, _, wt = np.linalg.svd(coords, full_matrices=False)
-    return OrthonormalBasis(span.d, wt[:k] @ span.vectors, span.source_ids)
+    _, _, w = _gram_eigh(points.data[list(keep)] @ span.vectors.T)
+    return OrthonormalBasis(span.d, w[:, :k].T @ span.vectors, span.source_ids)
 
 
 def robust_select(source_or_points, k: int, epsilon: float, beta: float,

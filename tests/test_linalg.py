@@ -135,6 +135,35 @@ def test_basis_rank_le_subset_size_random():
         assert np.allclose(gram, np.eye(b.r), atol=1e-9)
 
 
+def test_basis_extreme_scale():
+    # squared norms of 1e-160 rows are subnormal: each batch is rescaled by
+    # a power of two before Gram-Schmidt, so the rows normalize exactly and
+    # power-of-two scaled data gives the same basis bit for bit
+    x = np.random.default_rng(6).standard_normal((8, 6))
+    b = orthonormal_basis(PointSet(x * 1e-160), [0, 1, 2, 3])
+    assert b.r == 4
+    assert np.allclose(b.vectors @ b.vectors.T, np.eye(4), atol=1e-12)
+    plain = orthonormal_basis(PointSet(x), [0, 1, 2, 3])
+    grown = extend_basis(orthonormal_basis(PointSet(x), [0, 1]), x[[2, 3]], [2, 3])
+    for scale in (2.0 ** -600, 2.0 ** 600):
+        assert np.array_equal(
+            orthonormal_basis(PointSet(x * scale), [0, 1, 2, 3]).vectors, plain.vectors)
+        scaled = extend_basis(orthonormal_basis(PointSet(x * scale), [0, 1]),
+                              x[[2, 3]] * scale, [2, 3])
+        assert np.array_equal(scaled.vectors, grown.vectors)
+
+
+def test_residual_distances_extreme_scale():
+    # residual norms at 2**+-600 would overflow or underflow if squared
+    # directly; they are computed on a power-of-two-rescaled copy instead
+    x = np.random.default_rng(7).standard_normal((20, 6))
+    basis = orthonormal_basis(PointSet(x), [0, 1])
+    plain = residual_distances(x, basis)
+    for e in (-600, 600):
+        assert np.array_equal(residual_distances(np.ldexp(x, e), basis),
+                              np.ldexp(plain, e))
+
+
 def test_extend_basis_matches_recompute():
     rng = np.random.default_rng(11)
     ps = PointSet(rng.standard_normal((10, 5)))

@@ -335,13 +335,37 @@ def test_volume_dpp_rank_deficient():
 
 def test_volume_dpp_extreme_scale_no_overflow():
     # squared singular values of data near 1e180 would overflow without the
-    # power-of-two rescale; SVD is not exactly scale-equivariant, so only the
-    # contract is checked, not the ids of the unscaled run
+    # power-of-two rescale; the rescale is exact, so the seeded ids are those
+    # of the unscaled run
     x = instance(40, 6, seed=30).data
-    with np.errstate(all="raise"):
-        ids = volume_sample_dpp(PointSet(x * 2.0 ** 600), 3, seed=31)
+    ids = volume_sample_dpp(PointSet(x), 3, seed=31)
     assert len(set(ids)) == 3 and all(0 <= i < 40 for i in ids)
     assert np.linalg.matrix_rank(x[ids]) == 3
+    for scale in (2.0 ** 600, 2.0 ** -600):
+        with np.errstate(all="raise"):
+            assert volume_sample_dpp(PointSet(x * scale), 3, seed=31) == ids
+
+
+def spectrum_instance(n, singular_values, seed):
+    rng = np.random.default_rng(seed)
+    r = len(singular_values)
+    u, _ = np.linalg.qr(rng.standard_normal((n, r)))
+    v, _ = np.linalg.qr(rng.standard_normal((r + 2, r)))
+    return PointSet((u * np.asarray(singular_values)) @ v.T)
+
+
+def test_volume_dpp_ill_conditioned_samples():
+    # s_k / s_0 = 1e-4 is eigenvalue ratio 1e-8, above the Gram's 1e-12 rank
+    # cut: the DPP still samples, with the enumeration's law; an exactly
+    # rank-deficient spectrum raises (test_volume_dpp_rank_deficient)
+    pts = spectrum_instance(6, [1.0, 1e-2, 1e-4], seed=32)
+    subsets, probs = enumerate_volume_distribution(pts, 3)
+    idx = {s: i for i, s in enumerate(subsets)}
+    rng = derive_rng(33, "volume-test")
+    samples = [idx[tuple(sorted(volume_sample_dpp(pts, 3, rng=rng)))] for _ in range(10_000)]
+    assert empirical_tv(samples, probs, len(subsets)) <= 0.05
+    with pytest.raises(ValueError, match="rank-deficient"):
+        volume_sample_dpp(spectrum_instance(6, [1.0, 1e-2, 0.0], seed=32), 3)
 
 
 def test_greedy_init_nonzero_volume():
@@ -745,7 +769,9 @@ def test_pipeline_streaming_adaptive_init(tmp_path):
     assert res_str.total_error == res_mem.total_error
 
 
-def test_mcmc_select_refuses_oversized_slot_budget():
+def test_mcmc_select_refuses_oversized_slot_budget(monkeypatch):
+    # a fixed 8 GiB machine, so the outcome does not depend on the host
+    monkeypatch.setattr(samplers, "physical_memory_bytes", lambda: 8 * 2 ** 30)
     pts = instance(20, 6, seed=75)
     params = derive_params(3, 0.5, mode="lp", p=3.0)  # theory m is ~1.5e7
     assert params.total_points * params.chain_steps > 10 ** 8
@@ -774,6 +800,16 @@ def test_mcmc_select_streaming_needs_pivot_coords(tmp_path):
     params = derive_params(2, 0.5, points_per_round=2, rounds=1, chain_steps=4)
     with pytest.raises(ValueError, match="pivot coordinates"):
         mcmc_select(open_source(path, "streaming"), [0, 1], params, seed=74)
+
+
+def test_select_subset_tiny_scale():
+    # 1e-160 data has subnormal squared norms; the grown basis must still
+    # pass the orthonormality check
+    x = instance(60, 8, seed=71).data
+    res = select_subset(PointSet(x * 1e-160),
+                        SamplingConfig(k=3, epsilon=0.5, seed=72, chain_steps=8))
+    assert res.size == 3 + res.params.total_points
+    assert res.basis.r == min(8, len(set(res.selected_ids)))
 
 
 def test_pipeline_validates_k_vs_d():
