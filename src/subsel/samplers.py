@@ -37,6 +37,7 @@ from .linalg import (
 from .rng import derive_rng
 from .stream import (
     DatasetSource,
+    DegenerateWeightsError,
     PassLog,
     as_source,
     proposal_prefetch_pass,
@@ -47,10 +48,9 @@ ENUMERATION_GUARD = 10 ** 6
 TV_DIAG_MAX_POINTS = 4096
 
 
-# Peak bytes per proposal slot in mcmc_select: the two banks' int64 ids, the
-# mixture coins' float64 uniforms, the candidate ids and their pool indices.
-# A 22.4M-slot selection peaks at 37 B/slot above the process's baseline.
-SLOT_BYTES = 48
+# Bytes per proposal of one round in mcmc_select: an int64 pool index and a
+# float64 chain uniform. numpy's hypergeometric deal takes under 1e9 draws.
+SLOT_BYTES = 16
 
 
 class ExactFitReached(RuntimeError):
@@ -58,7 +58,7 @@ class ExactFitReached(RuntimeError):
 
 
 class SlotBudgetError(ValueError):
-    """The t*l*m proposal slots would not fit in physical memory."""
+    """A round of proposals would not fit in memory, or t*l*m reaches 1e9."""
 
 
 def physical_memory_bytes() -> int:
@@ -192,10 +192,9 @@ def derive_params(k: int, epsilon: float, alpha: float = 1.0, mode: str = "l2", 
 
 @dataclass(frozen=True)
 class ChainState:
-    """Final state of one Metropolis chain: the point it settled on, its
+    """Final state of one Metropolis chain: the row it settled on, its
     unnormalized target weight, its proposal probability, and step counts."""
 
-    point: np.ndarray
     source_id: int
     target_weight: float
     proposal_prob: float
@@ -219,7 +218,6 @@ class SelectionResult:
     initial_error: float
     p: float
     passes: PassLog
-    accept_counts: tuple[tuple[int, ...], ...] = ()
     final_states: tuple[ChainState, ...] = ()
     params: DerivedParams | None = None
     warnings: tuple[str, ...] = ()
@@ -272,10 +270,8 @@ def adaptive_sample_round(source_or_points, current: Sequence[int], count: int,
         bank = weighted_reservoir_sample(
             source, lambda chunk: residual_distances(chunk, basis) ** p,
             count, seed=0, rng=rng, label=label)
-    except ValueError as exc:
-        if "degenerate weights" in str(exc):
-            raise ExactFitReached("span of the current subset fits every point") from None
-        raise
+    except DegenerateWeightsError:
+        raise ExactFitReached("span of the current subset fits every point") from None
     return [int(i) for i in bank.ids], bank.points_for(bank.ids)
 
 
@@ -594,6 +590,34 @@ def _err_report_pass(source: DatasetSource, basis: OrthonormalBasis, p: float,
     return acc
 
 
+def _deal(rng: np.random.Generator, stock: np.ndarray, count: int) -> np.ndarray:
+    """`count` of the draws counted in `stock`, taken out of it as a uniform
+    subset, as pool indices in random order."""
+    dealt = rng.multivariate_hypergeometric(stock, count)
+    stock -= dealt
+    ids = np.repeat(np.arange(len(stock)), dealt)
+    rng.shuffle(ids)
+    return ids
+
+
+def _chain_round(deal: np.ndarray, w_pool: np.ndarray, q_pool: np.ndarray,
+                 seed: int, rnd: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chain c walks row c of the round's (t, m) deal of pool indices;
+    returns the endpoints and acceptance counts."""
+    t, m = deal.shape
+    us = np.empty((t, m - 1))
+    for c in range(t):
+        us[c] = derive_rng(seed, "chain", rnd, c).random(m - 1)
+    x = deal[:, 0]
+    accepted = np.zeros(t, dtype=np.int64)
+    for j in range(1, m):
+        y = deal[:, j]
+        acc = mh_accept(w_pool[y], q_pool[x], w_pool[x], q_pool[y], us[:, j - 1])
+        x = np.where(acc, y, x)
+        accepted += acc
+    return x, accepted
+
+
 def mcmc_select(source_or_points, pivot_ids: Sequence[int], params: DerivedParams,
                 p: float = 2.0, seed: int = 0, *,
                 pivot_coords: np.ndarray | None = None) -> SelectionResult:
@@ -601,15 +625,15 @@ def mcmc_select(source_or_points, pivot_ids: Sequence[int], params: DerivedParam
     (m-1)-step Metropolis chain over prefetched proposal draws, all fed by a
     single sequential pass.
 
-    The pass accumulates err_p against the pivot span, fills the residual
-    reservoir bank and captures the rows of the uniform bank; a fair coin
-    then assigns each chain slot to a bank, realizing i.i.d. draws from the
-    mixture q. The slots (t*l*m) must fit in physical memory, or
-    SlotBudgetError is raised before the pass. Chains within a round
-    are independent (fresh q-draw starts, per-chain derived seeds) and their
-    target is the span of everything selected before the round. When every
-    prefetched candidate already fits the current span, the remaining blocks
-    fall back to the uniform floor, as the zero-residual case requires.
+    The pass accumulates err_p against the pivot span and fills a residual
+    and a uniform bank of t*l*m draws each, kept as per-row counts.
+    Binomial(t*l*m, 1/2) residual draws and the rest uniform ones, each a
+    uniform subset of its bank, are i.i.d. draws from the mixture q; each
+    round deals t*m of them in random order, m per chain. SlotBudgetError is
+    raised before the pass when one round would not fit in physical memory.
+    Chains within a round are independent and their target is the span of
+    everything selected before the round. Once every proposal left fits
+    that span, each block is t uniform draws that no chain was dealt.
     """
     source = as_source(source_or_points)
     n = source.n
@@ -618,39 +642,36 @@ def mcmc_select(source_or_points, pivot_ids: Sequence[int], params: DerivedParam
     pivot_basis = _pivot_basis(source, pivot, pivot_coords)
 
     slots = t * l * m
-    need = slots * SLOT_BYTES + t * (m - 1) * 8
+    need = t * m * SLOT_BYTES + 2 * min(n, slots) * (source.d + 2) * 8
     have = physical_memory_bytes()
-    if need > have:
+    if need > have or slots >= 10 ** 9:
         raise SlotBudgetError(
-            f"t*l*m = {slots} proposal slots need about {need / 2**30:.1f} GiB, more "
-            f"than the {have / 2**30:.1f} GiB of physical memory; derived chain "
-            "lengths at this size need a chain_steps override")
+            f"t*l*m = {slots} proposal slots (below 1e9), {t * m} per round, need "
+            f"about {need / 2**30:.1f} GiB against {have / 2**30:.1f} GiB of physical "
+            "memory; derived chain lengths at this size need a chain_steps override")
     err_pivot, bank_w, bank_u = proposal_prefetch_pass(
         source, pivot_basis, p, slots, seed, label="mcmc:select")
-    coins = derive_rng(seed, "mixture-coins").random(slots) < 0.5
 
-    if err_pivot > 0.0:
-        cand_ids = np.where(coins, bank_w.ids, bank_u.ids)
-        coord_map = {**bank_u.coord_map(), **bank_w.coord_map()}
+    rng = derive_rng(seed, "deal")
+    if bank_w is None:
+        pool_ids, pool_coords, stock = bank_u.rows, bank_u.coords, bank_u.counts.copy()
     else:
-        cand_ids = bank_u.ids
-        coord_map = bank_u.coord_map()
-
-    # every id lies in [0, n): a bincount gives the sorted pool and each
-    # slot's index into it in O(slots + n)
-    present = np.bincount(cand_ids, minlength=n) > 0
-    pool_ids = np.flatnonzero(present)
-    slot_pool = (np.cumsum(present) - 1)[cand_ids]
-    pool_coords = np.array([coord_map[int(i)] for i in pool_ids])
-    w_pivot_pool = residual_distances(pool_coords, pivot_basis) ** p
-    if err_pivot > 0.0:
-        q_pool = proposal_q(w_pivot_pool, err_pivot, n)
-    else:
-        q_pool = np.full(len(pool_ids), 1.0 / n)
-
+        # the pool: residual rows in the mixture, then all uniform rows (a row may repeat)
+        s_w = int(rng.binomial(slots, 0.5))
+        mixed = rng.multivariate_hypergeometric(bank_w.counts, s_w)
+        picks = np.flatnonzero(mixed)
+        pool_ids = np.concatenate([bank_w.rows[picks], bank_u.rows])
+        pool_coords = np.concatenate([bank_w.coords[picks], bank_u.coords])
+        stock = np.concatenate([mixed[picks], rng.multivariate_hypergeometric(
+            bank_u.counts, slots - s_w)])
+    u_at = len(stock) - len(bank_u.rows)
+    spare = bank_u.counts - stock[u_at:]
+    del bank_w, bank_u  # free their coordinates; the pool holds those it needs
+    w_pool = residual_distances(pool_coords, pivot_basis) ** p
+    q_pool = (proposal_q(w_pool, err_pivot, n) if err_pivot > 0.0
+              else np.full(len(pool_ids), 1.0 / n))
     basis = pivot_basis
     blocks: list[tuple[int, ...]] = []
-    accept_counts: list[tuple[int, ...]] = []
     states: list[ChainState] = []
     warnings: list[str] = []
     floor_fill = err_pivot <= 0.0
@@ -658,60 +679,36 @@ def mcmc_select(source_or_points, pivot_ids: Sequence[int], params: DerivedParam
         warnings.append("pivot span fits every point; blocks drawn from the uniform floor")
 
     for rnd in range(l):
-        base = (rnd * t + np.arange(t)) * m
         if not floor_fill:
-            w_pool = residual_distances(pool_coords, basis) ** p
-            if float(w_pool.max(initial=0.0)) <= 0.0:
+            if rnd > 0:
+                w_pool = residual_distances(pool_coords, basis) ** p
+            if float(w_pool[stock > 0].max(initial=0.0)) <= 0.0:
                 floor_fill = True
                 warnings.append(
                     f"candidate pool exactly fit after {rnd} rounds; "
                     "remaining blocks drawn from the uniform floor")
         if floor_fill:
-            ids = tuple(int(i) for i in bank_u.ids[base])
-            coords = bank_u.points_for(bank_u.ids[base])
-            res_p = residual_distances(coords, pivot_basis) ** p
-            qs = (proposal_q(res_p, err_pivot, n) if err_pivot > 0.0
-                  else np.full(t, 1.0 / n))
-            accept_counts.append(tuple(0 for _ in range(t)))
-            for c in range(t):
-                states.append(ChainState(point=coords[c], source_id=ids[c],
-                                         target_weight=0.0, proposal_prob=float(qs[c]),
-                                         steps_taken=0, accepted=0))
+            # t i.i.d. uniform rows, taken from the uniform draws no chain was dealt
+            spare += stock[u_at:]
+            stock[u_at:] = 0
+            x = u_at + _deal(rng, spare, t)
+            p_x, accepted, steps = np.zeros(t), np.zeros(t, dtype=int), 0
         else:
-            us = np.empty((t, m - 1)) if m > 1 else np.zeros((t, 0))
-            for c in range(t):
-                if m > 1:
-                    us[c] = derive_rng(seed, "chain", rnd, c).random(m - 1)
-            x = slot_pool[base]
-            p_x = w_pool[x]
-            q_x = q_pool[x]
-            acc_count = np.zeros(t, dtype=np.int64)
-            for j in range(1, m):
-                y = slot_pool[base + j]
-                p_y = w_pool[y]
-                q_y = q_pool[y]
-                acc = mh_accept(p_y, q_x, p_x, q_y, us[:, j - 1])
-                x[acc] = y[acc]
-                p_x[acc] = p_y[acc]
-                q_x[acc] = q_y[acc]
-                acc_count += acc
-            ids = tuple(int(i) for i in pool_ids[x])
-            coords = pool_coords[x]
-            accept_counts.append(tuple(int(a) for a in acc_count))
-            for c in range(t):
-                states.append(ChainState(point=coords[c], source_id=ids[c],
-                                         target_weight=float(p_x[c]),
-                                         proposal_prob=float(q_x[c]),
-                                         steps_taken=m - 1, accepted=int(acc_count[c])))
-        blocks.append(ids)
-        basis = extend_basis(basis, coords, ids)
+            x, accepted = _chain_round(_deal(rng, stock, t * m).reshape(t, m),
+                                       w_pool, q_pool, seed, rnd)
+            p_x, steps = w_pool[x], m - 1
+        block = tuple(int(i) for i in pool_ids[x])
+        states.extend(ChainState(i, float(w), float(q), steps, int(a))
+                      for i, w, q, a in zip(block, p_x, q_pool[x], accepted))
+        blocks.append(block)
+        basis = extend_basis(basis, pool_coords[x], block)
 
     total_error = _err_report_pass(source, basis, p, "report:total-error")
     return SelectionResult(
         initial_ids=pivot, blocks=tuple(blocks), total_error=total_error,
         initial_error=err_pivot, p=p, passes=source.pass_log,
-        accept_counts=tuple(accept_counts), final_states=tuple(states),
-        params=params, warnings=tuple(warnings), basis=basis)
+        final_states=tuple(states), params=params, warnings=tuple(warnings),
+        basis=basis)
 
 
 # ---------------------------------------------------------------------------

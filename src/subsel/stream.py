@@ -7,10 +7,11 @@ seeded algorithm consumes its random stream identically in both modes and
 produces bit-identical results.
 
 Also provides weighted reservoir sampling (many independent single draws in
-one pass, at a cost proportional to the slots each chunk replaces: skip to
-the replaced slots, fill them with one block per chunk, shuffle once at the
-end), the proposal prefetch pass used by the Metropolis selection, the CSV
-and binary file formats, and synthetic instance generation.
+one pass, kept as per-row counts: a chunk thins each row's count by a
+binomial and refills the freed draws with one multinomial, at a cost that
+does not grow with the number of draws), the proposal prefetch pass used by
+the Metropolis selection, the CSV and binary file formats, and synthetic
+instance generation.
 """
 
 from __future__ import annotations
@@ -290,29 +291,41 @@ def write_binary(path: str, data: np.ndarray) -> None:
 # weighted reservoir sampling
 # ---------------------------------------------------------------------------
 
-class SlotBank:
-    """Row ids drawn into `slots` slots, plus the coordinates of every drawn
-    row, captured while the pass visits its chunk so that draws never need to
-    re-access the source. points_for(ids) returns the captured coordinates."""
+class DegenerateWeightsError(ValueError):
+    """Every row a reservoir pass offered has weight zero."""
 
-    def __init__(self, ids: np.ndarray):
-        self.ids = ids
-        self._coords: dict[int, np.ndarray] = {}
+
+class CountBank:
+    """A multiset of draws: increasing row ids `rows`, how many draws hit
+    each (`counts`) and their coordinates (`coords`), captured while the pass
+    visits each chunk so that the draws never re-access the source."""
+
+    def __init__(self, rows: np.ndarray, counts: np.ndarray):
+        self.rows, self.counts = rows, counts
+        self._kept: list[tuple[np.ndarray, np.ndarray]] = []
 
     def capture(self, start: int, chunk: np.ndarray, rows: np.ndarray) -> None:
-        for row in rows:
-            i = start + int(row)
-            if i not in self._coords:
-                self._coords[i] = chunk[row].copy()
+        """Keep the coordinates of `rows`, increasing ids inside this chunk.
+        Those of rows that left the bank go once they outnumber its rows."""
+        self._kept.append((rows, chunk[rows - start]))
+        if sum(len(r) for r, _ in self._kept) > 2 * len(self.rows):
+            self._compact()
+
+    def _compact(self) -> None:
+        at = np.searchsorted(np.concatenate([r for r, _ in self._kept]), self.rows)
+        self._kept = [(self.rows, np.concatenate([c for _, c in self._kept])[at])]
+
+    @property
+    def coords(self) -> np.ndarray:
+        if len(self._kept) != 1 or self._kept[0][0] is not self.rows:
+            self._compact()
+        return self._kept[0][1]
 
     def points_for(self, ids: np.ndarray) -> np.ndarray:
-        return np.array([self._coords[int(i)] for i in ids])
-
-    def coord_map(self) -> dict[int, np.ndarray]:
-        return self._coords
+        return self.coords[np.searchsorted(self.rows, ids)]
 
 
-class ReservoirBank(SlotBank):
+class ReservoirBank(CountBank):
     """`slots` independent single draws, each proportional to a row weight.
 
     After chunks 1..c every slot holds a row drawn with probability
@@ -321,18 +334,17 @@ class ReservoirBank(SlotBank):
     pi_c = W_c / W_cum with a fresh draw from the chunk. This is the
     exponential race of Efraimidis & Spirakis with the chunk as the unit: the
     chunk's smallest Exp(1)/w_i key beats the slot's standing key with
-    exactly that probability. The replaced positions are found by skipping
-    geometric gaps (Vitter's skips) and filled with one multinomial block in
-    row order, so a chunk costs O(replacements + rows), not O(slots). The
-    positions are a uniform subset chosen independently of the slots'
-    contents, so the final multiset of ids is exact; finish() shuffles the
-    slots once at the end of the pass, which makes them i.i.d. again.
+    exactly that probability. The replaced slots are chosen without looking
+    at their contents, so only the multiset matters: each row keeps
+    Binomial(count, 1 - pi_c) of its slots and one multinomial over the chunk
+    fills the freed ones, in O(rows in the bank + chunk rows).
     """
 
     def __init__(self, slots: int, rng: np.random.Generator):
         if slots < 1:
             raise ValueError("slots must be >= 1")
-        super().__init__(np.full(slots, -1, dtype=np.int64))
+        super().__init__(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        self.slots = slots
         self.rng = rng
         self.total_weight = 0.0
 
@@ -345,42 +357,23 @@ class ReservoirBank(SlotBank):
             raise ValueError("weights overflow: their running sum is not finite")
         if total <= 0.0:
             return
-        pi = total / self.total_weight
-        if pi >= 1.0:
-            positions, replaced = slice(None), len(self.ids)
-        else:
-            positions = self._replaced_positions(pi)
-            replaced = len(positions)
+        # 1 - pi_c is exactly 0 when this chunk carries all the weight so far
+        kept = self.rng.binomial(self.counts, 1.0 - total / self.total_weight)
         # rows of zero weight stay out, so the multinomial's remainder
         # category is a row that can be drawn
         support = np.flatnonzero(weights > 0.0)
-        counts = self.rng.multinomial(replaced, weights[support] / total)
-        hit = counts > 0
-        rows = support[hit]
-        self.ids[positions] = start + np.repeat(rows, counts[hit])
-        self.capture(start, chunk, rows)
-
-    def _replaced_positions(self, pi: float) -> np.ndarray:
-        """Each slot independently with probability pi, in increasing order:
-        partial sums of Geometric(pi) gaps, drawn in batches."""
-        slots = len(self.ids)
-        mean = slots * pi
-        batch = int(mean + 4.0 * math.sqrt(mean)) + 16
-        parts = []
-        last = -1
-        while last < slots:
-            # a gap past the end ends the scan; capping it keeps the sums in range
-            gaps = np.minimum(self.rng.geometric(pi, size=batch), slots + 1)
-            parts.append(last + np.cumsum(gaps))
-            last = int(parts[-1][-1])
-        positions = np.concatenate(parts)
-        return positions[:np.searchsorted(positions, slots)]
+        fill = self.rng.multinomial(self.slots - int(kept.sum()), weights[support] / total)
+        new = start + support[fill > 0]
+        self.rows = np.concatenate([self.rows[kept > 0], new])
+        self.counts = np.concatenate([kept[kept > 0], fill[fill > 0]])
+        self.capture(start, chunk, new)
 
     def finish(self) -> None:
-        """End of the pass: reject all-zero weights, then shuffle the slots,
-        which offer() fills in row order."""
+        """End of the pass: reject all-zero weights, then lay the counts out
+        as `ids`, the slots' row ids in random order."""
         if self.total_weight <= 0.0:
-            raise ValueError("degenerate weights: every row has weight zero")
+            raise DegenerateWeightsError("degenerate weights: every row has weight zero")
+        self.ids = np.repeat(self.rows, self.counts)
         self.rng.shuffle(self.ids)
 
 
@@ -391,7 +384,7 @@ def weighted_reservoir_sample(source: DatasetSource, weight_fn, slots: int,
     in exactly one sequential pass regardless of slots.
 
     weight_fn maps a (rows, d) chunk to a (rows,) vector of nonnegative
-    weights. Raises ValueError when every row has weight zero.
+    weights. Raises DegenerateWeightsError when every row has weight zero.
     """
     bank = ReservoirBank(slots, rng or derive_rng(seed, "reservoir", label))
 
@@ -410,37 +403,31 @@ def weighted_reservoir_sample(source: DatasetSource, weight_fn, slots: int,
 def proposal_prefetch_pass(source: DatasetSource, pivot_basis: OrthonormalBasis,
                            p: float, slots: int, seed: int, *,
                            label: str = "mcmc-prefetch",
-                           ) -> tuple[float, ReservoirBank | None, SlotBank]:
-    """The single Metropolis pass: accumulate err_p against the pivot span,
-    fill a reservoir bank weighted by residual^p, and capture the rows of a
-    uniform bank.
+                           ) -> tuple[float, ReservoirBank | None, CountBank]:
+    """The single Metropolis pass: accumulate err_p against the pivot span and
+    fill two banks of `slots` draws, one weighted by residual^p, one uniform.
 
     The proposal mixture q(x) = (1/2) residual^p / err + 1/(2n) cannot be
     sampled directly mid-pass because its normalizer err is only known at the
-    end; assigning each slot to one of the banks with a fair coin afterwards
-    gives exactly i.i.d. draws from q. n is known before the pass, so the
-    uniform bank's ids are drawn up front and the pass only captures their
-    rows. Returns (err_p_pivot, residual bank or None when the pivot span
-    fits everything, uniform bank).
+    end, so the caller mixes the banks afterwards. The uniform counts are one
+    multinomial drawn before the pass, which only captures their rows.
+    Returns (err_p_pivot, residual bank or None when the pivot span fits
+    everything, uniform bank).
     """
     bank_w = ReservoirBank(slots, derive_rng(seed, "bank-residual", label))
-    bank_u = SlotBank(derive_rng(seed, "bank-uniform", label).integers(0, source.n, slots))
-    needed = np.zeros(source.n, dtype=bool)
-    needed[bank_u.ids] = True
-    err_acc = 0.0
+    counts = derive_rng(seed, "bank-uniform", label).multinomial(
+        slots, np.full(source.n, 1.0 / source.n))
+    rows = np.flatnonzero(counts)
+    bank_u = CountBank(rows, counts[rows])
 
     def visit(start: int, chunk: np.ndarray) -> None:
-        nonlocal err_acc
-        w = residual_distances(chunk, pivot_basis) ** p
-        err_acc += float(w.sum())
-        bank_w.offer(start, chunk, w)
-        bank_u.capture(start, chunk, np.flatnonzero(needed[start:start + len(chunk)]))
+        bank_w.offer(start, chunk, residual_distances(chunk, pivot_basis) ** p)
+        lo, hi = np.searchsorted(rows, (start, start + len(chunk)))
+        bank_u.capture(start, chunk, rows[lo:hi])
 
     source.stream_pass_chunks(label, visit)
-    if err_acc <= 0.0:
-        return err_acc, None, bank_u
-    bank_w.finish()
-    return err_acc, bank_w, bank_u
+    err = bank_w.total_weight
+    return err, (bank_w if err > 0.0 else None), bank_u
 
 
 # ---------------------------------------------------------------------------

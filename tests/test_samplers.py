@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -569,7 +570,7 @@ def test_mcmc_select_deterministic_and_mode_identical(tmp_path):
     a, b, c = results
     assert a.selected_ids == b.selected_ids == c.selected_ids
     assert a.total_error == b.total_error == c.total_error
-    assert a.accept_counts == b.accept_counts
+    assert [s.accepted for s in a.final_states] == [s.accepted for s in b.final_states]
     other = mcmc_select(open_source(path), pivot, params, seed=49, pivot_coords=coords)
     assert other.selected_ids != a.selected_ids
 
@@ -585,9 +586,105 @@ def test_mcmc_select_mode_identical_across_chunks(tmp_path):
                              pivot_coords=coords) for mode in ("memory", "streaming"))
     assert mem.selected_ids == strm.selected_ids
     assert mem.total_error == strm.total_error
-    assert mem.accept_counts == strm.accept_counts
+    assert [s.accepted for s in mem.final_states] == \
+        [s.accepted for s in strm.final_states]
     assert [s.proposal_prob for s in mem.final_states] == \
         [s.proposal_prob for s in strm.final_states]
+
+
+def _dealt_proposals(monkeypatch, pts, params, seed):
+    """q of every proposal mcmc_select deals, shaped (l, t, m). The
+    acceptance kernel is replaced by one that records its arguments and
+    rejects every move, so q_x at a round's first step is each chain's start
+    and q_y at step j its j-th proposal."""
+    steps = []
+
+    def record(p_y, q_x, p_x, q_y, u):
+        steps.append((q_x.copy(), q_y.copy()))
+        return np.zeros(len(u), dtype=bool)
+
+    monkeypatch.setattr(samplers, "mh_accept", record)
+    result = mcmc_select(pts, [0], params, seed=seed)
+    assert not result.warnings
+    l, m = params.rounds, params.chain_steps
+    assert len(steps) == l * (m - 1)
+    rounds = [steps[r * (m - 1):(r + 1) * (m - 1)] for r in range(l)]
+    return np.array([np.column_stack([r[0][0]] + [q_y for _, q_y in r]) for r in rounds])
+
+
+def _pairs_chi2(a, b):
+    """Chi-square of the joint law of paired labels against the product of
+    its marginals, with its degrees of freedom."""
+    groups = int(max(a.max(), b.max())) + 1
+    joint = np.zeros((groups, groups))
+    np.add.at(joint, (a.ravel(), b.ravel()), 1.0)
+    expected = np.outer(joint.sum(axis=1), joint.sum(axis=0)) / a.size
+    keep = expected > 0
+    chi2 = float(((joint[keep] - expected[keep]) ** 2 / expected[keep]).sum())
+    return chi2, (groups - 1) ** 2
+
+
+def test_mcmc_select_dealt_proposals_follow_q_independently(monkeypatch):
+    # four chunks: random rows, a chunk inside the pivot span (zero residual,
+    # reachable only through the uniform bank), random rows again and a
+    # 7-row last chunk carrying about half of the residual weight. Every
+    # proposal dealt, across chains and rounds, must be an independent draw
+    # from q. A proposal is identified by its q; the zero-residual rows share
+    # one q and form one class.
+    n, d = 3 * CHUNK_ROWS + 7, 40
+    rng = np.random.default_rng(90)
+    data = rng.standard_normal((n, d))
+    data[0] = 0.0
+    data[0, 0] = 2.0
+    data[CHUNK_ROWS:2 * CHUNK_ROWS, 1:] = 0.0
+    data[3 * CHUNK_ROWS:] *= 20.0
+    pts = PointSet(data)
+    t, l, m = 8, 3, 2000
+    params = derive_params(1, 0.5, points_per_round=t, rounds=l, chain_steps=m)
+    qs = _dealt_proposals(monkeypatch, pts, params, seed=91)
+
+    w = residual_distances(data, orthonormal_basis(pts, [0])) ** 2
+    q_rows = proposal_q(w, w.sum(), n)
+    values, first, cls = np.unique(q_rows, return_index=True, return_inverse=True)
+    pos = np.clip(np.searchsorted(values, qs), 1, len(values) - 1)
+    pos -= np.abs(values[pos - 1] - qs) < np.abs(values[pos] - qs)
+    assert np.allclose(values[pos], qs, rtol=1e-9, atol=0.0)
+    assert len(values) == n - CHUNK_ROWS    # the zero class plus one per row
+
+    slots = t * l * m
+    counts = np.bincount(pos.ravel(), minlength=len(values))
+    expected = slots * np.bincount(cls, weights=q_rows)
+    chi2 = float(((counts - expected) ** 2 / expected).sum())
+    dof = len(values) - 1
+    assert chi2 <= dof + 5 * math.sqrt(2 * dof)
+    last = np.searchsorted(values, q_rows[3 * CHUNK_ROWS:])   # one class per row
+    sigma = np.sqrt(expected * (1 - expected / slots))
+    assert np.all(np.abs(counts[last] - expected[last]) <= 4 * sigma[last])
+
+    # quarter-chunk group of each proposal's class (the zero class is row 0's)
+    group = np.unique(first[pos] // (CHUNK_ROWS // 4), return_inverse=True)[1]
+    group = group.reshape(qs.shape)
+    for a, b in ((group[:, :, 0::2], group[:, :, 1::2]),    # steps of a chain
+                 (group[:, 0::2, :], group[:, 1::2, :]),    # chains of a round
+                 (group[0], group[1])):                     # rounds
+        chi2, dof = _pairs_chi2(a, b)
+        assert chi2 <= dof + 5 * math.sqrt(2 * dof)
+
+
+def test_mcmc_select_peak_memory_is_one_round():
+    # proposals are dealt round by round from per-row counts: with l = 8
+    # rounds the traced peak stays below a single int64 array of t*l*m slots
+    pts = instance(200, 150, seed=92)
+    t, l, m = 16, 8, 5000
+    params = derive_params(2, 0.5, points_per_round=t, rounds=l, chain_steps=m)
+    tracemalloc.start()
+    try:
+        result = mcmc_select(pts, [0, 1], params, seed=93)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.size == 2 + t * l and not result.warnings
+    assert peak < t * l * m * 8
 
 
 def test_mcmc_select_single_point_distribution():
@@ -780,10 +877,10 @@ def test_mcmc_select_refuses_oversized_slot_budget(monkeypatch):
 
 
 def test_mcmc_select_slot_budget_checks_physical_memory(monkeypatch):
-    # 32768 slots need more than the 1 MiB the probe reports: refused before
-    # any pass, without allocating the slots
+    # one round of 4 x 20000 proposals needs more than the 1 MiB the probe
+    # reports: refused before any pass, without allocating the proposals
     pts = instance(20, 6, seed=77)
-    params = derive_params(2, 0.5, points_per_round=4, rounds=2, chain_steps=4096)
+    params = derive_params(2, 0.5, points_per_round=4, rounds=2, chain_steps=20000)
     monkeypatch.setattr(samplers, "physical_memory_bytes", lambda: 2 ** 20)
     src = open_source(pts)
     with pytest.raises(SlotBudgetError, match="chain_steps override"):

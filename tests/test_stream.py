@@ -11,6 +11,7 @@ from subsel.stream import (
     CHUNK_ROWS,
     DatasetFormatError,
     PassCountError,
+    ReservoirBank,
     generate_synthetic,
     inlier_count,
     open_source,
@@ -369,6 +370,48 @@ def test_reservoir_mode_identity_property(tmp_path_factory, n, zero_chunks, slot
         assert np.array_equal(b_mem.points_for(b_mem.ids), b_strm.points_for(b_strm.ids))
 
 
+@settings(derandomize=True, max_examples=24, deadline=None)
+@given(n=st.sampled_from([CHUNK_ROWS - 1, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1]),
+       zero_chunks=st.sets(st.integers(0, 2)),
+       slots=st.integers(1, 5000),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_reservoir_counts_invariants_property(tmp_path_factory, n, zero_chunks, slots, seed):
+    # after every offer the bank holds exactly `slots` draws as positive
+    # counts on increasing rows of positive weight already visited. Memory
+    # mode reads the coordinates after every offer, streaming mode only at
+    # the end, so both the eager and the amortised compaction are checked.
+    data = np.random.default_rng(seed).standard_normal((n, 3))
+    for c in zero_chunks:
+        data[c * CHUNK_ROWS:(c + 1) * CHUNK_ROWS] = 0.0
+    path = tmp_path_factory.mktemp("counts") / "c.bin"
+    write_binary(path, data)
+    runs = []
+    for mode in ("memory", "streaming"):
+        bank = ReservoirBank(slots, derive_rng(seed, "counts"))
+        states = []
+
+        def visit(start, chunk):
+            bank.offer(start, chunk, sq_norms(chunk))
+            assert bank.counts.sum() == (slots if bank.total_weight > 0.0 else 0)
+            assert np.all(bank.counts > 0)
+            assert np.all(np.diff(bank.rows) > 0)
+            assert bank.rows.max(initial=-1) < start + len(chunk)
+            assert np.all(sq_norms(data[bank.rows]) > 0.0)
+            if mode == "memory" and bank.total_weight > 0.0:
+                assert np.array_equal(bank.coords, data[bank.rows])
+            states.append((bank.rows.copy(), bank.counts.copy()))
+
+        open_source(path, mode=mode).stream_pass_chunks("counts", visit)
+        if bank.total_weight > 0.0:
+            assert np.array_equal(bank.coords, data[bank.rows])
+        runs.append(states)
+    mem, strm = runs
+    assert len(mem) == len(strm)
+    for (rows_m, counts_m), (rows_s, counts_s) in zip(mem, strm):
+        assert np.array_equal(rows_m, rows_s)
+        assert np.array_equal(counts_m, counts_s)
+
+
 def test_reservoir_weight_fn_frequency():
     pts = PointSet(np.array([[1.0, 0.0], [0.0, 2.0]]))
     src = open_source(pts)
@@ -406,8 +449,9 @@ def test_prefetch_accumulates_err_and_fills_banks():
     # weighted bank follows residual^2, uniform bank is flat
     res2 = residual_distances(pts.data, basis) ** 2
     probs = res2 / res2.sum()
-    freq_w = np.bincount(bank_w.ids, minlength=40) / 5000
-    freq_u = np.bincount(bank_u.ids, minlength=40) / 5000
+    freq_w, freq_u = np.zeros(40), np.zeros(40)
+    freq_w[bank_w.rows] = bank_w.counts / 5000
+    freq_u[bank_u.rows] = bank_u.counts / 5000
     assert 0.5 * np.abs(freq_w - probs).sum() <= 0.05
     assert 0.5 * np.abs(freq_u - 1.0 / 40).sum() <= 0.05
 
@@ -419,8 +463,9 @@ def test_prefetch_exact_fit_pivot():
     err, bank_w, bank_u = proposal_prefetch_pass(src, basis, 2.0, 4, seed=0)
     assert err == 0.0
     assert bank_w is None
-    assert len(bank_u.ids) == 4
-    assert all(i >= 0 for i in bank_u.ids)
+    assert bank_u.counts.sum() == 4
+    assert all(i >= 0 for i in bank_u.rows)
+    assert np.array_equal(bank_u.coords, pts.data[bank_u.rows])
 
 
 # ---------------------------------------------------------------------------
