@@ -200,11 +200,12 @@ def run_experiment(spec: ExperimentSpec, input_path: str,
 
 
 # Each trial function runs one algorithm on a source and returns (basis,
-# pass log, extras). The basis spans the selected subset; extras override
-# what the shared tail in _run_trial would otherwise derive: err_p (default:
-# best k-subspace in the span), err_span (default: err_p of the span),
-# subset_size (default: the span's source ids), accept_rate, warnings and
-# expected_passes (default 1).
+# pass log, extras). The basis spans the selected subset, and the shared tail
+# in _run_trial grades it on eval_points. extras override what that tail
+# would otherwise derive: err_p (default: best k-subspace in the span),
+# err_span (default: err_p of the span) and subset_size (default: the span's
+# source ids); they also carry accept_rate, warnings and expected_passes
+# (default 1).
 
 def _trial_mcmc(spec, source, seed, eval_points, truth):
     init = dict(init_mode=spec.init_mode, points_per_round=spec.points_per_round,
@@ -226,8 +227,7 @@ def _trial_mcmc(spec, source, seed, eval_points, truth):
             k=spec.k, epsilon=spec.epsilon, p=spec.p, seed=seed, **init))
     k_pass_init = spec.init_mode == "adaptive-k-pass" or spec.p != 2.0
     return result.basis, result.passes, {
-        **extras, "err_span": result.total_error, "subset_size": result.size,
-        "accept_rate": result.acceptance_rate, "warnings": result.warnings,
+        **extras, "accept_rate": result.acceptance_rate, "warnings": result.warnings,
         "expected_passes": len(result.initial_ids) + 1 if k_pass_init else 2}
 
 
@@ -236,9 +236,8 @@ def _trial_adaptive(spec, source, seed, eval_points, truth):
     l = spec.rounds if spec.rounds is not None else derive_params(
         spec.k, spec.epsilon).rounds
     result = adaptive_sample(source, [], t, l, spec.p, seed)
-    return orthonormal_basis(eval_points, result.selected_ids), result.passes, {
-        "err_span": result.total_error, "warnings": result.warnings,
-        "expected_passes": len(result.blocks)}
+    return result.basis, result.passes, {
+        "warnings": result.warnings, "expected_passes": len(result.blocks)}
 
 
 def _trial_fkv(spec, source, seed, eval_points, truth):

@@ -133,7 +133,7 @@ def _ceil_at_least_1(x: float) -> int:
     return max(1, math.ceil(x - 1e-9))
 
 
-def derive_params(k: int, epsilon: float, alpha: float = 1.0, mode: str = "l2", *,
+def derive_params(k: int, epsilon: float, alpha: float = 1.0, *,
                   p: float = 2.0, lam: float = 1.0,
                   points_per_round: int | None = None, rounds: int | None = None,
                   chain_steps: int | None = None,
@@ -147,12 +147,12 @@ def derive_params(k: int, epsilon: float, alpha: float = 1.0, mode: str = "l2", 
         e2 = eps / (8 t l a (k+1))
         m  = ceil(1 + max((2/e1) ln(1/e2), (2/e2) ln(1/e1)))
 
-    where a = alpha for mode "l2", a = alpha / lam for mode "l2-outlier"
-    (the inlier-error fraction assumption scales every constant by 1/lam),
-    and a = alpha * k! * (k+1)^(p-1) for mode "lp" (the k-pass adaptive
-    pivot guarantee folded in). m takes the larger of the two published
-    forms, which dominates both. Explicit overrides replace individual
-    outputs; eps_err / eps_tv overrides feed the m formula.
+    where a = alpha / lam (the inlier-error fraction assumption scales every
+    constant by 1/lam; lam = 1 without outliers), times k! * (k+1)^(p-1)
+    when p != 2 (the k-pass adaptive pivot guarantee folded in). m takes the
+    larger of the two published forms, which dominates both. Explicit
+    overrides replace individual outputs; eps_err / eps_tv overrides feed
+    the m formula.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -160,18 +160,13 @@ def derive_params(k: int, epsilon: float, alpha: float = 1.0, mode: str = "l2", 
         raise ValueError("epsilon must lie in (0, 1)")
     if alpha < 1.0:
         raise ValueError("alpha must be >= 1")
-    if mode == "l2":
-        a = alpha
-    elif mode == "l2-outlier":
-        if not 0.0 < lam <= 1.0:
-            raise ValueError("lambda must lie in (0, 1]")
-        a = alpha / lam
-    elif mode == "lp":
-        if p < 2.0:
-            raise ValueError("lp mode requires p >= 2")
-        a = alpha * math.factorial(k) * (k + 1.0) ** (p - 1.0)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    if not 0.0 < lam <= 1.0:
+        raise ValueError("lambda must lie in (0, 1]")
+    if p < 2.0:
+        raise ValueError("p must be >= 2")
+    a = alpha / lam
+    if p != 2.0:
+        a = a * math.factorial(k) * (k + 1.0) ** (p - 1.0)
 
     t = points_per_round if points_per_round is not None else _ceil_at_least_1(8.0 * k / epsilon)
     l = rounds if rounds is not None else _ceil_at_least_1(
@@ -206,16 +201,14 @@ class ChainState:
 class SelectionResult:
     """Pivot subset plus the per-round blocks, with audit data.
 
-    total_error is err_p of the raw selected span; benchmark ratios grade
-    the best k-dimensional subspace inside the span separately. Selection
-    size = len(initial_ids) + t*l except on exact-fit early stops, which
-    are recorded in warnings.
+    basis spans the selected rows. A selection makes no grading scan: the
+    caller grades basis on its own points (err_p, best_rank_k_in_span).
+    Selection size = len(initial_ids) + t*l except on exact-fit early stops,
+    which are recorded in warnings.
     """
 
     initial_ids: tuple[int, ...]
     blocks: tuple[tuple[int, ...], ...]
-    total_error: float
-    initial_error: float
     p: float
     passes: PassLog
     final_states: tuple[ChainState, ...] = ()
@@ -282,12 +275,12 @@ def adaptive_sample(source_or_points, initial_ids: Sequence[int], count: int,
     `count` draws, each conditioned on everything selected so far.
 
     Consumes exactly one pass per completed round (plus whatever the caller
-    spent building initial_ids). Exact fit stops early with error zero.
+    spent building initial_ids) and no reporting pass. Exact fit stops
+    early, with a warning.
     """
     source = as_source(source_or_points)
     initial = tuple(check_subset_ids(initial_ids, source.n))
     basis = _pivot_basis(source, initial, initial_coords)
-    initial_error = _err_report_pass(source, basis, p, "report:initial-error")
     blocks: list[tuple[int, ...]] = []
     warnings: list[str] = []
     for i in range(rounds):
@@ -300,10 +293,8 @@ def adaptive_sample(source_or_points, initial_ids: Sequence[int], count: int,
             break
         blocks.append(tuple(ids))
         basis = extend_basis(basis, coords, ids)
-    total_error = _err_report_pass(source, basis, p, "report:total-error")
     return SelectionResult(
-        initial_ids=initial, blocks=tuple(blocks), total_error=total_error,
-        initial_error=initial_error, p=p, passes=source.pass_log,
+        initial_ids=initial, blocks=tuple(blocks), p=p, passes=source.pass_log,
         warnings=tuple(warnings), basis=basis)
 
 
@@ -578,18 +569,6 @@ def _pivot_basis(source: DatasetSource, ids: tuple[int, ...],
     return orthonormal_basis(resident, ids)
 
 
-def _err_report_pass(source: DatasetSource, basis: OrthonormalBasis, p: float,
-                     label: str) -> float:
-    acc = 0.0
-
-    def visit(start, chunk):
-        nonlocal acc
-        acc += float((residual_distances(chunk, basis) ** p).sum())
-
-    source.stream_pass_chunks(label, visit, reporting=True)
-    return acc
-
-
 def _deal(rng: np.random.Generator, stock: np.ndarray, count: int) -> np.ndarray:
     """`count` of the draws counted in `stock`, taken out of it as a uniform
     subset, as pool indices in random order."""
@@ -623,17 +602,19 @@ def mcmc_select(source_or_points, pivot_ids: Sequence[int], params: DerivedParam
                 pivot_coords: np.ndarray | None = None) -> SelectionResult:
     """Algorithm core: l rounds of t points, each point the endpoint of an
     (m-1)-step Metropolis chain over prefetched proposal draws, all fed by a
-    single sequential pass.
+    single sequential pass and no reporting pass.
 
-    The pass accumulates err_p against the pivot span and fills a residual
-    and a uniform bank of t*l*m draws each, kept as per-row counts.
-    Binomial(t*l*m, 1/2) residual draws and the rest uniform ones, each a
-    uniform subset of its bank, are i.i.d. draws from the mixture q; each
-    round deals t*m of them in random order, m per chain. SlotBudgetError is
-    raised before the pass when one round would not fit in physical memory.
+    The pass accumulates err_p against the pivot span, q's normaliser, and
+    fills a residual and a uniform bank of t*l*m draws each, kept as per-row
+    counts. Binomial(t*l*m, 1/2) residual draws and the rest uniform ones,
+    each a uniform subset of its bank, are i.i.d. draws from the mixture q;
+    each round deals t*m of them in random order, m per chain.
+    SlotBudgetError is raised before the pass when one round would not fit
+    in physical memory.
     Chains within a round are independent and their target is the span of
     everything selected before the round. Once every proposal left fits
-    that span, each block is t uniform draws that no chain was dealt.
+    that span, each block is t uniform draws that no chain was dealt. The
+    result's basis spans the selection; grading it is the caller's scan.
     """
     source = as_source(source_or_points)
     n = source.n
@@ -703,10 +684,8 @@ def mcmc_select(source_or_points, pivot_ids: Sequence[int], params: DerivedParam
         blocks.append(block)
         basis = extend_basis(basis, pool_coords[x], block)
 
-    total_error = _err_report_pass(source, basis, p, "report:total-error")
     return SelectionResult(
-        initial_ids=pivot, blocks=tuple(blocks), total_error=total_error,
-        initial_error=err_pivot, p=p, passes=source.pass_log,
+        initial_ids=pivot, blocks=tuple(blocks), p=p, passes=source.pass_log,
         final_states=tuple(states), params=params, warnings=tuple(warnings),
         basis=basis)
 
@@ -769,10 +748,9 @@ def select_subset(source_or_points, config: SamplingConfig) -> SelectionResult:
     k, p, seed = config.k, config.p, config.seed
     ids, coords, alpha = init_pivot(source, k, p, seed, config.init_mode,
                                     config.init_walk_steps)
-    params = derive_params(
-        k, config.epsilon, alpha, mode=("l2" if p == 2.0 else "lp"), p=p,
-        points_per_round=config.points_per_round, rounds=config.rounds,
-        chain_steps=config.chain_steps)
+    params = derive_params(k, config.epsilon, alpha, p=p,
+                           points_per_round=config.points_per_round,
+                           rounds=config.rounds, chain_steps=config.chain_steps)
     return mcmc_select(source, ids, params, p, seed, pivot_coords=coords)
 
 

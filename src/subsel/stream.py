@@ -124,7 +124,7 @@ class DatasetSource:
             self.pass_log.entries.append(entry)
             return self._points
         rows: list[np.ndarray] = []
-        self.stream_pass_chunks(label, lambda s, c: rows.append(c.copy()),
+        self.stream_pass_chunks(label, lambda s, c: rows.append(c),
                                 reporting=reporting)
         return PointSet(np.vstack(rows))
 
@@ -156,11 +156,8 @@ def open_source(path_or_points, mode: str = "memory") -> DatasetSource:
         n, d = _validate_binary(path)
     points = None
     if mode == "memory":
-        rows = []
         chunks = _iter_csv_chunks(path, d) if fmt == "csv" else _iter_binary_chunks(path, n, d)
-        for _, chunk in chunks:
-            rows.append(chunk.copy())
-        points = PointSet(np.vstack(rows))
+        points = PointSet(np.vstack([chunk for _, chunk in chunks]))
     return DatasetSource(points=points, path=path, fmt=fmt, n=n, d=d, mode=mode)
 
 

@@ -11,8 +11,8 @@ from subsel.cli import (
     parse_report,
     trial_seed,
 )
-from subsel.linalg import best_rank_k_in_span
-from subsel.samplers import SamplingConfig, select_subset
+from subsel.linalg import best_rank_k_in_span, err_p
+from subsel.samplers import SamplingConfig, adaptive_sample, select_subset
 from subsel.stream import open_source
 
 
@@ -250,10 +250,24 @@ def test_run_numbers_recomputable_from_library(tmp_path):
         assert row.seed == seed
         cfg = SamplingConfig(k=3, epsilon=0.5, seed=seed, chain_steps=16)
         result = select_subset(open_source(path), cfg)
-        assert row.err_span == result.total_error
+        assert row.err_span == err_p(pts, result.basis, 2.0)
         _, err_k = best_rank_k_in_span(pts, result.basis, 3)
         assert row.err_p == err_k
         assert row.subset_size == result.size
+
+    # the adaptive row grades the basis its selection built
+    assert main(["run", "--input", str(path), "--alg", "adaptive", "--k", "3",
+                 "--t", "2", "--l", "2", "--trials", "2", "--seed", str(master),
+                 "--timing", "zero", "--out", str(out)]) == 0
+    for trial, row in enumerate(parse_report(out.read_text())):
+        seed = trial_seed(master, trial)
+        assert row.seed == seed
+        result = adaptive_sample(open_source(path), [], 2, 2, 2.0, seed)
+        assert row.err_span == err_p(pts, result.basis, 2.0)
+        _, err_k = best_rank_k_in_span(pts, result.basis, 3)
+        assert row.err_p == err_k
+        assert row.subset_size == result.size == 4
+        assert row.passes == 2
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from subsel.linalg import PointSet, err_p, orthonormal_basis, residual_distances
 from subsel.rng import derive_rng
 from subsel import samplers
+from subsel.outliers import robust_select
 from subsel.samplers import (
     ExactFitReached,
     SamplingConfig,
@@ -106,14 +107,14 @@ def test_derive_params_m_dominates_both_published_forms():
 
 def test_derive_params_outlier_mode_scales_alpha():
     plain = derive_params(3, 0.5, 1.0)
-    robust = derive_params(3, 0.5, 1.0, mode="l2-outlier", lam=0.5)
+    robust = derive_params(3, 0.5, 1.0, lam=0.5)
     assert robust.alpha == pytest.approx(2.0)
     assert robust.eps_err == pytest.approx(plain.eps_err / 2)
     assert robust.points_per_round == plain.points_per_round
 
 
 def test_derive_params_lp_mode_folds_init_quality():
-    got = derive_params(3, 0.5, 1.0, mode="lp", p=3.0)
+    got = derive_params(3, 0.5, 1.0, p=3.0)
     assert got.alpha == pytest.approx(math.factorial(3) * 4.0 ** 2)
 
 
@@ -135,7 +136,7 @@ def test_derive_params_validation():
     with pytest.raises(ValueError):
         derive_params(2, 0.5, 0.5)
     with pytest.raises(ValueError):
-        derive_params(2, 0.5, mode="l2-outlier", lam=0.0)
+        derive_params(2, 0.5, lam=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +214,7 @@ def test_adaptive_sample_exact_rank_reaches_zero_error():
     dirs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     pts = PointSet(coeff @ dirs)
     result = adaptive_sample(pts, [], 4, 3, p=2.0, seed=13)
-    assert result.total_error == pytest.approx(0.0, abs=1e-16)
+    assert err_p(pts, result.basis, 2.0) == pytest.approx(0.0, abs=1e-16)
 
 
 def test_adaptive_sample_zero_rounds_identity():
@@ -524,20 +525,20 @@ def test_mcmc_select_size_and_pass_contract():
     assert result.size == 2 + 6 * 2
     assert all(len(b) == 6 for b in result.blocks)
     result.passes.assert_passes(1)
-    assert result.passes.reporting_passes == 1
+    assert result.passes.reporting_passes == 0
 
 
 def test_mcmc_select_monotone_error_and_floor():
     pts = instance(60, 5, seed=44)
     params = derive_params(2, 0.5, points_per_round=5, rounds=3, chain_steps=12)
     result = mcmc_select(pts, [3, 9], params, seed=45)
-    errs = [result.initial_error]
+    errs = [err_p(pts, orthonormal_basis(pts, [3, 9]), 2.0)]
     ids = [3, 9]
     for block in result.blocks:
         ids.extend(block)
         errs.append(err_p(pts, orthonormal_basis(pts, ids), 2.0))
     assert all(errs[i + 1] <= errs[i] + 1e-9 for i in range(len(errs) - 1))
-    assert result.total_error == pytest.approx(errs[-1], rel=1e-9, abs=1e-12)
+    assert err_p(pts, result.basis, 2.0) == pytest.approx(errs[-1], rel=1e-9, abs=1e-12)
     floor = 1.0 / (2 * pts.n)
     assert all(s.proposal_prob >= floor - 1e-15 for s in result.final_states)
 
@@ -546,8 +547,8 @@ def test_mcmc_select_exact_fit_uniform_floor():
     pts = PointSet(np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]]))
     params = derive_params(1, 0.5, points_per_round=3, rounds=2, chain_steps=8)
     result = mcmc_select(pts, [0], params, seed=46)
-    assert result.total_error == pytest.approx(0.0, abs=1e-18)
-    assert result.initial_error == pytest.approx(0.0, abs=1e-18)
+    assert err_p(pts, result.basis, 2.0) == pytest.approx(0.0, abs=1e-18)
+    assert err_p(pts, orthonormal_basis(pts, [0]), 2.0) == pytest.approx(0.0, abs=1e-18)
     assert result.size == 1 + 3 * 2
     assert any("uniform floor" in w for w in result.warnings)
     assert all(s.accepted == 0 for s in result.final_states)
@@ -569,7 +570,8 @@ def test_mcmc_select_deterministic_and_mode_identical(tmp_path):
         results.append(mcmc_select(src, pivot, params, seed=48, pivot_coords=coords))
     a, b, c = results
     assert a.selected_ids == b.selected_ids == c.selected_ids
-    assert a.total_error == b.total_error == c.total_error
+    assert np.array_equal(a.basis.vectors, b.basis.vectors)
+    assert np.array_equal(a.basis.vectors, c.basis.vectors)
     assert [s.accepted for s in a.final_states] == [s.accepted for s in b.final_states]
     other = mcmc_select(open_source(path), pivot, params, seed=49, pivot_coords=coords)
     assert other.selected_ids != a.selected_ids
@@ -585,7 +587,7 @@ def test_mcmc_select_mode_identical_across_chunks(tmp_path):
     mem, strm = (mcmc_select(open_source(path, mode=mode), pivot, params, seed=53,
                              pivot_coords=coords) for mode in ("memory", "streaming"))
     assert mem.selected_ids == strm.selected_ids
-    assert mem.total_error == strm.total_error
+    assert np.array_equal(mem.basis.vectors, strm.basis.vectors)
     assert [s.accepted for s in mem.final_states] == \
         [s.accepted for s in strm.final_states]
     assert [s.proposal_prob for s in mem.final_states] == \
@@ -724,10 +726,10 @@ def test_mcmc_select_tracks_adaptive_expectation():
     adapt_errs = np.empty(trials)
     for trial in range(trials):
         res = mcmc_select(pts, pivot, params, seed=trial, pivot_coords=coords)
-        mcmc_errs[trial] = res.total_error
+        mcmc_errs[trial] = err_p(pts, res.basis, 2.0)
         base = adaptive_sample(pts, pivot, 3, 2, seed=trial + 10 ** 6,
                                initial_coords=coords)
-        adapt_errs[trial] = base.total_error
+        adapt_errs[trial] = err_p(pts, base.basis, 2.0)
     # 10 points in 12 dimensions: errors are informative, not saturated
     assert np.median(mcmc_errs) > 1e-6
     slack = (params.eps_err + params.eps_tv * 3 * 2) * err_pivot
@@ -819,7 +821,8 @@ def test_pipeline_two_passes_exact_volume():
     result = select_subset(pts, cfg)
     result.passes.assert_passes(2)
     assert result.size == 3 + result.params.total_points
-    assert result.total_error <= result.initial_error + 1e-9
+    pivot_error = err_p(pts, orthonormal_basis(pts, result.initial_ids), 2.0)
+    assert err_p(pts, result.basis, 2.0) <= pivot_error + 1e-9
 
 
 def test_pipeline_two_passes_mcmc_volume():
@@ -848,7 +851,7 @@ def test_pipeline_deterministic_across_modes(tmp_path):
     res_mem = select_subset(open_source(path, "memory"), cfg)
     res_str = select_subset(open_source(path, "streaming"), cfg)
     assert res_mem.selected_ids == res_str.selected_ids
-    assert res_mem.total_error == res_str.total_error
+    assert np.array_equal(res_mem.basis.vectors, res_str.basis.vectors)
 
 
 def test_pipeline_streaming_adaptive_init(tmp_path):
@@ -863,14 +866,35 @@ def test_pipeline_streaming_adaptive_init(tmp_path):
     res_mem = select_subset(open_source(path, "memory"), cfg)
     res_str.passes.assert_passes(4)
     assert res_str.selected_ids == res_mem.selected_ids
-    assert res_str.total_error == res_mem.total_error
+    assert np.array_equal(res_str.basis.vectors, res_mem.basis.vectors)
+
+
+def test_selections_make_no_reporting_pass(tmp_path):
+    # a selection returns its basis and leaves grading to the caller; only
+    # robust_select's trimmed evaluation scans the data after selecting
+    pts, _ = _planted(n=120, d=6, rank=2, noise=0.1, seed=90)
+    path = tmp_path / "report.csv"
+    write_csv(path, pts.data)
+    cfg = SamplingConfig(k=2, epsilon=0.5, seed=91, chain_steps=8)
+    params = derive_params(2, 0.5, points_per_round=3, rounds=2, chain_steps=8)
+    results = [select_subset(open_source(path, mode), cfg)
+               for mode in ("memory", "streaming")]
+    results.append(mcmc_select(pts, [0, 1], params, seed=92))
+    results.append(adaptive_sample(pts, [0, 1], 3, 2, seed=93))
+    for result in results:
+        assert result.passes.reporting_passes == 0
+    robust, _ = robust_select(open_source(path, "streaming"), 2, 0.5, 0.1, 0.9,
+                              seed=94, chain_steps=8)
+    robust.passes.assert_passes(2)
+    assert [e.label for e in robust.passes.entries if e.reporting] == \
+        ["report:outlier-evaluation"]
 
 
 def test_mcmc_select_refuses_oversized_slot_budget(monkeypatch):
     # a fixed 8 GiB machine, so the outcome does not depend on the host
     monkeypatch.setattr(samplers, "physical_memory_bytes", lambda: 8 * 2 ** 30)
     pts = instance(20, 6, seed=75)
-    params = derive_params(3, 0.5, mode="lp", p=3.0)  # theory m is ~1.5e7
+    params = derive_params(3, 0.5, p=3.0)  # theory m is ~1.5e7
     assert params.total_points * params.chain_steps > 10 ** 8
     with pytest.raises(ValueError, match="chain_steps override"):
         mcmc_select(pts, [0, 1, 2], params, p=3.0, seed=76)
