@@ -48,9 +48,17 @@ ENUMERATION_GUARD = 10 ** 6
 TV_DIAG_MAX_POINTS = 4096
 
 
-# Bytes per proposal of one round in mcmc_select: an int64 pool index and a
-# float64 chain uniform. numpy's hypergeometric deal takes under 1e9 draws.
-SLOT_BYTES = 16
+# A chain round deals its proposals in blocks of about BLOCK_PROPOSALS, each
+# LANE_STEPS-step segment of a chain being one lane of the block. A block of
+# 2**18 stays in cache while it is shuffled; at a coupling rate of 0.5 per
+# step, a 64-step segment that never couples has probability 2**-64.
+LANE_STEPS = 64
+BLOCK_PROPOSALS = 2 ** 18
+
+# Bytes per proposal of one block in mcmc_select: an int64 pool index, a
+# float64 chain uniform, its float64 ratio and the product it is compared
+# with. numpy's hypergeometric deal takes under 1e9 draws.
+SLOT_BYTES = 32
 
 
 class ExactFitReached(RuntimeError):
@@ -58,7 +66,8 @@ class ExactFitReached(RuntimeError):
 
 
 class SlotBudgetError(ValueError):
-    """A round of proposals would not fit in memory, or t*l*m reaches 1e9."""
+    """The captured rows and one block of proposals would not fit in memory,
+    or t*l*m reaches 1e9."""
 
 
 def physical_memory_bytes() -> int:
@@ -539,14 +548,17 @@ def proposal_q(x_residual_p, err_p_pivot: float, n: int):
     return 0.5 * np.asarray(x_residual_p, dtype=np.float64) / err_p_pivot + 0.5 / n
 
 
-def mh_accept(p_y, q_x, p_x, q_y, u):
-    """Accept the move iff p_y q_x > u p_x q_y; elementwise on arrays.
+def mh_accept(r_y, r_x, u):
+    """Accept the move from x to y iff r_y > u r_x; elementwise on arrays.
 
-    Cross-multiplied so a zero-mass current state (p_x = 0) never divides:
-    any positive-mass proposal is then accepted, and a zero-mass proposal is
-    never accepted.
+    r = target / q is the importance ratio of an independence Metropolis
+    chain with proposal q, finite as q >= 1/(2n). Off a zero-mass state
+    (r_x = 0) any positive-mass proposal is accepted, and a zero-mass
+    proposal (r_y = 0) is never accepted. fl(u r) is nondecreasing in r, so
+    r_y > u r_max, r_max the largest ratio a chain can be at, accepts from
+    every state: all chains meet there (Corcoran & Tweedie 2002).
     """
-    return p_y * q_x > u * p_x * q_y
+    return r_y > u * r_x
 
 
 # ---------------------------------------------------------------------------
@@ -579,20 +591,85 @@ def _deal(rng: np.random.Generator, stock: np.ndarray, count: int) -> np.ndarray
     return ids
 
 
-def _chain_round(deal: np.ndarray, w_pool: np.ndarray, q_pool: np.ndarray,
-                 seed: int, rnd: int) -> tuple[np.ndarray, np.ndarray]:
-    """Chain c walks row c of the round's (t, m) deal of pool indices;
-    returns the endpoints and acceptance counts."""
-    t, m = deal.shape
-    us = np.empty((t, m - 1))
-    for c in range(t):
-        us[c] = derive_rng(seed, "chain", rnd, c).random(m - 1)
-    x = deal[:, 0]
+def _walk(x: np.ndarray, y: np.ndarray, u: np.ndarray,
+          r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Chains at pool entries x take step j to proposals y[j] with uniforms
+    u[j], one step after another; returns their states and acceptances."""
+    accepted = np.zeros(len(x), dtype=np.int64)
+    for y_j, u_j in zip(y, u):
+        acc = mh_accept(r[y_j], r[x], u_j)
+        x = np.where(acc, y_j, x)
+        accepted += acc
+    return x, accepted
+
+
+def _lane_block(x: np.ndarray, y: np.ndarray, u: np.ndarray,
+                r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Chains at pool entries x (t,) walk a (g, b, t) block: y[s, j, c] is
+    the proposal of step s*b + j of chain c and u[s, j, c] its uniform.
+    Returns the states the block leaves and the acceptances in it, equal to
+    those of walking the steps one after another.
+
+    Every (segment s, chain c) is a lane. Its first step that accepts from
+    every state (r_y > u r_max) forgets where the lane entered, so all lanes
+    run at once from there. Segment ends are then stitched chain by chain,
+    walking lanes without such a step from their entry, and a second lane
+    pass counts the acceptances before each lane's first coupling step.
+    """
+    g, b, t = y.shape
+    top = len(r)
+    rs = np.append(r, r.max())  # entry `top` stands for any state of a lane
+    ry = rs[y]
+    couple = mh_accept(ry, rs[top], u)
+    coupled = couple.any(axis=1)
+    first = np.where(coupled, couple.argmax(axis=1), b)
+    z = np.full((g, t), top)
+    accepted = np.zeros((g, t), dtype=np.int64)
+    for j in range(int(first.min()), b):
+        acc = mh_accept(ry[:, j], rs[z], u[:, j])
+        z = np.where(acc, y[:, j], z)
+        accepted += acc
+
+    entry = np.empty_like(z)
+    for s in range(g):
+        entry[s] = x
+        loose = ~coupled[s]  # accepted nothing above
+        if loose.any():
+            z[s, loose], accepted[s, loose] = _walk(x[loose], y[s][:, loose],
+                                                   u[s][:, loose], r)
+        x = z[s]
+
+    stop = np.where(coupled, first, 0)
+    for j in range(int(stop.max())):
+        acc = mh_accept(ry[:, j], rs[entry], u[:, j]) & (j < stop)
+        entry = np.where(acc, y[:, j], entry)
+        accepted += acc
+    return x, accepted.sum(axis=0)
+
+
+def _chain_round(rng: np.random.Generator, stock: np.ndarray, r: np.ndarray,
+                 t: int, m: int, seed: int, rnd: int) -> tuple[np.ndarray, np.ndarray]:
+    """t chains of m - 1 steps over proposals dealt out of `stock`, r being
+    the ratio of each pool entry; returns the endpoints and acceptances.
+
+    The deal runs in step order: the t starts, then blocks of whole
+    LANE_STEPS segments, then the steps left over. The uniforms are one
+    stream drawn in the same order.
+    """
+    urng = derive_rng(seed, "chain", rnd)
+    x = _deal(rng, stock, t)
     accepted = np.zeros(t, dtype=np.int64)
-    for j in range(1, m):
-        y = deal[:, j]
-        acc = mh_accept(w_pool[y], q_pool[x], w_pool[x], q_pool[y], us[:, j - 1])
-        x = np.where(acc, y, x)
+    segments, tail = divmod(m - 1, LANE_STEPS)
+    per_block = max(1, BLOCK_PROPOSALS // (LANE_STEPS * t))
+    for lo in range(0, segments, per_block):
+        shape = (min(per_block, segments - lo), LANE_STEPS, t)
+        y = _deal(rng, stock, math.prod(shape)).reshape(shape)
+        u = urng.random((shape[0] * LANE_STEPS, t)).reshape(shape)
+        x, acc = _lane_block(x, y, u, r)
+        accepted += acc
+    if tail:
+        x, acc = _walk(x, _deal(rng, stock, tail * t).reshape(tail, t),
+                       urng.random((tail, t)), r)
         accepted += acc
     return x, accepted
 
@@ -607,14 +684,29 @@ def mcmc_select(source_or_points, pivot_ids: Sequence[int], params: DerivedParam
     The pass accumulates err_p against the pivot span, q's normaliser, and
     fills a residual and a uniform bank of t*l*m draws each, kept as per-row
     counts. Binomial(t*l*m, 1/2) residual draws and the rest uniform ones,
-    each a uniform subset of its bank, are i.i.d. draws from the mixture q;
-    each round deals t*m of them in random order, m per chain.
-    SlotBudgetError is raised before the pass when one round would not fit
-    in physical memory.
+    each a uniform subset of its bank, are i.i.d. draws from the mixture q.
     Chains within a round are independent and their target is the span of
-    everything selected before the round. Once every proposal left fits
-    that span, each block is t uniform draws that no chain was dealt. The
-    result's basis spans the selection; grading it is the caller's scan.
+    everything selected before the round.
+
+    A round deals t*m of those draws in step order: the t chain starts,
+    then blocks of g*LANE_STEPS*t proposals laid out (g, LANE_STEPS, t), row
+    j of a block being step j of every chain, then a (m-1) mod LANE_STEPS
+    step tail. Each block is a hypergeometric split of the stock shuffled in
+    itself, which has the law of one shuffle of the whole round, so a round
+    keeps one block in memory. The chain uniforms are one stream per round,
+    derive_rng(seed, "chain", round), drawn in the same step order. The
+    chains are independence Metropolis samplers on r = target / q, computed
+    once per round for the pool entries that still hold proposals. A step
+    with r_y > u r_max accepts from every state, so from there a segment's
+    path does not depend on where it entered: a block runs all its segments
+    as vector lanes (_lane_block), with the same endpoints and acceptance
+    counts as walking the steps one after another.
+
+    SlotBudgetError is raised before the pass when the captured rows plus
+    one dealt block would not fit in physical memory, or t*l*m reaches 1e9.
+    Once every proposal left fits the span, each later round selects t
+    uniform draws that no chain was dealt. The result's basis spans the
+    selection; grading it is the caller's scan.
     """
     source = as_source(source_or_points)
     n = source.n
@@ -623,13 +715,15 @@ def mcmc_select(source_or_points, pivot_ids: Sequence[int], params: DerivedParam
     pivot_basis = _pivot_basis(source, pivot, pivot_coords)
 
     slots = t * l * m
-    need = t * m * SLOT_BYTES + 2 * min(n, slots) * (source.d + 2) * 8
+    per_deal = min(t * m, max(BLOCK_PROPOSALS, LANE_STEPS * t))
+    need = per_deal * SLOT_BYTES + 2 * min(n, slots) * (source.d + 2) * 8
     have = physical_memory_bytes()
     if need > have or slots >= 10 ** 9:
         raise SlotBudgetError(
-            f"t*l*m = {slots} proposal slots (below 1e9), {t * m} per round, need "
-            f"about {need / 2**30:.1f} GiB against {have / 2**30:.1f} GiB of physical "
-            "memory; derived chain lengths at this size need a chain_steps override")
+            f"t*l*m = {slots} proposal slots (below 1e9), dealt {per_deal} at a time, "
+            f"need about {need / 2**30:.1f} GiB against {have / 2**30:.1f} GiB of "
+            "physical memory; derived chain lengths at this size need a chain_steps "
+            "override")
     err_pivot, bank_w, bank_u = proposal_prefetch_pass(
         source, pivot_basis, p, slots, seed, label="mcmc:select")
 
@@ -661,9 +755,11 @@ def mcmc_select(source_or_points, pivot_ids: Sequence[int], params: DerivedParam
 
     for rnd in range(l):
         if not floor_fill:
+            # only entries that still hold proposals are dealt or reached
+            live = stock > 0
             if rnd > 0:
-                w_pool = residual_distances(pool_coords, basis) ** p
-            if float(w_pool[stock > 0].max(initial=0.0)) <= 0.0:
+                w_pool[live] = residual_distances(pool_coords[live], basis) ** p
+            if float(w_pool[live].max(initial=0.0)) <= 0.0:
                 floor_fill = True
                 warnings.append(
                     f"candidate pool exactly fit after {rnd} rounds; "
@@ -675,8 +771,8 @@ def mcmc_select(source_or_points, pivot_ids: Sequence[int], params: DerivedParam
             x = u_at + _deal(rng, spare, t)
             p_x, accepted, steps = np.zeros(t), np.zeros(t, dtype=int), 0
         else:
-            x, accepted = _chain_round(_deal(rng, stock, t * m).reshape(t, m),
-                                       w_pool, q_pool, seed, rnd)
+            r = np.divide(w_pool, q_pool, out=np.zeros(len(stock)), where=live)
+            x, accepted = _chain_round(rng, stock, r, t, m, seed, rnd)
             p_x, steps = w_pool[x], m - 1
         block = tuple(int(i) for i in pool_ids[x])
         states.extend(ChainState(i, float(w), float(q), steps, int(a))
@@ -775,7 +871,8 @@ def tv_distance_diag(points: PointSet, pivot_ids: Sequence[int],
     the exact one-point adaptive distribution conditioned on `current_ids`.
 
     chain_steps = m means one q-draw plus m-1 proposal steps; m = 1 measures
-    TV between q itself and the target. Also reports gamma, the worst-case
+    TV between q itself and the target. The steps use mcmc_select's kernel,
+    mh_accept on r = target / q. Also reports gamma, the worst-case
     target/proposal ratio that controls the (1 - 1/gamma)^(m-1) decay.
     Enumeration-based: n must be at most 4096.
     """
@@ -797,14 +894,15 @@ def tv_distance_diag(points: PointSet, pivot_ids: Sequence[int],
         raise ExactFitReached("current span fits every point")
     q = np.asarray(proposal_q(w0, err0, n))
     target = w / err_cur
-    gamma = float(np.max(target / q))
+    r = target / q
+    gamma = float(np.max(r))
 
     rng = derive_rng(seed, "tv-diag")
     state = rng.choice(n, size=trials, p=q)
     for _ in range(chain_steps - 1):
         y = rng.choice(n, size=trials, p=q)
         u = rng.random(trials)
-        acc = mh_accept(target[y], q[state], target[state], q[y], u)
+        acc = mh_accept(r[y], r[state], u)
         state[acc] = y[acc]
     emp = np.bincount(state, minlength=n) / trials
     tv = 0.5 * float(np.abs(emp - target).sum())

@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from subsel.linalg import PointSet, err_p, orthonormal_basis, residual_distances
 from subsel.rng import derive_rng
@@ -499,18 +502,35 @@ def test_proposal_q_zero_err_raises():
 
 
 def test_mh_accept_rules():
-    assert mh_accept(2.0, 1.0, 1.0, 1.0, 0.999)   # ratio >= 1
-    assert mh_accept(1.0, 1.0, 1.0, 1.0, 0.999)
-    assert not mh_accept(0.0, 1.0, 1.0, 1.0, 1e-12)  # zero-mass proposal
-    assert mh_accept(0.5, 1.0, 0.0, 1.0, 0.999)   # off a zero-mass state
-    assert not mh_accept(0.0, 1.0, 0.0, 1.0, 0.5)
+    assert mh_accept(2.0, 1.0, 0.999)   # ratio >= 1
+    assert mh_accept(1.0, 1.0, 0.999)
+    assert not mh_accept(0.0, 1.0, 1e-12)  # zero-mass proposal
+    assert mh_accept(0.5, 0.0, 0.999)   # off a zero-mass state
+    assert not mh_accept(0.0, 0.0, 0.5)
 
 
 def test_mh_accept_frequency_matches_ratio():
     rng = np.random.default_rng(41)
     ratio = 0.3
-    hits = sum(mh_accept(ratio, 1.0, 1.0, 1.0, float(u)) for u in rng.random(100_000))
+    hits = sum(mh_accept(ratio, 1.0, float(u)) for u in rng.random(100_000))
     assert abs(hits / 100_000 - ratio) <= 3 * math.sqrt(ratio * (1 - ratio) / 100_000)
+
+
+# ratios from 0 through subnormals to about 1e300, with the edges drawn often
+ratios = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0,
+                                    1e300]),
+                   st.floats(0.0, 1e300))
+uniforms = st.floats(0.0, 1.0, exclude_max=True)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(r_y=ratios, r_x=ratios, r_max=ratios, u=uniforms)
+def test_mh_accept_from_the_top_ratio_accepts_from_every_state(r_y, r_x, r_max, u):
+    # the coupling test of the chain rounds: accepting from the largest
+    # ratio means accepting from any state of smaller ratio
+    r_x, r_max = sorted((r_x, r_max))
+    if mh_accept(r_y, r_max, u):
+        assert mh_accept(r_y, r_x, u)
 
 
 # ---------------------------------------------------------------------------
@@ -594,24 +614,133 @@ def test_mcmc_select_mode_identical_across_chunks(tmp_path):
         [s.proposal_prob for s in strm.final_states]
 
 
+def _record_deals(monkeypatch):
+    """Wrap samplers._deal; returns the list its deals are appended to."""
+    deals = []
+    real_deal = samplers._deal
+
+    def deal(rng, stock, count):
+        ids = real_deal(rng, stock, count)
+        deals.append(ids.copy())
+        return ids
+
+    monkeypatch.setattr(samplers, "_deal", deal)
+    return deals
+
+
 def _dealt_proposals(monkeypatch, pts, params, seed):
-    """q of every proposal mcmc_select deals, shaped (l, t, m). The
-    acceptance kernel is replaced by one that records its arguments and
-    rejects every move, so q_x at a round's first step is each chain's start
-    and q_y at step j its j-th proposal."""
-    steps = []
+    """q of every proposal mcmc_select deals, shaped (l, t, m). Wrapping
+    _deal records each round's deals, which run in step order (the t chain
+    starts, then step after step of every chain); wrapping proposal_q
+    records the q of each pool entry."""
+    deals, q_pool = _record_deals(monkeypatch), []
+    real_q = samplers.proposal_q
 
-    def record(p_y, q_x, p_x, q_y, u):
-        steps.append((q_x.copy(), q_y.copy()))
-        return np.zeros(len(u), dtype=bool)
+    def record_q(*args):
+        q_pool.append(real_q(*args))
+        return q_pool[-1]
 
-    monkeypatch.setattr(samplers, "mh_accept", record)
+    monkeypatch.setattr(samplers, "proposal_q", record_q)
     result = mcmc_select(pts, [0], params, seed=seed)
-    assert not result.warnings
-    l, m = params.rounds, params.chain_steps
-    assert len(steps) == l * (m - 1)
-    rounds = [steps[r * (m - 1):(r + 1) * (m - 1)] for r in range(l)]
-    return np.array([np.column_stack([r[0][0]] + [q_y for _, q_y in r]) for r in rounds])
+    assert not result.warnings    # so no floor-fill deal
+    t, l, m = params.points_per_round, params.rounds, params.chain_steps
+    dealt = np.concatenate(deals)
+    assert len(dealt) == l * m * t and len(q_pool) == 1
+    return q_pool[0][dealt.reshape(l, m, t).transpose(0, 2, 1)]
+
+
+def _sequential_chains(x, steps, u, r):
+    """Reference for the chain rounds: chains at pool entries x take the
+    proposals steps[j] with uniforms u[j], one chain and one step at a time,
+    accepting iff r_y > u r_x."""
+    x = [int(i) for i in x]
+    accepted = [0] * len(x)
+    for y_j, u_j in zip(steps, u):
+        for c, (y, v) in enumerate(zip(y_j, u_j)):
+            if float(r[y]) > float(v) * float(r[x[c]]):
+                x[c] = int(y)
+                accepted[c] += 1
+    return x, accepted
+
+
+@st.composite
+def lane_blocks(draw):
+    """(x, y, u, r) for _lane_block: zero-mass and subnormal ratios, repeated
+    pool indices (few entries, many proposals), and pools whose largest
+    ratio dwarfs the rest, so that lanes often never couple."""
+    pool = draw(st.integers(1, 6))
+    r = np.array(draw(st.lists(ratios, min_size=pool, max_size=pool)))
+    if draw(st.booleans()):
+        r[0] = 1e300 * draw(st.floats(0.5, 1.0))
+    g, b, t = draw(st.integers(1, 4)), draw(st.integers(1, 9)), draw(st.integers(1, 4))
+    y = draw(hnp.arrays(np.int64, (g, b, t), elements=st.integers(0, pool - 1)))
+    u = draw(hnp.arrays(np.float64, (g, b, t), elements=uniforms))
+    x = draw(hnp.arrays(np.int64, t, elements=st.integers(0, pool - 1)))
+    return x, y, u, r
+
+
+def test_lane_block_matches_sequential_reference(monkeypatch):
+    fallbacks = []
+    real_walk = samplers._walk
+
+    def walk(*args):
+        fallbacks.append(len(args[0]))
+        return real_walk(*args)
+
+    monkeypatch.setattr(samplers, "_walk", walk)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(block=lane_blocks())
+    def check(block):
+        x, y, u, r = block
+        g, b, t = y.shape
+        got_x, got_acc = samplers._lane_block(x, y, u, r)
+        want_x, want_acc = _sequential_chains(x, y.reshape(g * b, t),
+                                              u.reshape(g * b, t), r)
+        assert got_x.tolist() == want_x
+        assert got_acc.tolist() == want_acc
+
+    check()
+    # lanes without a coupling step were walked from their entry states
+    assert len(fallbacks) > 30
+
+
+@pytest.mark.parametrize("m, segments_per_block", [
+    (129, None),    # m - 1 = 2 * LANE_STEPS, one block
+    (203, 1),       # three one-segment blocks and a 10-step tail
+    (40, None),     # m - 1 < LANE_STEPS: the tail alone
+])
+def test_mcmc_select_chains_replay_sequentially(monkeypatch, m, segments_per_block):
+    # every round's endpoints and acceptances equal a one-step-at-a-time
+    # replay of its dealt proposals with derive_rng(seed, "chain", round)
+    # drawn in one call: PCG64 doubles do not depend on how draws are split
+    t, l, seed = 3, 2, 95
+    if segments_per_block is not None:
+        monkeypatch.setattr(samplers, "BLOCK_PROPOSALS",
+                            segments_per_block * samplers.LANE_STEPS * t)
+    deals, rounds = _record_deals(monkeypatch), []
+    real_round = samplers._chain_round
+
+    def chain_round(rng, stock, r, t, m, seed, rnd):
+        deals.clear()
+        x, accepted = real_round(rng, stock, r, t, m, seed, rnd)
+        rounds.append((np.concatenate(deals).reshape(m, t), r.copy(), x))
+        return x, accepted
+
+    monkeypatch.setattr(samplers, "_chain_round", chain_round)
+    pts = instance(300, 6, seed=94)
+    params = derive_params(2, 0.5, points_per_round=t, rounds=l, chain_steps=m)
+    result = mcmc_select(pts, [0, 1], params, seed=seed)
+    assert not result.warnings and len(rounds) == l
+    for rnd, (dealt, r, x) in enumerate(rounds):
+        u = derive_rng(seed, "chain", rnd).random((m - 1, t))
+        want_x, want_acc = _sequential_chains(dealt[0], dealt[1:], u, r)
+        states = result.final_states[rnd * t:(rnd + 1) * t]
+        assert x.tolist() == want_x
+        assert [s.accepted for s in states] == want_acc
+        assert [s.target_weight / s.proposal_prob for s in states] == \
+            [float(r[i]) for i in want_x]
+        assert all(s.steps_taken == m - 1 for s in states)
 
 
 def _pairs_chi2(a, b):
@@ -687,6 +816,22 @@ def test_mcmc_select_peak_memory_is_one_round():
         tracemalloc.stop()
     assert result.size == 2 + t * l and not result.warnings
     assert peak < t * l * m * 8
+
+
+def test_mcmc_select_peak_memory_is_one_block():
+    # a round deals its 3.2M proposals block by block: the traced peak stays
+    # below a single int64 array of one round's t*m pool indices
+    pts = instance(200, 20, seed=96)
+    t, l, m = 16, 1, 200000
+    params = derive_params(2, 0.5, points_per_round=t, rounds=l, chain_steps=m)
+    tracemalloc.start()
+    try:
+        result = mcmc_select(pts, [0, 1], params, seed=97)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.size == 2 + t and not result.warnings
+    assert peak < t * m * 8
 
 
 def test_mcmc_select_single_point_distribution():
