@@ -146,7 +146,7 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.algorithm in ("svd-oracle", "volume-mcmc") and self.p != 2.0:
+        if self.algorithm in ("svd-oracle", "volume-exact", "volume-mcmc") and self.p != 2.0:
             raise ValueError(f"{self.algorithm} supports p = 2 only")
         if self.algorithm == "mcmc" and not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
@@ -225,7 +225,7 @@ def _trial_mcmc(spec, source, seed, eval_points, truth):
     else:
         result = select_subset(source, SamplingConfig(
             k=spec.k, epsilon=spec.epsilon, p=spec.p, seed=seed, **init))
-    k_pass_init = spec.init_mode == "adaptive-k-pass" or spec.p != 2.0
+    k_pass_init = spec.init_mode == "adaptive-k-pass"
     return result.basis, result.passes, {
         **extras, "accept_rate": result.acceptance_rate, "warnings": result.warnings,
         "expected_passes": len(result.initial_ids) + 1 if k_pass_init else 2}

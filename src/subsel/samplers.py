@@ -85,8 +85,8 @@ class SamplingConfig:
 
     init_mode picks how the pivot subset is drawn: exact-volume (one
     materializing pass), mcmc-volume (one pass plus an in-memory lazy walk),
-    or adaptive-k-pass (k single-point passes, the p > 2 route). Overrides
-    replace the derived t / l / m.
+    or adaptive-k-pass (k single-point passes, the one init for p != 2).
+    Overrides replace the derived t / l / m.
     """
 
     k: int
@@ -440,19 +440,16 @@ def volume_sample_mcmc(points: PointSet, k: int, walk_steps: int, seed: int = 0,
     vol_cur = simplex_volume_sq(points, cur)
     if vol_cur <= 0.0:
         raise ValueError("cannot start the walk from a zero-volume subset")
-    mask = np.zeros(n, dtype=bool)
-    mask[cur] = True
     for _ in range(walk_steps):
         u = float(rng.random())
         i_pos = int(rng.integers(0, k))
-        j_out = int(rng.integers(0, n - k))
-        j = int(np.flatnonzero(~mask)[j_out])
+        j = int(rng.integers(0, n - k))
+        for c in cur:  # the j-th outsider: skip every member at or below it
+            j += c <= j
         cand = sorted([c for pos, c in enumerate(cur) if pos != i_pos] + [j])
         vol_new = simplex_volume_sq(points, cand)
         ratio = vol_new / vol_cur
         if u < 0.5 * min(1.0, ratio):
-            mask[cur[i_pos]] = False
-            mask[j] = True
             cur = cand
             vol_cur = vol_new
     return list(cur)
@@ -809,17 +806,17 @@ def init_pivot(source: DatasetSource, k: int, p: float, seed: int, init_mode: st
     """Draw the pivot subset per init_mode; returns (ids, coords, alpha).
 
     alpha is the approximate-volume-sampling quality factor the parameter
-    derivation should assume for this pivot. Volume inits take one
-    materializing pass; the adaptive init takes k single-point passes.
+    derivation should assume for this pivot. Volume inits (p = 2 only) take
+    one materializing pass; the adaptive init takes k single-point passes.
     """
+    if p != 2.0 and init_mode != "adaptive-k-pass":
+        raise ValueError(f"p = {p:g} needs init_mode 'adaptive-k-pass'; "
+                         f"{init_mode} samples p = 2 volumes")
     if init_mode in ("exact-volume", "mcmc-volume"):
         pts = source.collect(f"init:{init_mode}")
         rng = derive_rng(seed, "init", init_mode)
         if init_mode == "exact-volume":
-            if p == 2.0:
-                ids = volume_sample_dpp(pts, k, rng=rng)
-            else:
-                ids = volume_sample_exact(pts, k, p, rng=rng)
+            ids = volume_sample_dpp(pts, k, rng=rng)
             alpha = 1.0
         else:
             steps = init_walk_steps or _default_walk_steps(pts, k)
@@ -835,8 +832,8 @@ def init_pivot(source: DatasetSource, k: int, p: float, seed: int, init_mode: st
 def select_subset(source_or_points, config: SamplingConfig) -> SelectionResult:
     """The full pipeline: pivot initialization plus the Metropolis pass.
 
-    p = 2 with a volume init runs in 2 passes; p > 2 (or an adaptive init)
-    runs in k+1. All pass counts are auditable from the result's PassLog.
+    A volume init (p = 2 only) runs in 2 passes, the adaptive init in k+1.
+    All pass counts are auditable from the result's PassLog.
     """
     source = as_source(source_or_points)
     if config.k > source.d:

@@ -4,7 +4,9 @@ A pass is exactly one full sequential visit of rows 0..n-1. Streaming-mode
 sources re-read their file on every pass and forbid random row access;
 in-memory sources present the same rows in the same fixed-size chunks, so a
 seeded algorithm consumes its random stream identically in both modes and
-produces bit-identical results.
+produces bit-identical results. Each file format has one reader, which
+checks the file as it reads it: opening a file is one pass of it, and every
+later pass runs it again against the n and d learned at open.
 
 Also provides weighted reservoir sampling (many independent single draws in
 one pass, kept as per-row counts: a chunk thins each row's count by a
@@ -17,6 +19,7 @@ instance generation.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -101,10 +104,8 @@ class DatasetSource:
             data = self._points.data
             for start in range(0, self.n, CHUNK_ROWS):
                 yield start, data[start:start + CHUNK_ROWS]
-        elif self._fmt == "csv":
-            yield from _iter_csv_chunks(self.path, self.d)
         else:
-            yield from _iter_binary_chunks(self.path, self.n, self.d)
+            yield from _read_chunks(self.path, self._fmt, (self.n, self.d))
 
     def stream_pass_chunks(self, label: str,
                            visitor: Callable[[int, np.ndarray], None], *,
@@ -136,9 +137,11 @@ class DatasetSource:
 def open_source(path_or_points, mode: str = "memory") -> DatasetSource:
     """Open a dataset for pass-counted sequential access.
 
-    Accepts a PointSet (in-memory only) or a file path. The file is fully
-    validated up front (row widths, finite entries); the pass counter starts
-    at zero afterwards.
+    Accepts a PointSet (in-memory only) or a file path. Opening a file is one
+    pass of its format's reader, which learns n and d; memory mode keeps the
+    chunks read, streaming mode drops them. A later pass raises
+    DatasetFormatError if the file no longer holds n rows of d finite
+    entries. The pass counter starts at zero after opening.
     """
     if mode not in ("memory", "streaming"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -150,22 +153,21 @@ def open_source(path_or_points, mode: str = "memory") -> DatasetSource:
                              n=pts.n, d=pts.d, mode="memory")
     path = str(path_or_points)
     fmt = _sniff_format(path)
-    if fmt == "csv":
-        n, d = _validate_csv(path)
-    else:
-        n, d = _validate_binary(path)
-    points = None
-    if mode == "memory":
-        chunks = _iter_csv_chunks(path, d) if fmt == "csv" else _iter_binary_chunks(path, n, d)
-        points = PointSet(np.vstack([chunk for _, chunk in chunks]))
-    return DatasetSource(points=points, path=path, fmt=fmt, n=n, d=d, mode=mode)
+    kept = []
+    for start, chunk in _read_chunks(path, fmt):
+        if mode == "memory":
+            kept.append(chunk)
+    data = np.vstack(kept) if kept else None
+    kept.clear()  # PointSet copies `data`; the chunks go first
+    return DatasetSource(points=None if data is None else PointSet(data), path=path,
+                         fmt=fmt, n=start + len(chunk), d=chunk.shape[1], mode=mode)
 
 
-def as_source(source_or_points, mode: str = "memory") -> DatasetSource:
-    """Pass DatasetSource through, wrap a PointSet or path in a fresh source."""
+def as_source(source_or_points) -> DatasetSource:
+    """Pass DatasetSource through, wrap a PointSet or path in a memory source."""
     if isinstance(source_or_points, DatasetSource):
         return source_or_points
-    return open_source(source_or_points, mode=mode)
+    return open_source(source_or_points)
 
 
 # ---------------------------------------------------------------------------
@@ -183,55 +185,53 @@ def _sniff_format(path: str) -> str:
     return "csv"
 
 
-def _parse_csv_line(line: str, lineno: int, path: str) -> list[float] | None:
-    text = line.strip()
-    if not text or text.startswith("#"):
-        return None
-    try:
-        return [float(tok) for tok in text.split(",")]
-    except ValueError as exc:
-        raise DatasetFormatError(f"{path}: line {lineno}: {exc}") from None
+def _read_chunks(path: str, fmt: str, shape: tuple[int, int] | None = None,
+                 ) -> Iterator[tuple[int, np.ndarray]]:
+    """The one reader of a file: (start, chunk) blocks of CHUNK_ROWS rows in
+    index order, each checked as it is read. Given the (n, d) learned at
+    open, it also checks that the file still holds n rows of d entries, and
+    raises before any row past the n-th reaches the caller."""
+    rows = _csv_rows if fmt == "csv" else _binary_rows
+    start = 0
+    for chunk in rows(path, shape):
+        if shape is not None and start + len(chunk) > shape[0]:
+            raise DatasetFormatError(
+                f"{path}: more than the {shape[0]} rows it held when opened")
+        yield start, chunk
+        start += len(chunk)
+    if start == 0 or (shape is not None and start != shape[0]):
+        raise DatasetFormatError(f"{path}: {start} data rows" + (
+            "" if shape is None else f", but {shape[0]} when opened"))
 
 
-def _validate_csv(path: str) -> tuple[int, int]:
-    n = 0
-    d = None
+def _csv_rows(path: str, shape: tuple[int, int] | None) -> Iterator[np.ndarray]:
+    d = None if shape is None else shape[1]
+    buf: list[list[float]] = []
+    lines: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            values = _parse_csv_line(line, lineno, path)
-            if values is None:
+            text = line.strip()
+            if not text or text.startswith("#"):
                 continue
+            try:
+                values = [float(tok) for tok in text.split(",")]
+            except ValueError as exc:
+                raise DatasetFormatError(f"{path}: line {lineno}: {exc}") from None
             if d is None:
                 d = len(values)
             elif len(values) != d:
                 raise DatasetFormatError(
                     f"{path}: line {lineno}: expected {d} columns, found {len(values)}")
-            if not all(math.isfinite(v) for v in values):
-                raise DatasetFormatError(f"{path}: line {lineno}: non-finite entry")
-            n += 1
-    if n == 0 or d is None:
-        raise DatasetFormatError(f"{path}: no data rows")
-    return n, d
-
-
-def _iter_csv_chunks(path: str, d: int) -> Iterator[tuple[int, np.ndarray]]:
-    buf: list[list[float]] = []
-    start = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            values = _parse_csv_line(line, lineno, path)
-            if values is None:
-                continue
             buf.append(values)
+            lines.append(lineno)
             if len(buf) == CHUNK_ROWS:
-                yield start, np.array(buf, dtype=np.float64)
-                start += len(buf)
-                buf = []
+                yield _finite(np.array(buf, dtype=np.float64), path, "line", lines)
+                buf, lines = [], []
     if buf:
-        yield start, np.array(buf, dtype=np.float64)
+        yield _finite(np.array(buf, dtype=np.float64), path, "line", lines)
 
 
-def _validate_binary(path: str) -> tuple[int, int]:
+def _binary_rows(path: str, shape: tuple[int, int] | None) -> Iterator[np.ndarray]:
     with open(path, "rb") as fh:
         header = fh.read(len(BINARY_MAGIC) + 16)
         if len(header) < len(BINARY_MAGIC) + 16:
@@ -241,27 +241,29 @@ def _validate_binary(path: str) -> tuple[int, int]:
         n, d = struct.unpack("<QQ", header[len(BINARY_MAGIC):])
         if n < 1 or d < 1:
             raise DatasetFormatError(f"{path}: empty dataset (n={n}, d={d})")
-        expected = n * d * 8
-        body = fh.read()
-        if len(body) != expected:
+        if shape is not None and (n, d) != shape:
             raise DatasetFormatError(
-                f"{path}: expected {expected} payload bytes, found {len(body)}")
-        values = np.frombuffer(body, dtype="<f8")
-        if not np.all(np.isfinite(values)):
-            raise DatasetFormatError(f"{path}: non-finite entry")
-    return int(n), int(d)
-
-
-def _iter_binary_chunks(path: str, n: int, d: int) -> Iterator[tuple[int, np.ndarray]]:
-    with open(path, "rb") as fh:
-        fh.seek(len(BINARY_MAGIC) + 16)
-        start = 0
-        while start < n:
+                f"{path}: header says {n} x {d}, but {shape[0]} x {shape[1]} when opened")
+        found = os.fstat(fh.fileno()).st_size - len(header)
+        if found != n * d * 8:
+            raise DatasetFormatError(
+                f"{path}: expected {n * d * 8} payload bytes, found {found}")
+        for start in range(0, n, CHUNK_ROWS):
             count = min(CHUNK_ROWS, n - start)
             raw = fh.read(count * d * 8)
+            if len(raw) != count * d * 8:
+                raise DatasetFormatError(
+                    f"{path}: payload ends inside rows {start}..{start + count - 1}")
             chunk = np.frombuffer(raw, dtype="<f8").reshape(count, d)
-            yield start, chunk
-            start += count
+            yield _finite(chunk, path, "row", range(start, start + count))
+
+
+def _finite(chunk: np.ndarray, path: str, unit: str, labels) -> np.ndarray:
+    ok = np.isfinite(chunk).all(axis=1)
+    if not ok.all():  # name the line or row of the first bad entry
+        raise DatasetFormatError(f"{path}: {unit} {labels[int(np.argmin(ok))]}: "
+                                 "non-finite entry")
+    return chunk
 
 
 def write_csv(path: str, data: np.ndarray, header: str | None = None) -> None:

@@ -223,6 +223,26 @@ def test_run_rejects_incompatible_flags(tmp_path):
                  "--beta", "0.2"]) == 2
 
 
+def test_run_p3_needs_adaptive_init(tmp_path, capsys):
+    # volume inits sample p = 2 volumes; p != 2 is refused before any pass
+    # and runs in k + 1 passes with the adaptive init
+    path = gen_dataset(tmp_path, n=40)
+    capsys.readouterr()
+    for init in ([], ["--init", "mcmc-volume"]):
+        assert main(["run", "--input", str(path), "--alg", "mcmc", "--k", "2",
+                     "--p", "3", *init]) == 2
+        assert "adaptive-k-pass" in capsys.readouterr().err
+    for alg in ("volume-exact", "volume-mcmc"):
+        assert main(["run", "--input", str(path), "--alg", alg, "--k", "2",
+                     "--p", "3"]) == 2
+        assert "p = 2 only" in capsys.readouterr().err
+    out = tmp_path / "lp.csv"
+    assert main(["run", "--input", str(path), "--alg", "mcmc", "--k", "2", "--p", "3",
+                 "--init", "adaptive-k-pass", "--m", "8", "--trials", "2",
+                 "--timing", "zero", "--out", str(out)]) == 0
+    assert [row.passes for row in parse_report(out.read_text())] == [3, 3]
+
+
 def test_run_byte_identical_across_modes(tmp_path):
     path = gen_dataset(tmp_path)
     outs = []

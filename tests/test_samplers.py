@@ -31,7 +31,7 @@ from subsel.samplers import (
     volume_sample_mcmc,
     volume_walk_distribution,
 )
-from subsel.stream import CHUNK_ROWS, open_source, write_csv
+from subsel.stream import CHUNK_ROWS, open_source, write_binary, write_csv
 
 
 def instance(n, d, seed, scale=None):
@@ -1012,6 +1012,35 @@ def test_pipeline_streaming_adaptive_init(tmp_path):
     res_str.passes.assert_passes(4)
     assert res_str.selected_ids == res_mem.selected_ids
     assert np.array_equal(res_str.basis.vectors, res_mem.basis.vectors)
+
+
+@settings(derandomize=True, max_examples=16, deadline=None)
+@given(n=st.sampled_from([CHUNK_ROWS - 1, CHUNK_ROWS + 1]),
+       fmt=st.sampled_from(["csv", "bin"]),
+       zero_rows=st.integers(0, CHUNK_ROWS // 2),
+       dup_rows=st.integers(0, 64),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_selection_mode_identity_property(tmp_path_factory, n, fmt, zero_rows,
+                                          dup_rows, seed):
+    # select_subset and robust_select give byte-identical ids and bases from
+    # a file opened in memory and in streaming mode, across a chunk boundary
+    pts, _ = _planted(n=n, d=5, rank=2, noise=0.1, seed=seed % 997, outlier_frac=0.05)
+    rng = np.random.default_rng(seed)
+    data = pts.data.copy()
+    data[rng.choice(n, dup_rows)] = data[rng.choice(n, dup_rows)]
+    data[rng.choice(n, zero_rows, replace=False)] = 0.0
+    path = tmp_path_factory.mktemp("modes") / f"sel.{fmt}"
+    (write_csv if fmt == "csv" else write_binary)(path, data)
+    knobs = dict(points_per_round=4, rounds=2, chain_steps=16)
+    runs = []
+    for mode in ("memory", "streaming"):
+        plain = select_subset(open_source(path, mode),
+                              SamplingConfig(k=2, epsilon=0.5, seed=seed, **knobs))
+        robust, inliers = robust_select(open_source(path, mode), 2, 0.5, 0.05, 1.0,
+                                        seed, **knobs)
+        runs.append([(r.selected_ids, r.basis.source_ids, r.basis.vectors.tobytes())
+                     for r in (plain, robust)] + [inliers.ids])
+    assert runs[0] == runs[1]
 
 
 def test_selections_make_no_reporting_pass(tmp_path):

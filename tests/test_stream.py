@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,82 @@ def test_csv_skips_blanks_and_comments(tmp_path):
     src = open_source(path, mode="streaming")
     assert (src.n, src.d) == (2, 2)
     assert np.array_equal(src.collect("load").data, [[1.0, 2.0], [3.0, 4.0]])
+
+
+def _rewrite(path, fmt, data):
+    (write_csv if fmt == "csv" else write_binary)(path, data)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "bin"])
+@pytest.mark.parametrize("change", ["grow", "shrink", "nan", "truncate"])
+def test_changed_file_fails_next_pass(tmp_path, fmt, change):
+    # every pass re-runs the reader that opened the file, so a file that no
+    # longer holds n rows of d finite entries fails the next pass by name,
+    # and no row past the n-th reaches a visitor
+    n, d = 2 * CHUNK_ROWS + 900, 5
+    data = np.random.default_rng(3).standard_normal((n, d))
+    path = tmp_path / f"changing.{fmt}"
+    _rewrite(path, fmt, data)
+    src = open_source(path, "streaming")
+    src.stream_pass_chunks("before", lambda s, c: None)
+    if change == "grow":
+        _rewrite(path, fmt, np.vstack([data, data[:5]]))
+    elif change == "shrink":
+        _rewrite(path, fmt, data[:-5])
+    elif change == "nan":
+        bad = data.copy()
+        bad[n - 7, 2] = np.nan
+        _rewrite(path, fmt, bad)
+    else:
+        raw = path.read_bytes()
+        path.write_bytes(raw[:len(raw) - len(raw) // 7])
+    seen = []
+    with pytest.raises(DatasetFormatError, match="changing"):
+        src.stream_pass_chunks("after", lambda s, c: seen.append(s + len(c)))
+    assert max(seen, default=0) <= n
+    assert not src.pass_log.entries[-1].complete
+
+
+@pytest.mark.parametrize("mode, payloads", [("streaming", 0.25), ("memory", 2.5)])
+def test_open_binary_peak_memory(tmp_path, mode, payloads):
+    # a streamed open reads one chunk at a time, so the payload is never
+    # resident; a memory open holds the rows at most twice (chunks, then the
+    # stacked rows beside PointSet's copy)
+    n, d = 20 * CHUNK_ROWS, 20
+    path = tmp_path / "big.bin"
+    write_binary(path, np.random.default_rng(4).standard_normal((n, d)))
+    tracemalloc.start()
+    try:
+        src = open_source(path, mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (src.n, src.d) == (n, d)
+    assert peak < payloads * n * d * 8
+
+
+@pytest.mark.parametrize("fmt", ["csv", "bin"])
+def test_memory_open_reads_file_once(tmp_path, monkeypatch, fmt):
+    # after the format sniff, memory mode parses the file in one pass and
+    # keeps the chunks it read
+    import builtins
+
+    data = np.random.default_rng(5).standard_normal((CHUNK_ROWS + 3, 4))
+    path = tmp_path / f"once.{fmt}"
+    _rewrite(path, fmt, data)
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            opened.append(args[0] if args else kwargs.get("mode", "r"))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    src = open_source(path, "memory")
+    assert len(opened) == 2  # the sniff, then the one read
+    assert np.array_equal(src.collect("load").data, data)
+    assert len(opened) == 2
 
 
 def test_reservoir_rejects_negative_weights():
