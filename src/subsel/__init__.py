@@ -26,7 +26,6 @@ from .samplers import (
     SlotBudgetError,
     adaptive_sample,
     adaptive_sample_round,
-    adaptive_volume_init,
     derive_params,
     mcmc_select,
     mh_accept,
@@ -67,7 +66,6 @@ __all__ = [
     "SlotBudgetError",
     "adaptive_sample",
     "adaptive_sample_round",
-    "adaptive_volume_init",
     "best_rank_k_in_span",
     "check_lambda",
     "derive_params",

@@ -25,8 +25,8 @@ from .linalg import (
     PointSet,
     best_rank_k_in_span,
     err_p,
+    extend_basis,
     optimal_subspace,
-    orthonormal_basis,
 )
 from .outliers import check_lambda, robust_select
 from .rng import derive_seed_sequence
@@ -200,14 +200,14 @@ def run_experiment(spec: ExperimentSpec, input_path: str,
 
 
 # Each trial function runs one algorithm on a source and returns (basis,
-# pass log, extras). The basis spans the selected subset, and the shared tail
-# in _run_trial grades it on eval_points. extras override what that tail
-# would otherwise derive: err_p (default: best k-subspace in the span),
-# err_span (default: err_p of the span) and subset_size (default: the span's
-# source ids); they also carry accept_rate, warnings and expected_passes
-# (default 1).
+# pass log, extras). The basis spans the selected subset, built from the
+# rows the algorithm read, and the shared tail in _run_trial grades it on
+# eval_points. extras override what that tail would otherwise derive: err_p
+# (default: best k-subspace in the span), err_span (default: err_p of the
+# span) and subset_size (default: the span's source ids); they also carry
+# accept_rate, warnings and expected_passes (default 1).
 
-def _trial_mcmc(spec, source, seed, eval_points, truth):
+def _trial_mcmc(spec, source, seed, truth):
     init = dict(init_mode=spec.init_mode, points_per_round=spec.points_per_round,
                 rounds=spec.rounds, chain_steps=spec.chain_steps,
                 init_walk_steps=spec.walk_steps)
@@ -215,8 +215,7 @@ def _trial_mcmc(spec, source, seed, eval_points, truth):
     if spec.beta > 0.0:
         truth_basis = truth_inliers = None
         if truth is not None and truth.get("planted_basis"):
-            truth_basis = OrthonormalBasis(eval_points.d,
-                                           np.array(truth["planted_basis"]), ())
+            truth_basis = OrthonormalBasis(source.d, np.array(truth["planted_basis"]))
             truth_inliers = truth.get("inlier_ids")
         result, inliers = robust_select(
             source, spec.k, spec.epsilon, spec.beta, spec.lam, seed, **init,
@@ -231,34 +230,34 @@ def _trial_mcmc(spec, source, seed, eval_points, truth):
         "expected_passes": len(result.initial_ids) + 1 if k_pass_init else 2}
 
 
-def _trial_adaptive(spec, source, seed, eval_points, truth):
+def _trial_adaptive(spec, source, seed, truth):
     t = spec.points_per_round or derive_params(spec.k, spec.epsilon).points_per_round
     l = spec.rounds if spec.rounds is not None else derive_params(
         spec.k, spec.epsilon).rounds
-    result = adaptive_sample(source, [], t, l, spec.p, seed)
+    result = adaptive_sample(source, OrthonormalBasis.empty(source.d), t, l, spec.p, seed)
     return result.basis, result.passes, {
         "warnings": result.warnings, "expected_passes": len(result.blocks)}
 
 
-def _trial_fkv(spec, source, seed, eval_points, truth):
+def _trial_fkv(spec, source, seed, truth):
     # length-squared sampling: an adaptive round against the empty span
     t = spec.points_per_round or derive_params(spec.k, spec.epsilon).points_per_round
     l = spec.rounds if spec.rounds is not None else 1
-    ids, _ = adaptive_sample_round(source, (), t * l, spec.p, seed, label="fkv")
-    return orthonormal_basis(eval_points, ids), source.pass_log, {}
+    empty = OrthonormalBasis.empty(source.d)
+    ids, coords = adaptive_sample_round(source, empty, t * l, spec.p, seed, label="fkv")
+    return extend_basis(empty, coords, ids), source.pass_log, {}
 
 
-def _trial_svd_oracle(spec, source, seed, eval_points, truth):
+def _trial_svd_oracle(spec, source, seed, truth):
     basis, err = optimal_subspace(source.collect("svd-oracle"), spec.k)
     return basis, source.pass_log, {"err_p": err, "err_span": err,
                                     "subset_size": spec.k}
 
 
-def _trial_volume(spec, source, seed, eval_points, truth):
+def _trial_volume(spec, source, seed, truth):
     init_mode = "exact-volume" if spec.algorithm == "volume-exact" else "mcmc-volume"
-    ids, _, _ = init_pivot(source, spec.k, spec.p, seed, init_mode,
-                           spec.walk_steps or 1000)
-    return orthonormal_basis(eval_points, ids), source.pass_log, {}
+    basis, _ = init_pivot(source, spec.k, spec.p, seed, init_mode, spec.walk_steps or 1000)
+    return basis, source.pass_log, {}
 
 
 TRIALS = {
@@ -275,7 +274,7 @@ def _run_trial(spec: ExperimentSpec, source, trial: int, seed: int,
                eval_points: PointSet, optimum: float | None,
                truth: dict | None) -> ReportRow:
     start = time.perf_counter()
-    basis, passes, extras = TRIALS[spec.algorithm](spec, source, seed, eval_points, truth)
+    basis, passes, extras = TRIALS[spec.algorithm](spec, source, seed, truth)
     for message in extras.get("warnings", ()):
         print(f"warning: trial {trial}: {message}", file=sys.stderr)
     err = (extras["err_p"] if "err_p" in extras

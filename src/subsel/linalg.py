@@ -58,8 +58,9 @@ class PointSet:
 class OrthonormalBasis:
     """Orthonormal rows spanning the linear span of a point subset.
 
-    r = 0 is the empty span. source_ids records which subset generated the
-    span (empty for oracle bases); rank deficiency means r < len(source_ids).
+    r = 0 is the empty span, OrthonormalBasis.empty(d). source_ids records
+    which subset generated the span (empty for oracle bases); rank
+    deficiency means r < len(source_ids).
     """
 
     d: int
@@ -77,6 +78,11 @@ class OrthonormalBasis:
         vectors.setflags(write=False)
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "source_ids", tuple(int(i) for i in self.source_ids))
+
+    @classmethod
+    def empty(cls, d: int) -> OrthonormalBasis:
+        """The r = 0 span in d dimensions, where every selection starts."""
+        return cls(d, np.zeros((0, d)))
 
     @property
     def r(self) -> int:
@@ -136,10 +142,7 @@ def orthonormal_basis(points: PointSet, subset: SubsetIds) -> OrthonormalBasis:
     Degenerate subsets simply yield lower rank; the empty subset gives r = 0.
     """
     ids = check_subset_ids(subset, points.n)
-    if not ids:
-        return OrthonormalBasis(points.d, np.zeros((0, points.d)), ())
-    vecs = _mgs_extend(np.zeros((0, points.d)), points.data[ids])
-    return OrthonormalBasis(points.d, vecs, tuple(ids))
+    return extend_basis(OrthonormalBasis.empty(points.d), points.data[ids], ids)
 
 
 def extend_basis(basis: OrthonormalBasis, new_rows: np.ndarray,

@@ -107,11 +107,11 @@ def robust_select(source_or_points, k: int, epsilon: float, beta: float,
     source = as_source(source_or_points)
     if k > source.d:
         raise ValueError(f"k={k} exceeds data dimension d={source.d}")
-    ids, coords, alpha = init_pivot(source, k, 2.0, seed, init_mode, init_walk_steps)
+    pivot, alpha = init_pivot(source, k, 2.0, seed, init_mode, init_walk_steps)
     params = derive_params(k, epsilon, alpha, lam=lam,
                            points_per_round=points_per_round, rounds=rounds,
                            chain_steps=chain_steps)
-    result = mcmc_select(source, ids, params, 2.0, seed, pivot_coords=coords)
+    result = mcmc_select(source, pivot, params, 2.0, seed)
 
     pts = source.collect("report:outlier-evaluation", reporting=True)
     fitted = fit_trimmed_subspace(pts, result.basis, k, beta)

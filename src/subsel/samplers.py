@@ -9,7 +9,9 @@ diagnostics.
 The source-driven operations (adaptive sampling, mcmc_select,
 select_subset) do all data access through pass-counted sequential scans and
 consume their random streams identically for in-memory and streaming
-sources; a PointSet argument is wrapped in an in-memory source.
+sources; a PointSet argument is wrapped in an in-memory source. A span is
+one OrthonormalBasis, whose source ids are the rows that made it: init_pivot
+returns one, and mcmc_select and adaptive_sample grow one into result.basis.
 """
 
 from __future__ import annotations
@@ -248,63 +250,58 @@ class SelectionResult:
 # adaptive sampling
 # ---------------------------------------------------------------------------
 
-def adaptive_sample_round(source_or_points, current: Sequence[int], count: int,
+def adaptive_sample_round(source_or_points, basis: OrthonormalBasis, count: int,
                           p: float = 2.0, seed: int = 0, *,
-                          basis: OrthonormalBasis | None = None,
                           rng: np.random.Generator | None = None,
                           label: str = "adaptive-round",
                           ) -> tuple[list[int], np.ndarray]:
     """count i.i.d. draws with probability proportional to the residual
-    distance (to the span of `current`, or to `basis` when given) raised to
-    p, in one reservoir pass; returns (ids, coordinates).
+    distance to span(basis) raised to p, in one reservoir pass; returns
+    (ids, coordinates).
 
-    With an empty span this is squared-length sampling. A streaming source
-    with a nonempty `current` needs `basis`. Raises ExactFitReached when
-    every residual is zero.
+    With the empty span this is squared-length sampling. Raises
+    ExactFitReached when every residual is zero.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     source = as_source(source_or_points)
     rng = rng if rng is not None else derive_rng(seed, "adaptive-round", label)
-    if basis is None:
-        basis = _pivot_basis(source, tuple(check_subset_ids(current, source.n)), None)
     try:
         bank = weighted_reservoir_sample(
             source, lambda chunk: residual_distances(chunk, basis) ** p,
             count, seed=0, rng=rng, label=label)
     except DegenerateWeightsError:
-        raise ExactFitReached("span of the current subset fits every point") from None
+        raise ExactFitReached("the span fits every point") from None
     return [int(i) for i in bank.ids], bank.points_for(bank.ids)
 
 
-def adaptive_sample(source_or_points, initial_ids: Sequence[int], count: int,
-                    rounds: int, p: float = 2.0, seed: int = 0, *,
-                    initial_coords: np.ndarray | None = None) -> SelectionResult:
-    """Multi-pass adaptive sampling baseline: `rounds` sequential rounds of
-    `count` draws, each conditioned on everything selected so far.
+def adaptive_sample(source_or_points, initial: OrthonormalBasis, count: int,
+                    rounds: int, p: float = 2.0, seed: int = 0) -> SelectionResult:
+    """Multi-pass adaptive sampling: `rounds` sequential rounds of `count`
+    draws, each conditioned on span(initial) and everything selected so far.
 
-    Consumes exactly one pass per completed round (plus whatever the caller
-    spent building initial_ids) and no reporting pass. Exact fit stops
-    early, with a warning.
+    initial is any span, such as a selection's basis or
+    OrthonormalBasis.empty(d); its source ids head the selection. Consumes
+    exactly one pass per completed round and no reporting pass. Exact fit
+    stops early, with a warning.
     """
     source = as_source(source_or_points)
-    initial = tuple(check_subset_ids(initial_ids, source.n))
-    basis = _pivot_basis(source, initial, initial_coords)
+    basis = initial
     blocks: list[tuple[int, ...]] = []
     warnings: list[str] = []
     for i in range(rounds):
         rng = derive_rng(seed, "adaptive-round", i)
         try:
-            ids, coords = adaptive_sample_round(source, (), count, p, basis=basis,
-                                                rng=rng, label=f"adaptive:{i + 1}")
+            ids, coords = adaptive_sample_round(source, basis, count, p, rng=rng,
+                                                label=f"adaptive:{i + 1}")
         except ExactFitReached:
             warnings.append(f"exact fit after {i} rounds; stopped early")
             break
         blocks.append(tuple(ids))
         basis = extend_basis(basis, coords, ids)
     return SelectionResult(
-        initial_ids=initial, blocks=tuple(blocks), p=p, passes=source.pass_log,
-        warnings=tuple(warnings), basis=basis)
+        initial_ids=initial.source_ids, blocks=tuple(blocks), p=p,
+        passes=source.pass_log, warnings=tuple(warnings), basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +401,7 @@ def greedy_max_volume_init(points: PointSet, k: int) -> list[int]:
     """Deterministic farthest-residual picks; guarantees nonzero volume when
     the data has rank >= k. Ties break toward the smaller index."""
     ids: list[int] = []
-    basis = orthonormal_basis(points, [])
+    basis = OrthonormalBasis.empty(points.d)
     scale = float(np.max(np.linalg.norm(points.data, axis=1)))
     for _ in range(k):
         res = residual_distances(points.data, basis)
@@ -506,28 +503,6 @@ def volume_walk_distribution(points: PointSet, k: int, steps: int, walks: int,
                                 subsets=tuple(subsets), start_index=start)
 
 
-def adaptive_volume_init(source_or_points, k: int, p: float = 2.0,
-                         seed: int = 0) -> tuple[list[int], np.ndarray]:
-    """k rounds of single-point adaptive sampling (k passes on a source);
-    an approximate volume sampler suitable as the pivot for p >= 2. Returns
-    (ids, coordinates); stops early once the picks fit every point."""
-    source = as_source(source_or_points)
-    ids: list[int] = []
-    coords = np.zeros((0, source.d))
-    basis = OrthonormalBasis(source.d, np.zeros((0, source.d)), ())
-    for i in range(k):
-        rng = derive_rng(seed, "adaptive-init", i)
-        try:
-            pick, row = adaptive_sample_round(source, (), 1, p, basis=basis, rng=rng,
-                                              label=f"init:adaptive:{i + 1}")
-        except ExactFitReached:
-            break
-        ids.extend(pick)
-        coords = np.vstack([coords, row])
-        basis = extend_basis(basis, row, pick)
-    return ids, coords
-
-
 # ---------------------------------------------------------------------------
 # Metropolis acceptance and proposal mixture
 # ---------------------------------------------------------------------------
@@ -561,22 +536,6 @@ def mh_accept(r_y, r_x, u):
 # ---------------------------------------------------------------------------
 # single-pass Metropolis selection
 # ---------------------------------------------------------------------------
-
-def _pivot_basis(source: DatasetSource, ids: tuple[int, ...],
-                 coords: np.ndarray | None) -> OrthonormalBasis:
-    if coords is not None:
-        coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
-        if coords.shape[0] != len(ids):
-            raise ValueError("pivot coordinates do not match pivot ids")
-        base = OrthonormalBasis(source.d, np.zeros((0, source.d)), ())
-        return extend_basis(base, coords, ids) if len(ids) else base
-    if not ids:
-        return OrthonormalBasis(source.d, np.zeros((0, source.d)), ())
-    resident = source.in_memory_points()
-    if resident is None:
-        raise ValueError("streaming sources need explicit pivot coordinates")
-    return orthonormal_basis(resident, ids)
-
 
 def _deal(rng: np.random.Generator, stock: np.ndarray, count: int) -> np.ndarray:
     """`count` of the draws counted in `stock`, taken out of it as a uniform
@@ -671,14 +630,15 @@ def _chain_round(rng: np.random.Generator, stock: np.ndarray, r: np.ndarray,
     return x, accepted
 
 
-def mcmc_select(source_or_points, pivot_ids: Sequence[int], params: DerivedParams,
-                p: float = 2.0, seed: int = 0, *,
-                pivot_coords: np.ndarray | None = None) -> SelectionResult:
+def mcmc_select(source_or_points, pivot: OrthonormalBasis, params: DerivedParams,
+                p: float = 2.0, seed: int = 0) -> SelectionResult:
     """Algorithm core: l rounds of t points, each point the endpoint of an
     (m-1)-step Metropolis chain over prefetched proposal draws, all fed by a
     single sequential pass and no reporting pass.
 
-    The pass accumulates err_p against the pivot span, q's normaliser, and
+    pivot is the span the proposals are anchored at, usually init_pivot's
+    basis; its source ids head the selection. The pass accumulates err_p
+    against it, q's normaliser, and
     fills a residual and a uniform bank of t*l*m draws each, kept as per-row
     counts. Binomial(t*l*m, 1/2) residual draws and the rest uniform ones,
     each a uniform subset of its bank, are i.i.d. draws from the mixture q.
@@ -707,22 +667,20 @@ def mcmc_select(source_or_points, pivot_ids: Sequence[int], params: DerivedParam
     """
     source = as_source(source_or_points)
     n = source.n
-    pivot = tuple(check_subset_ids(pivot_ids, n))
     t, l, m = params.points_per_round, params.rounds, params.chain_steps
-    pivot_basis = _pivot_basis(source, pivot, pivot_coords)
 
     slots = t * l * m
     per_deal = min(t * m, max(BLOCK_PROPOSALS, LANE_STEPS * t))
     need = per_deal * SLOT_BYTES + 2 * min(n, slots) * (source.d + 2) * 8
     have = physical_memory_bytes()
-    if need > have or slots >= 10 ** 9:
-        raise SlotBudgetError(
-            f"t*l*m = {slots} proposal slots (below 1e9), dealt {per_deal} at a time, "
-            f"need about {need / 2**30:.1f} GiB against {have / 2**30:.1f} GiB of "
-            "physical memory; derived chain lengths at this size need a chain_steps "
-            "override")
+    if slots >= 10 ** 9 or need > have:
+        raise SlotBudgetError((
+            f"t*l*m = {slots} proposal slots reaches the limit of 1e9" if slots >= 10 ** 9
+            else f"the captured rows and a deal of {per_deal} proposals need about "
+            f"{need / 2**30:.3g} GiB, over the limit of {have / 2**30:.3g} GiB of physical "
+            "memory") + "; derived chain lengths at this size need a chain_steps override")
     err_pivot, bank_w, bank_u = proposal_prefetch_pass(
-        source, pivot_basis, p, slots, seed, label="mcmc:select")
+        source, pivot, p, slots, seed, label="mcmc:select")
 
     rng = derive_rng(seed, "deal")
     if bank_w is None:
@@ -739,10 +697,10 @@ def mcmc_select(source_or_points, pivot_ids: Sequence[int], params: DerivedParam
     u_at = len(stock) - len(bank_u.rows)
     spare = bank_u.counts - stock[u_at:]
     del bank_w, bank_u  # free their coordinates; the pool holds those it needs
-    w_pool = residual_distances(pool_coords, pivot_basis) ** p
+    w_pool = residual_distances(pool_coords, pivot) ** p
     q_pool = (proposal_q(w_pool, err_pivot, n) if err_pivot > 0.0
               else np.full(len(pool_ids), 1.0 / n))
-    basis = pivot_basis
+    basis = pivot
     blocks: list[tuple[int, ...]] = []
     states: list[ChainState] = []
     warnings: list[str] = []
@@ -778,9 +736,9 @@ def mcmc_select(source_or_points, pivot_ids: Sequence[int], params: DerivedParam
         basis = extend_basis(basis, pool_coords[x], block)
 
     return SelectionResult(
-        initial_ids=pivot, blocks=tuple(blocks), p=p, passes=source.pass_log,
-        final_states=tuple(states), params=params, warnings=tuple(warnings),
-        basis=basis)
+        initial_ids=pivot.source_ids, blocks=tuple(blocks), p=p,
+        passes=source.pass_log, final_states=tuple(states), params=params,
+        warnings=tuple(warnings), basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -802,31 +760,34 @@ def _default_walk_steps(points: PointSet, k: int) -> int:
 
 def init_pivot(source: DatasetSource, k: int, p: float, seed: int, init_mode: str,
                init_walk_steps: int | None = None,
-               ) -> tuple[list[int], np.ndarray, float]:
-    """Draw the pivot subset per init_mode; returns (ids, coords, alpha).
+               ) -> tuple[OrthonormalBasis, float]:
+    """Draw the pivot span per init_mode; returns (basis, alpha), the basis's
+    source ids being the pivot subset.
 
     alpha is the approximate-volume-sampling quality factor the parameter
     derivation should assume for this pivot. Volume inits (p = 2 only) take
-    one materializing pass; the adaptive init takes k single-point passes.
+    one materializing pass. The adaptive init is adaptive_sample with k
+    single-point rounds from the empty span, k passes that stop early once
+    the picks fit every point.
     """
     if p != 2.0 and init_mode != "adaptive-k-pass":
         raise ValueError(f"p = {p:g} needs init_mode 'adaptive-k-pass'; "
                          f"{init_mode} samples p = 2 volumes")
-    if init_mode in ("exact-volume", "mcmc-volume"):
-        pts = source.collect(f"init:{init_mode}")
-        rng = derive_rng(seed, "init", init_mode)
-        if init_mode == "exact-volume":
-            ids = volume_sample_dpp(pts, k, rng=rng)
-            alpha = 1.0
-        else:
-            steps = init_walk_steps or _default_walk_steps(pts, k)
-            ids = volume_sample_mcmc(pts, k, steps, rng=rng)
-            alpha = (k + 2.0) / (k + 1.0)
-        return ids, pts.data[ids], alpha
-    if init_mode != "adaptive-k-pass":
+    if init_mode == "adaptive-k-pass":
+        pivot = adaptive_sample(source, OrthonormalBasis.empty(source.d), 1, k, p, seed)
+        return pivot.basis, (float(math.factorial(k)) if p == 2.0 else 1.0)
+    if init_mode not in ("exact-volume", "mcmc-volume"):
         raise ValueError(f"unknown init_mode {init_mode!r}")
-    ids, coords = adaptive_volume_init(source, k, p, seed)
-    return ids, coords, (float(math.factorial(k)) if p == 2.0 else 1.0)
+    pts = source.collect(f"init:{init_mode}")
+    rng = derive_rng(seed, "init", init_mode)
+    if init_mode == "exact-volume":
+        ids = volume_sample_dpp(pts, k, rng=rng)
+        alpha = 1.0
+    else:
+        steps = init_walk_steps or _default_walk_steps(pts, k)
+        ids = volume_sample_mcmc(pts, k, steps, rng=rng)
+        alpha = (k + 2.0) / (k + 1.0)
+    return orthonormal_basis(pts, ids), alpha
 
 
 def select_subset(source_or_points, config: SamplingConfig) -> SelectionResult:
@@ -839,12 +800,12 @@ def select_subset(source_or_points, config: SamplingConfig) -> SelectionResult:
     if config.k > source.d:
         raise ValueError(f"k={config.k} exceeds data dimension d={source.d}")
     k, p, seed = config.k, config.p, config.seed
-    ids, coords, alpha = init_pivot(source, k, p, seed, config.init_mode,
-                                    config.init_walk_steps)
+    pivot, alpha = init_pivot(source, k, p, seed, config.init_mode,
+                              config.init_walk_steps)
     params = derive_params(k, config.epsilon, alpha, p=p,
                            points_per_round=config.points_per_round,
                            rounds=config.rounds, chain_steps=config.chain_steps)
-    return mcmc_select(source, ids, params, p, seed, pivot_coords=coords)
+    return mcmc_select(source, pivot, params, p, seed)
 
 
 # ---------------------------------------------------------------------------

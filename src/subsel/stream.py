@@ -1,12 +1,13 @@
 """Dataset sources with enforced sequential access and pass accounting.
 
-A pass is exactly one full sequential visit of rows 0..n-1. Streaming-mode
-sources re-read their file on every pass and forbid random row access;
-in-memory sources present the same rows in the same fixed-size chunks, so a
-seeded algorithm consumes its random stream identically in both modes and
-produces bit-identical results. Each file format has one reader, which
-checks the file as it reads it: opening a file is one pass of it, and every
-later pass runs it again against the n and d learned at open.
+A pass is exactly one full sequential visit of rows 0..n-1, and passes are
+the only way to read rows in either mode. Streaming-mode sources re-read
+their file on every pass; in-memory sources present the same rows in the
+same fixed-size chunks, so a seeded algorithm consumes its random stream
+identically in both modes and produces bit-identical results. Each file
+format has one reader, which checks the file as it reads it: opening a file
+is one pass of it, and every later pass runs it again against the n and d
+learned at open.
 
 Also provides weighted reservoir sampling (many independent single draws in
 one pass, kept as per-row counts: a chunk thins each row's count by a
@@ -127,11 +128,9 @@ class DatasetSource:
         rows: list[np.ndarray] = []
         self.stream_pass_chunks(label, lambda s, c: rows.append(c),
                                 reporting=reporting)
-        return PointSet(np.vstack(rows))
-
-    def in_memory_points(self) -> PointSet | None:
-        """The already-resident rows (memory mode only); never counts a pass."""
-        return self._points if self.mode == "memory" else None
+        data = np.vstack(rows)
+        rows.clear()  # PointSet copies `data`; the chunks go first
+        return PointSet(data)
 
 
 def open_source(path_or_points, mode: str = "memory") -> DatasetSource:

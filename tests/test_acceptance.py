@@ -12,9 +12,11 @@ import numpy as np
 
 from subsel.cli import main, parse_report
 from subsel.linalg import (
+    OrthonormalBasis,
     PointSet,
     best_rank_k_in_span,
     err_p,
+    extend_basis,
     optimal_subspace,
     orthonormal_basis,
 )
@@ -93,7 +95,7 @@ def test_criterion_2_pass_complexity():
     lp.passes.assert_passes(3 + 1)
 
     rounds = 3
-    adapt = adaptive_sample(pts, [], 10, rounds, seed=5)
+    adapt = adaptive_sample(pts, OrthonormalBasis.empty(pts.d), 10, rounds, seed=5)
     adapt.passes.assert_passes(rounds)
 
     # with a one-pass length-squared init the total is l + 1 exactly
@@ -102,8 +104,8 @@ def test_criterion_2_pass_complexity():
     src = open_source(pts)
     bank = weighted_reservoir_sample(
         src, lambda c: np.linalg.norm(c, axis=1) ** 2, 4, seed=6, label="init:fkv")
-    seeded = adaptive_sample(src, bank.ids, 10, rounds, seed=7,
-                             initial_coords=bank.points_for(bank.ids))
+    init = extend_basis(OrthonormalBasis.empty(pts.d), bank.points_for(bank.ids), bank.ids)
+    seeded = adaptive_sample(src, init, 10, rounds, seed=7)
     seeded.passes.assert_passes(rounds + 1)
 
     report("criterion-2", True,
@@ -179,7 +181,7 @@ def test_criterion_5_adaptive_decay():
     for trial in range(trials):
         # rounds are seeded by (seed, round), so the three l values of one
         # trial are prefix-coupled runs of the same sampler
-        result = adaptive_sample(pts, [], t, 3, seed=trial)
+        result = adaptive_sample(pts, OrthonormalBasis.empty(pts.d), t, 3, seed=trial)
         ids = []
         for l, block in enumerate(result.blocks, start=1):
             ids.extend(block)
@@ -198,7 +200,7 @@ def test_criterion_5_adaptive_decay():
     assert bounds[1] > bounds[2] > bounds[3]
     small = {1: [], 2: [], 3: []}
     for trial in range(trials):
-        result = adaptive_sample(pts, [], 5, 3, seed=trial)
+        result = adaptive_sample(pts, OrthonormalBasis.empty(pts.d), 5, 3, seed=trial)
         ids = []
         for l, block in enumerate(result.blocks, start=1):
             ids.extend(block)
@@ -249,8 +251,8 @@ def test_criterion_7_distributional_oracles():
     details = []
 
     w = np.linalg.norm(pts.data, axis=1) ** 2
-    tv_sl = empirical_tv(adaptive_sample_round(pts, [], trials, seed=701)[0],
-                         w / w.sum(), 5)
+    tv_sl = empirical_tv(adaptive_sample_round(pts, OrthonormalBasis.empty(3), trials,
+                                               seed=701)[0], w / w.sum(), 5)
     assert tv_sl <= 0.05
     details.append(f"squared-length tv={tv_sl:.4f}")
 
@@ -258,7 +260,7 @@ def test_criterion_7_distributional_oracles():
     from subsel.linalg import residual_distances
 
     res = residual_distances(pts.data, basis) ** 2
-    tv_ad = empirical_tv(adaptive_sample_round(pts, [0], trials, seed=702)[0],
+    tv_ad = empirical_tv(adaptive_sample_round(pts, basis, trials, seed=702)[0],
                          res / res.sum(), 5)
     assert tv_ad <= 0.05
     details.append(f"adaptive-round tv={tv_ad:.4f}")

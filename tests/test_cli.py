@@ -11,7 +11,7 @@ from subsel.cli import (
     parse_report,
     trial_seed,
 )
-from subsel.linalg import best_rank_k_in_span, err_p
+from subsel.linalg import OrthonormalBasis, best_rank_k_in_span, err_p
 from subsel.samplers import SamplingConfig, adaptive_sample, select_subset
 from subsel.stream import open_source
 
@@ -282,7 +282,8 @@ def test_run_numbers_recomputable_from_library(tmp_path):
     for trial, row in enumerate(parse_report(out.read_text())):
         seed = trial_seed(master, trial)
         assert row.seed == seed
-        result = adaptive_sample(open_source(path), [], 2, 2, 2.0, seed)
+        empty = OrthonormalBasis.empty(pts.d)
+        result = adaptive_sample(open_source(path), empty, 2, 2, 2.0, seed)
         assert row.err_span == err_p(pts, result.basis, 2.0)
         _, err_k = best_rank_k_in_span(pts, result.basis, 3)
         assert row.err_p == err_k

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from subsel.linalg import PointSet, err_p, orthonormal_basis, residual_distances
+from subsel.linalg import (
+    OrthonormalBasis,
+    PointSet,
+    err_p,
+    orthonormal_basis,
+    residual_distances,
+)
 from subsel.rng import derive_rng
 from subsel import samplers
 from subsel.outliers import robust_select
@@ -17,10 +23,10 @@ from subsel.samplers import (
     SlotBudgetError,
     adaptive_sample,
     adaptive_sample_round,
-    adaptive_volume_init,
     derive_params,
     enumerate_volume_distribution,
     greedy_max_volume_init,
+    init_pivot,
     mcmc_select,
     mh_accept,
     proposal_q,
@@ -148,39 +154,39 @@ def test_derive_params_validation():
 
 def test_squared_length_zero_weight_excluded():
     pts = PointSet(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    ids, coords = adaptive_sample_round(pts, [], 50, seed=1)
+    ids, coords = adaptive_sample_round(pts, OrthonormalBasis.empty(pts.d), 50, seed=1)
     assert set(ids) == {0}
     assert np.array_equal(coords, np.tile([1.0, 0.0], (50, 1)))
 
 
 def test_squared_length_frequency():
     pts = PointSet(np.array([[1.0, 0.0], [2.0, 0.0]]))
-    draws, _ = adaptive_sample_round(pts, [], 50_000, p=2.0, seed=2)
+    draws, _ = adaptive_sample_round(pts, OrthonormalBasis.empty(2), 50_000, p=2.0, seed=2)
     freq1 = np.mean(np.asarray(draws) == 1)
     assert abs(freq1 - 0.8) <= 3 * math.sqrt(0.8 * 0.2 / 50_000)
 
 
 def test_squared_length_symmetry():
     pts = PointSet(np.array([[1.0, 0.0], [1.0, 0.0]]))
-    draws, _ = adaptive_sample_round(pts, [], 50_000, seed=3)
+    draws, _ = adaptive_sample_round(pts, OrthonormalBasis.empty(pts.d), 50_000, seed=3)
     freq0 = np.mean(np.asarray(draws) == 0)
     assert abs(freq0 - 0.5) <= 3 * math.sqrt(0.25 / 50_000)
 
 
 def test_squared_length_all_zero_errors():
     with pytest.raises(ExactFitReached):
-        adaptive_sample_round(PointSet(np.zeros((3, 2))), [], 1)
+        adaptive_sample_round(PointSet(np.zeros((3, 2))), OrthonormalBasis.empty(2), 1)
 
 
 def test_adaptive_round_unique_nonzero_residual():
     pts = PointSet(np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]]))
-    draws, _ = adaptive_sample_round(pts, [0], 20, seed=4)
+    draws, _ = adaptive_sample_round(pts, orthonormal_basis(pts, [0]), 20, seed=4)
     assert set(draws) == {1}
 
 
 def test_adaptive_round_empty_current_is_squared_length():
     pts = instance(5, 3, seed=6)
-    a, _ = adaptive_sample_round(pts, [], 30_000, seed=7)
+    a, _ = adaptive_sample_round(pts, OrthonormalBasis.empty(pts.d), 30_000, seed=7)
     w = np.linalg.norm(pts.data, axis=1) ** 2
     probs = w / w.sum()
     assert empirical_tv(a, probs, 5) <= 0.02
@@ -188,7 +194,7 @@ def test_adaptive_round_empty_current_is_squared_length():
 
 def test_adaptive_round_residual_weights():
     pts = PointSet(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 2.0]]))
-    draws, _ = adaptive_sample_round(pts, [0], 50_000, seed=8)
+    draws, _ = adaptive_sample_round(pts, orthonormal_basis(pts, [0]), 50_000, seed=8)
     freq2 = np.mean(np.asarray(draws) == 2)
     assert abs(freq2 - 0.8) <= 3 * math.sqrt(0.8 * 0.2 / 50_000)
     assert 0 not in set(draws)
@@ -197,14 +203,14 @@ def test_adaptive_round_residual_weights():
 def test_adaptive_round_exact_fit_signal():
     pts = PointSet(np.array([[1.0, 0.0], [2.0, 0.0]]))
     with pytest.raises(ExactFitReached):
-        adaptive_sample_round(pts, [0], 5, seed=9)
+        adaptive_sample_round(pts, orthonormal_basis(pts, [0]), 5, seed=9)
 
 
 def test_adaptive_round_source_and_points_agree_in_distribution():
     pts = instance(6, 3, seed=10)
     src = open_source(pts)
     basis = orthonormal_basis(pts, [0])
-    via_source, _ = adaptive_sample_round(src, [0], 30_000, seed=11, basis=basis)
+    via_source, _ = adaptive_sample_round(src, basis, 30_000, seed=11)
     w = residual_distances(pts.data, basis) ** 2
     probs = w / w.sum()
     assert empirical_tv(via_source, probs, 6) <= 0.02
@@ -216,13 +222,13 @@ def test_adaptive_sample_exact_rank_reaches_zero_error():
     coeff = rng.standard_normal((30, 2))
     dirs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     pts = PointSet(coeff @ dirs)
-    result = adaptive_sample(pts, [], 4, 3, p=2.0, seed=13)
+    result = adaptive_sample(pts, OrthonormalBasis.empty(pts.d), 4, 3, p=2.0, seed=13)
     assert err_p(pts, result.basis, 2.0) == pytest.approx(0.0, abs=1e-16)
 
 
 def test_adaptive_sample_zero_rounds_identity():
     pts = instance(6, 3, seed=14)
-    result = adaptive_sample(pts, [2, 4], 5, 0, seed=15)
+    result = adaptive_sample(pts, orthonormal_basis(pts, [2, 4]), 5, 0, seed=15)
     assert result.selected_ids == (2, 4)
     assert result.blocks == ()
     assert result.passes.total_passes == 0
@@ -230,7 +236,7 @@ def test_adaptive_sample_zero_rounds_identity():
 
 def test_adaptive_sample_pass_accounting():
     pts = instance(40, 6, seed=16)
-    result = adaptive_sample(pts, [], 3, 4, seed=17)
+    result = adaptive_sample(pts, OrthonormalBasis.empty(pts.d), 3, 4, seed=17)
     result.passes.assert_passes(4)
     assert all(len(b) == 3 for b in result.blocks)
     assert result.size == 12
@@ -246,7 +252,7 @@ def test_adaptive_sample_error_bound_light():
     t, l = 16, 2
     errs = []
     for trial in range(12):
-        res = adaptive_sample(pts, [], t, l, seed=trial)
+        res = adaptive_sample(pts, OrthonormalBasis.empty(pts.d), t, l, seed=trial)
         errs.append(_best_k_err(pts, res, 3))
     bound = (1 + 2 * 3 / t) * opt + (3 / t) ** l * err0
     mean = float(np.mean(errs))
@@ -448,8 +454,9 @@ def test_volume_walk_exact_transition_matrix_oracle():
 def test_adaptive_volume_init_exact_directions():
     pts = PointSet(np.array([[3.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0],
                              [2.0, 0.0, 0.0]]))
-    ids, coords = adaptive_volume_init(pts, 3, seed=37)
-    assert np.array_equal(coords, pts.data[ids])
+    pivot, _ = init_pivot(open_source(pts), 3, 2.0, 37, "adaptive-k-pass")
+    ids = pivot.source_ids
+    assert np.array_equal(pivot.vectors, orthonormal_basis(pts, ids).vectors)
     basis = orthonormal_basis(pts, ids)
     assert basis.r == 3
     assert err_p(pts, basis, 2.0) == pytest.approx(0.0, abs=1e-18)
@@ -457,8 +464,8 @@ def test_adaptive_volume_init_exact_directions():
 
 def test_adaptive_volume_init_early_stop():
     pts = PointSet(np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
-    ids, _ = adaptive_volume_init(pts, 2, seed=38)
-    assert len(ids) == 1
+    pivot, _ = init_pivot(open_source(pts), 2, 2.0, 38, "adaptive-k-pass")
+    assert len(pivot.source_ids) == 1
 
 
 def test_adaptive_volume_init_expectation_bound():
@@ -469,8 +476,8 @@ def test_adaptive_volume_init_expectation_bound():
     _, opt = optimal_subspace(pts, 2)
     errs = np.empty(20_000)
     for trial in range(len(errs)):
-        ids, _ = adaptive_volume_init(pts, 2, seed=trial)
-        errs[trial] = err_p(pts, orthonormal_basis(pts, ids), 2.0)
+        pivot, _ = init_pivot(open_source(pts), 2, 2.0, trial, "adaptive-k-pass")
+        errs[trial] = err_p(pts, pivot, 2.0)
     mean = float(errs.mean())
     sem = float(errs.std(ddof=1) / math.sqrt(len(errs)))
     assert mean <= math.factorial(2) * 3 * opt + 3 * sem
@@ -541,7 +548,7 @@ def test_mcmc_select_size_and_pass_contract():
     pts = instance(60, 5, seed=42)
     params = derive_params(2, 0.5, points_per_round=6, rounds=2, chain_steps=16)
     src = open_source(pts)
-    result = mcmc_select(src, [0, 1], params, seed=43)
+    result = mcmc_select(src, orthonormal_basis(pts, [0, 1]), params, seed=43)
     assert result.size == 2 + 6 * 2
     assert all(len(b) == 6 for b in result.blocks)
     result.passes.assert_passes(1)
@@ -551,7 +558,7 @@ def test_mcmc_select_size_and_pass_contract():
 def test_mcmc_select_monotone_error_and_floor():
     pts = instance(60, 5, seed=44)
     params = derive_params(2, 0.5, points_per_round=5, rounds=3, chain_steps=12)
-    result = mcmc_select(pts, [3, 9], params, seed=45)
+    result = mcmc_select(pts, orthonormal_basis(pts, [3, 9]), params, seed=45)
     errs = [err_p(pts, orthonormal_basis(pts, [3, 9]), 2.0)]
     ids = [3, 9]
     for block in result.blocks:
@@ -566,7 +573,7 @@ def test_mcmc_select_monotone_error_and_floor():
 def test_mcmc_select_exact_fit_uniform_floor():
     pts = PointSet(np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]]))
     params = derive_params(1, 0.5, points_per_round=3, rounds=2, chain_steps=8)
-    result = mcmc_select(pts, [0], params, seed=46)
+    result = mcmc_select(pts, orthonormal_basis(pts, [0]), params, seed=46)
     assert err_p(pts, result.basis, 2.0) == pytest.approx(0.0, abs=1e-18)
     assert err_p(pts, orthonormal_basis(pts, [0]), 2.0) == pytest.approx(0.0, abs=1e-18)
     assert result.size == 1 + 3 * 2
@@ -582,18 +589,17 @@ def test_mcmc_select_deterministic_and_mode_identical(tmp_path):
     path = tmp_path / "data.csv"
     write_csv(path, pts.data)
     params = derive_params(3, 0.5, points_per_round=8, rounds=2, chain_steps=24)
-    pivot = [1, 5, 9]
-    coords = pts.data[pivot]
+    pivot = orthonormal_basis(pts, [1, 5, 9])
     results = []
     for mode in ("memory", "streaming", "memory"):
         src = open_source(path, mode=mode)
-        results.append(mcmc_select(src, pivot, params, seed=48, pivot_coords=coords))
+        results.append(mcmc_select(src, pivot, params, seed=48))
     a, b, c = results
     assert a.selected_ids == b.selected_ids == c.selected_ids
     assert np.array_equal(a.basis.vectors, b.basis.vectors)
     assert np.array_equal(a.basis.vectors, c.basis.vectors)
     assert [s.accepted for s in a.final_states] == [s.accepted for s in b.final_states]
-    other = mcmc_select(open_source(path), pivot, params, seed=49, pivot_coords=coords)
+    other = mcmc_select(open_source(path), pivot, params, seed=49)
     assert other.selected_ids != a.selected_ids
 
 
@@ -602,10 +608,9 @@ def test_mcmc_select_mode_identical_across_chunks(tmp_path):
     path = tmp_path / "data.csv"
     write_csv(path, pts.data)
     params = derive_params(3, 0.5, points_per_round=8, rounds=2, chain_steps=200)
-    pivot = [1, CHUNK_ROWS + 5, 2 * CHUNK_ROWS + 2]
-    coords = pts.data[pivot]
-    mem, strm = (mcmc_select(open_source(path, mode=mode), pivot, params, seed=53,
-                             pivot_coords=coords) for mode in ("memory", "streaming"))
+    pivot = orthonormal_basis(pts, [1, CHUNK_ROWS + 5, 2 * CHUNK_ROWS + 2])
+    mem, strm = (mcmc_select(open_source(path, mode=mode), pivot, params, seed=53)
+                 for mode in ("memory", "streaming"))
     assert mem.selected_ids == strm.selected_ids
     assert np.array_equal(mem.basis.vectors, strm.basis.vectors)
     assert [s.accepted for s in mem.final_states] == \
@@ -641,7 +646,7 @@ def _dealt_proposals(monkeypatch, pts, params, seed):
         return q_pool[-1]
 
     monkeypatch.setattr(samplers, "proposal_q", record_q)
-    result = mcmc_select(pts, [0], params, seed=seed)
+    result = mcmc_select(pts, orthonormal_basis(pts, [0]), params, seed=seed)
     assert not result.warnings    # so no floor-fill deal
     t, l, m = params.points_per_round, params.rounds, params.chain_steps
     dealt = np.concatenate(deals)
@@ -730,7 +735,7 @@ def test_mcmc_select_chains_replay_sequentially(monkeypatch, m, segments_per_blo
     monkeypatch.setattr(samplers, "_chain_round", chain_round)
     pts = instance(300, 6, seed=94)
     params = derive_params(2, 0.5, points_per_round=t, rounds=l, chain_steps=m)
-    result = mcmc_select(pts, [0, 1], params, seed=seed)
+    result = mcmc_select(pts, orthonormal_basis(pts, [0, 1]), params, seed=seed)
     assert not result.warnings and len(rounds) == l
     for rnd, (dealt, r, x) in enumerate(rounds):
         u = derive_rng(seed, "chain", rnd).random((m - 1, t))
@@ -810,7 +815,7 @@ def test_mcmc_select_peak_memory_is_one_round():
     params = derive_params(2, 0.5, points_per_round=t, rounds=l, chain_steps=m)
     tracemalloc.start()
     try:
-        result = mcmc_select(pts, [0, 1], params, seed=93)
+        result = mcmc_select(pts, orthonormal_basis(pts, [0, 1]), params, seed=93)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -826,7 +831,7 @@ def test_mcmc_select_peak_memory_is_one_block():
     params = derive_params(2, 0.5, points_per_round=t, rounds=l, chain_steps=m)
     tracemalloc.start()
     try:
-        result = mcmc_select(pts, [0, 1], params, seed=97)
+        result = mcmc_select(pts, orthonormal_basis(pts, [0, 1]), params, seed=97)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -840,8 +845,8 @@ def test_mcmc_select_single_point_distribution():
     pts = instance(8, 3, seed=50, scale=[2.0, 1.0, 0.5])
     t = 30_000
     params = derive_params(1, 0.5, points_per_round=t, rounds=1, chain_steps=32)
-    result = mcmc_select(pts, [0], params, seed=51)
     basis = orthonormal_basis(pts, [0])
+    result = mcmc_select(pts, basis, params, seed=51)
     w = residual_distances(pts.data, basis) ** 2
     target = w / w.sum()
     assert empirical_tv(list(result.blocks[0]), target, 8) <= 0.05
@@ -851,8 +856,8 @@ def test_mcmc_select_literal_repeated_runs():
     # small literal version of the same check: fresh run per sample
     pts = instance(8, 3, seed=50, scale=[2.0, 1.0, 0.5])
     params = derive_params(1, 0.5, points_per_round=1, rounds=1, chain_steps=32)
-    picks = [mcmc_select(pts, [0], params, seed=s).blocks[0][0] for s in range(3000)]
     basis = orthonormal_basis(pts, [0])
+    picks = [mcmc_select(pts, basis, params, seed=s).blocks[0][0] for s in range(3000)]
     w = residual_distances(pts.data, basis) ** 2
     assert empirical_tv(picks, w / w.sum(), 8) <= 0.06
 
@@ -862,18 +867,16 @@ def test_mcmc_select_tracks_adaptive_expectation():
     # with pivot-anchored chains moves the expected error by at most
     # (eps_err + eps_tv * t * l) * err(pivot)
     pts, _ = _planted(n=32, d=12, rank=3, noise=0.15, seed=80)
-    pivot = [0, 1]
-    coords = pts.data[pivot]
-    err_pivot = err_p(pts, orthonormal_basis(pts, pivot), 2.0)
+    pivot = orthonormal_basis(pts, [0, 1])
+    err_pivot = err_p(pts, pivot, 2.0)
     params = derive_params(2, 0.5, points_per_round=3, rounds=2, chain_steps=48)
     trials = 1500
     mcmc_errs = np.empty(trials)
     adapt_errs = np.empty(trials)
     for trial in range(trials):
-        res = mcmc_select(pts, pivot, params, seed=trial, pivot_coords=coords)
+        res = mcmc_select(pts, pivot, params, seed=trial)
         mcmc_errs[trial] = err_p(pts, res.basis, 2.0)
-        base = adaptive_sample(pts, pivot, 3, 2, seed=trial + 10 ** 6,
-                               initial_coords=coords)
+        base = adaptive_sample(pts, pivot, 3, 2, seed=trial + 10 ** 6)
         adapt_errs[trial] = err_p(pts, base.basis, 2.0)
     # 10 points in 12 dimensions: errors are informative, not saturated
     assert np.median(mcmc_errs) > 1e-6
@@ -1043,6 +1046,28 @@ def test_selection_mode_identity_property(tmp_path_factory, n, fmt, zero_rows,
     assert runs[0] == runs[1]
 
 
+def test_adaptive_sample_continues_a_streamed_selection(tmp_path):
+    # a selection hands its span forward as its basis: adaptive rounds grown
+    # from it read the rows they draw in the pass that draws them, so a
+    # streamed source needs nothing resident and matches memory mode
+    pts, _ = _planted(n=CHUNK_ROWS + 200, d=30, rank=3, noise=0.1, seed=86)
+    path = tmp_path / "continue.bin"
+    write_binary(path, pts.data)
+    cfg = SamplingConfig(k=3, epsilon=0.5, seed=87, points_per_round=4, rounds=2,
+                         chain_steps=16)
+    runs = []
+    for mode in ("memory", "streaming"):
+        src = open_source(path, mode)
+        first = select_subset(src, cfg)
+        more = adaptive_sample(src, first.basis, 5, 2, seed=88)
+        assert more.initial_ids == first.selected_ids
+        assert more.size == first.size + 5 * 2 and not more.warnings
+        more.passes.assert_passes(2 + 2)
+        runs.append((more.selected_ids, more.basis.source_ids,
+                     more.basis.vectors.tobytes()))
+    assert runs[0] == runs[1]
+
+
 def test_selections_make_no_reporting_pass(tmp_path):
     # a selection returns its basis and leaves grading to the caller; only
     # robust_select's trimmed evaluation scans the data after selecting
@@ -1053,8 +1078,8 @@ def test_selections_make_no_reporting_pass(tmp_path):
     params = derive_params(2, 0.5, points_per_round=3, rounds=2, chain_steps=8)
     results = [select_subset(open_source(path, mode), cfg)
                for mode in ("memory", "streaming")]
-    results.append(mcmc_select(pts, [0, 1], params, seed=92))
-    results.append(adaptive_sample(pts, [0, 1], 3, 2, seed=93))
+    results.append(mcmc_select(pts, orthonormal_basis(pts, [0, 1]), params, seed=92))
+    results.append(adaptive_sample(pts, orthonormal_basis(pts, [0, 1]), 3, 2, seed=93))
     for result in results:
         assert result.passes.reporting_passes == 0
     robust, _ = robust_select(open_source(path, "streaming"), 2, 0.5, 0.1, 0.9,
@@ -1070,8 +1095,8 @@ def test_mcmc_select_refuses_oversized_slot_budget(monkeypatch):
     pts = instance(20, 6, seed=75)
     params = derive_params(3, 0.5, p=3.0)  # theory m is ~1.5e7
     assert params.total_points * params.chain_steps > 10 ** 8
-    with pytest.raises(ValueError, match="chain_steps override"):
-        mcmc_select(pts, [0, 1, 2], params, p=3.0, seed=76)
+    with pytest.raises(ValueError, match="reaches the limit of 1e9; .* chain_steps override"):
+        mcmc_select(pts, orthonormal_basis(pts, [0, 1, 2]), params, p=3.0, seed=76)
 
 
 def test_mcmc_select_slot_budget_checks_physical_memory(monkeypatch):
@@ -1080,21 +1105,13 @@ def test_mcmc_select_slot_budget_checks_physical_memory(monkeypatch):
     pts = instance(20, 6, seed=77)
     params = derive_params(2, 0.5, points_per_round=4, rounds=2, chain_steps=20000)
     monkeypatch.setattr(samplers, "physical_memory_bytes", lambda: 2 ** 20)
-    src = open_source(pts)
-    with pytest.raises(SlotBudgetError, match="chain_steps override"):
-        mcmc_select(src, [0, 1], params, seed=78)
+    src, pivot = open_source(pts), orthonormal_basis(pts, [0, 1])
+    with pytest.raises(SlotBudgetError, match="over the limit of .* physical memory; "
+                                              ".* chain_steps override"):
+        mcmc_select(src, pivot, params, seed=78)
     assert src.pass_log.entries == []
     monkeypatch.setattr(samplers, "physical_memory_bytes", lambda: 2 ** 30)
-    assert mcmc_select(src, [0, 1], params, seed=78).size == 2 + 4 * 2
-
-
-def test_mcmc_select_streaming_needs_pivot_coords(tmp_path):
-    pts = instance(20, 4, seed=73)
-    path = tmp_path / "coords.csv"
-    write_csv(path, pts.data)
-    params = derive_params(2, 0.5, points_per_round=2, rounds=1, chain_steps=4)
-    with pytest.raises(ValueError, match="pivot coordinates"):
-        mcmc_select(open_source(path, "streaming"), [0, 1], params, seed=74)
+    assert mcmc_select(src, pivot, params, seed=78).size == 2 + 4 * 2
 
 
 def test_select_subset_tiny_scale():

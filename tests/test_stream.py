@@ -150,17 +150,20 @@ def test_changed_file_fails_next_pass(tmp_path, fmt, change):
     assert not src.pass_log.entries[-1].complete
 
 
-@pytest.mark.parametrize("mode, payloads", [("streaming", 0.25), ("memory", 2.5)])
+@pytest.mark.parametrize("mode, payloads", [("streaming", 0.25), ("memory", 2.5),
+                                           ("streaming-collect", 2.5)])
 def test_open_binary_peak_memory(tmp_path, mode, payloads):
     # a streamed open reads one chunk at a time, so the payload is never
-    # resident; a memory open holds the rows at most twice (chunks, then the
-    # stacked rows beside PointSet's copy)
+    # resident; a memory open, or a streamed open and its collect, holds the
+    # rows at most twice (chunks, then the stacked rows beside PointSet's copy)
     n, d = 20 * CHUNK_ROWS, 20
     path = tmp_path / "big.bin"
     write_binary(path, np.random.default_rng(4).standard_normal((n, d)))
     tracemalloc.start()
     try:
-        src = open_source(path, mode)
+        src = open_source(path, mode.removesuffix("-collect"))
+        if mode.endswith("-collect"):
+            src.collect("load")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
