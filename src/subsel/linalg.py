@@ -116,24 +116,26 @@ def _gram_eigh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return xs, lam[::-1], v[:, ::-1]
 
 
-def _mgs_extend(base: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt append with one re-orthogonalization sweep.
+def _cgs2_extend(base: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Classical Gram-Schmidt append, twice per row (CGS2): each row loses
+    its projection on the basis so far, v -= (B v) B, in two matrix sweeps.
 
     The batch is rescaled by one power of two first, so tiny or huge rows
     normalize exactly. Rows whose residual norm is <= RANK_TOL times the
     batch's largest row norm are dropped.
     """
-    vecs = [v for v in base]
     rows, _ = _pow2_scale(np.asarray(rows, dtype=np.float64))
     tol = RANK_TOL * np.linalg.norm(rows, axis=1).max(initial=0.0)
+    out = np.concatenate([base, rows])  # room for every row; r of them kept
+    r = len(base)
     for v in rows:
         for _ in range(2):
-            for b in vecs:
-                v -= (v @ b) * b
+            v = v - (out[:r] @ v) @ out[:r]
         norm = float(np.linalg.norm(v))
         if norm > tol:
-            vecs.append(v / norm)
-    return np.array(vecs).reshape(-1, base.shape[1])
+            out[r] = v / norm
+            r += 1
+    return out[:r]
 
 
 def orthonormal_basis(points: PointSet, subset: SubsetIds) -> OrthonormalBasis:
@@ -151,7 +153,7 @@ def extend_basis(basis: OrthonormalBasis, new_rows: np.ndarray,
     new_rows = np.atleast_2d(np.asarray(new_rows, dtype=np.float64))
     if new_rows.shape[1] != basis.d:
         raise ValueError(f"point dimension {new_rows.shape[1]} != basis dimension {basis.d}")
-    vecs = _mgs_extend(np.asarray(basis.vectors), new_rows)
+    vecs = _cgs2_extend(np.asarray(basis.vectors), new_rows)
     return OrthonormalBasis(basis.d, vecs, basis.source_ids + tuple(int(i) for i in new_ids))
 
 

@@ -176,6 +176,38 @@ def test_extend_basis_matches_recompute():
     assert ext.source_ids == (0, 1, 4, 7)
 
 
+def _mgs_reference(rows, tol):
+    """Row-by-row modified Gram-Schmidt with one re-orthogonalization sweep,
+    one basis vector at a time: the loop the CGS2 block sweep replaced."""
+    vecs = []
+    for v in np.array(rows, dtype=float):
+        for _ in range(2):
+            for b in vecs:
+                v -= (v @ b) * b
+        if np.linalg.norm(v) > tol:
+            vecs.append(v / np.linalg.norm(v))
+    return np.array(vecs)
+
+
+def test_basis_growth_matches_mgs_reference():
+    # CGS2 subtracts whole projections where MGS subtracts one direction at
+    # a time; the rows kept and the vectors agree to rounding
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((40, 60))
+    x[20] = x[3] - 2.0 * x[7]              # dependent: dropped by both
+    x[30] = x[4] + 1e-12 * x[30]           # residual below RANK_TOL: dropped
+    x[35] = x[5] + 1e-6 * x[35]            # above it: kept
+    xs = np.ldexp(x, -int(np.frexp(np.abs(x).max())[1]))  # the batch rescale
+    want = _mgs_reference(xs, 1e-9 * np.linalg.norm(xs, axis=1).max())
+    got = orthonormal_basis(PointSet(x), range(40))
+    assert got.r == len(want) == 38
+    # x[35] is 1e-6 off the span before it, so its direction, and those
+    # after it, carry rounding amplified by 1e6
+    err = np.abs(got.vectors - want).max(axis=1)
+    eps = np.finfo(float).eps
+    assert err[:33].max() <= 16 * eps and err[33:].max() <= 16 * eps / 1e-6
+
+
 def test_subset_id_validation():
     ps = PointSet(np.eye(3))
     with pytest.raises(IndexError):
