@@ -262,8 +262,6 @@ def adaptive_sample_round(source_or_points, basis: OrthonormalBasis, count: int,
     With the empty span this is squared-length sampling. Raises
     ExactFitReached when every residual is zero.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
     source = as_source(source_or_points)
     rng = rng if rng is not None else derive_rng(seed, "adaptive-round", label)
     try:
