@@ -81,7 +81,7 @@ class OrthonormalBasis:
 
     @classmethod
     def empty(cls, d: int) -> OrthonormalBasis:
-        """The r = 0 span in d dimensions, where every selection starts."""
+        """The r = 0 span in d dimensions."""
         return cls(d, np.zeros((0, d)))
 
     @property
