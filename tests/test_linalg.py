@@ -164,6 +164,41 @@ def test_residual_distances_extreme_scale():
                               np.ldexp(plain, e))
 
 
+def _one_shot_distances(x, basis):
+    """Residual norms from the whole-matrix formula: one projection and one
+    residual of every row at once."""
+    resid = x - (x @ basis.vectors.T) @ basis.vectors
+    return np.sqrt(np.einsum("ij,ij->i", resid, resid))
+
+
+@pytest.mark.parametrize("n", [1023, 1024, 1025, 2049])
+def test_residual_distances_blocks_agree_with_one_shot(n):
+    # n around the 1024-row block: a short last block, none, and one row over
+    x = np.random.default_rng(n).standard_normal((n, 30))
+    basis = orthonormal_basis(PointSet(x), [0, 5, 9])
+    got = residual_distances(x, basis)
+    assert got.shape == (n,)
+    assert np.allclose(got, _one_shot_distances(x, basis), rtol=1e-12, atol=0.0)
+    assert err_p(PointSet(x), basis, 3.0) == pytest.approx(
+        float(np.sum(_one_shot_distances(x, basis) ** 3)), rel=1e-12)
+
+
+def test_err_p_peak_memory():
+    # the residual pass works block by block: no n x d temporary
+    import tracemalloc
+
+    n, d = 20480, 50
+    pts = PointSet(np.random.default_rng(8).standard_normal((n, d)))
+    basis = orthonormal_basis(pts, [0, 1, 2, 3])
+    tracemalloc.start()
+    try:
+        err_p(pts, basis, 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * n * d * 8
+
+
 def test_extend_basis_matches_recompute():
     rng = np.random.default_rng(11)
     ps = PointSet(rng.standard_normal((10, 5)))
