@@ -21,6 +21,7 @@ from .samplers import (
     ChainState,
     DerivedParams,
     ExactFitReached,
+    RoundStats,
     SamplingConfig,
     SelectionResult,
     SlotBudgetError,
@@ -61,6 +62,7 @@ __all__ = [
     "PassCountError",
     "PassLog",
     "PointSet",
+    "RoundStats",
     "SamplingConfig",
     "SelectionResult",
     "SlotBudgetError",

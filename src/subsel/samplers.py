@@ -59,8 +59,10 @@ BLOCK_PROPOSALS = 2 ** 18
 
 # Bytes per proposal of one block in mcmc_select: an int64 pool index, a
 # float64 chain uniform, its float64 ratio and the product it is compared
-# with. numpy's hypergeometric deal takes under 1e9 draws.
+# with. numpy's hypergeometric deal takes under 1e9 draws, so a derived-m
+# selection draws at most MAX_DERIVED_DRAWS.
 SLOT_BYTES = 32
+MAX_DERIVED_DRAWS = 10 ** 9 - 1
 
 
 class ExactFitReached(RuntimeError):
@@ -68,8 +70,10 @@ class ExactFitReached(RuntimeError):
 
 
 class SlotBudgetError(ValueError):
-    """The captured rows and one block of proposals would not fit in memory,
-    or t*l*m reaches 1e9."""
+    """The proposals a selection needs do not fit: the captured rows and one
+    block of proposals would not fit in memory, an explicit m makes t*l*m
+    reach 1e9, or a derived-m round certifies more steps than its bank has
+    draws left."""
 
 
 def physical_memory_bytes() -> int:
@@ -119,7 +123,12 @@ class SamplingConfig:
 @dataclass(frozen=True)
 class DerivedParams:
     """Closed-form sampling parameters: t points per round, l rounds, m-step
-    walks, and the error-ratio / total-variation tolerance split."""
+    walks, and the error-ratio / total-variation tolerance split.
+
+    explicit_m says whether chain_steps was given. An explicit m is run as
+    is; a derived m is the closed form, which mcmc_select uses as the cap of
+    each round's certified chain length.
+    """
 
     points_per_round: int
     rounds: int
@@ -127,6 +136,7 @@ class DerivedParams:
     eps_err: float
     eps_tv: float
     alpha: float
+    explicit_m: bool = True
 
     def __post_init__(self):
         if min(self.points_per_round, self.rounds, self.chain_steps) < 1:
@@ -161,9 +171,11 @@ def derive_params(k: int, epsilon: float, alpha: float = 1.0, *,
     where a = alpha / lam (the inlier-error fraction assumption scales every
     constant by 1/lam; lam = 1 without outliers), times k! * (k+1)^(p-1)
     when p != 2 (the k-pass adaptive pivot guarantee folded in). m takes the
-    larger of the two published forms, which dominates both. Explicit
-    overrides replace individual outputs; eps_err / eps_tv overrides feed
-    the m formula.
+    larger of the two published forms, which dominates both; it is a worst
+    case over all inputs, and mcmc_select runs each round only the
+    certified_chain_steps its error ratio needs, at most m. Explicit
+    overrides replace individual outputs, and an explicit chain_steps is run
+    exactly (explicit_m); eps_err / eps_tv overrides feed the m formula.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -189,7 +201,43 @@ def derive_params(k: int, epsilon: float, alpha: float = 1.0, *,
     m = chain_steps if chain_steps is not None else _ceil_at_least_1(
         1.0 + max((2.0 / e1) * math.log(1.0 / e2), (2.0 / e2) * math.log(1.0 / e1)))
     return DerivedParams(points_per_round=int(t), rounds=int(l), chain_steps=int(m),
-                         eps_err=float(e1), eps_tv=float(e2), alpha=float(a))
+                         eps_err=float(e1), eps_tv=float(e2), alpha=float(a),
+                         explicit_m=chain_steps is not None)
+
+
+def certified_chain_steps(rho: float, eps_tv: float, cap: int) -> int:
+    """Chain length m_r = ceil(1 + (2 / rho) ln(1 / eps_tv)), at most cap.
+
+    A round's chains are independence samplers whose target/proposal ratio
+    is at most gamma = 2 / rho, rho = E_cur / E_piv being the round's error
+    ratio (the span only grows, so rho <= 1). Their endpoints are within
+    (1 - 1/gamma)^(m-1) <= eps_tv of the target in total variation after m
+    steps (Liu 1996, Metropolized independent sampling). rho is a lower
+    bound on the ratio; rho = 1 for a round whose span is the pivot's.
+    """
+    steps = 1.0 + (2.0 / rho) * math.log(1.0 / eps_tv) if rho > 0.0 else math.inf
+    return cap if steps >= cap else _ceil_at_least_1(steps)
+
+
+def error_ratio_bound(ratios: np.ndarray, counts: np.ndarray,
+                      delta: float) -> tuple[float, float]:
+    """(rho_hat, lower bound) for the mean of values in [0, 1] from i.i.d.
+    draws, `counts[i]` of them at `ratios[i]`: the count-weighted mean and
+    its empirical-Bernstein lower confidence bound at level 1 - delta
+    (Maurer & Pontil 2009, Theorem 4),
+
+        rho_hat - sqrt(2 V ln(2/delta) / N) - 7 ln(2/delta) / (3 (N - 1)),
+
+    V being the sample variance of the N draws. It is 0 for N < 2.
+    """
+    n = float(counts.sum())
+    if n < 2.0:
+        return (float(ratios @ counts) / n if n else 0.0), 0.0
+    mean = float(ratios @ counts) / n
+    var = float(((ratios - mean) ** 2) @ counts) / (n - 1.0)
+    log_term = math.log(2.0 / delta)
+    bound = mean - math.sqrt(2.0 * var * log_term / n) - 7.0 * log_term / (3.0 * (n - 1.0))
+    return mean, max(0.0, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +254,18 @@ class ChainState:
     proposal_prob: float
     steps_taken: int
     accepted: int
+
+
+@dataclass(frozen=True)
+class RoundStats:
+    """One round of mcmc_select: the chain length m_r it ran (0 for a round
+    filled from the uniform floor), and under a derived m the estimated
+    error ratio rho = E_cur / E_piv with the lower bound that certified m_r
+    (both None under an explicit m or on the floor)."""
+
+    chain_steps: int
+    rho: float | None = None
+    rho_bound: float | None = None
 
 
 @dataclass
@@ -226,6 +286,7 @@ class SelectionResult:
     params: DerivedParams | None = None
     warnings: tuple[str, ...] = ()
     basis: OrthonormalBasis | None = None
+    round_stats: tuple[RoundStats, ...] = ()
 
     @property
     def selected_ids(self) -> tuple[int, ...]:
@@ -630,23 +691,34 @@ def _chain_round(rng: np.random.Generator, stock: np.ndarray, r: np.ndarray,
 
 def mcmc_select(source_or_points, pivot: OrthonormalBasis, params: DerivedParams,
                 p: float = 2.0, seed: int = 0) -> SelectionResult:
-    """Algorithm core: l rounds of t points, each point the endpoint of an
-    (m-1)-step Metropolis chain over prefetched proposal draws, all fed by a
-    single sequential pass and no reporting pass.
+    """Algorithm core: l rounds of t points, each point the endpoint of a
+    Metropolis chain over prefetched proposal draws, all fed by a single
+    sequential pass and no reporting pass.
 
     pivot is the span the proposals are anchored at, usually init_pivot's
     basis; its source ids head the selection. The pass accumulates err_p
-    against it, q's normaliser, and
-    fills a residual and a uniform bank of t*l*m draws each, kept as per-row
-    counts. Binomial(t*l*m, 1/2) residual draws and the rest uniform ones,
-    each a uniform subset of its bank, are i.i.d. draws from the mixture q.
-    Chains within a round are independent and their target is the span of
-    everything selected before the round.
+    against it, q's normaliser, and fills a residual and a uniform bank of
+    t*l*m draws each (at most MAX_DERIVED_DRAWS under a derived m), kept as
+    per-row counts. Binomial(draws, 1/2) residual draws and the rest uniform
+    ones, each a uniform subset of its bank, are i.i.d. draws from the
+    mixture q. Chains within a round are independent and their target is the
+    span of everything selected before the round.
 
-    A round deals t*m of those draws in step order: the t chain starts,
-    then blocks of g*LANE_STEPS*t proposals laid out (g, LANE_STEPS, t), row
-    j of a block being step j of every chain, then a (m-1) mod LANE_STEPS
-    step tail. Each block is a hypergeometric split of the stock shuffled in
+    Round r runs m_r - 1 steps per chain. Under an explicit m (see
+    DerivedParams.explicit_m), m_r = m. Under a derived m, m_r is
+    certified_chain_steps of a lower bound on the round's error ratio
+    rho_r = E_cur / E_piv, capped at m: rho_0 = 1 exactly, and a later
+    round bounds it by error_ratio_bound at delta = eps_tv from the residual
+    draws the mixture did not take. Those are i.i.d. draws of w_piv / E_piv,
+    independent of every chain, and (d_cur / d_piv)^p has mean rho_r. A
+    bound at most eps_err runs the cap, with a warning. SlotBudgetError is
+    raised before a round's deal when t*m_r exceeds the draws left.
+    result.round_stats records m_r, rho and its bound per round.
+
+    A round deals t*m_r draws in step order: the t chain starts, then
+    blocks of g*LANE_STEPS*t proposals laid out (g, LANE_STEPS, t), row j of
+    a block being step j of every chain, then a (m_r-1) mod LANE_STEPS step
+    tail. Each block is a hypergeometric split of the stock shuffled in
     itself, which has the law of one shuffle of the whole round, so a round
     keeps one block in memory. The chain uniforms are one stream per round,
     derive_rng(seed, "chain", round), drawn in the same step order. The
@@ -657,50 +729,66 @@ def mcmc_select(source_or_points, pivot: OrthonormalBasis, params: DerivedParams
     as vector lanes (_lane_block), with the same endpoints and acceptance
     counts as walking the steps one after another.
 
-    SlotBudgetError is raised before the pass when the captured rows plus
-    one dealt block would not fit in physical memory, or t*l*m reaches 1e9.
-    Once every proposal left fits the span, each later round selects t
-    uniform draws that no chain was dealt. The result's basis spans the
-    selection; grading it is the caller's scan.
+    SlotBudgetError is also raised before the pass when the captured rows
+    plus one dealt block would not fit in physical memory, or an explicit m
+    makes t*l*m reach 1e9. Once every proposal left fits the span, each
+    later round selects t uniform draws that no chain was dealt. The
+    result's basis spans the selection; grading it is the caller's scan.
     """
     source = as_source(source_or_points)
     n = source.n
     t, l, m = params.points_per_round, params.rounds, params.chain_steps
+    certify = not params.explicit_m
 
-    slots = t * l * m
+    slots = min(t * l * m, MAX_DERIVED_DRAWS) if certify else t * l * m
     per_deal = min(t * m, max(BLOCK_PROPOSALS, LANE_STEPS * t))
     need = per_deal * SLOT_BYTES + 2 * min(n, slots) * (source.d + 2) * 8
     have = physical_memory_bytes()
     if slots >= 10 ** 9 or need > have:
         raise SlotBudgetError((
-            f"t*l*m = {slots} proposal slots reaches the limit of 1e9" if slots >= 10 ** 9
+            f"t*l*m = {slots} proposal slots reaches the limit of 1e9; an explicit m "
+            "must keep t*l*m below it, so lower the chain_steps override or leave m "
+            "derived" if slots >= 10 ** 9
             else f"the captured rows and a deal of {per_deal} proposals need about "
             f"{need / 2**30:.3g} GiB, over the limit of {have / 2**30:.3g} GiB of physical "
-            "memory") + "; derived chain lengths at this size need a chain_steps override")
+            "memory; derived chain lengths at this size need a chain_steps override"))
     err_pivot, bank_w, bank_u = proposal_prefetch_pass(
         source, pivot, p, slots, seed, label="mcmc:select")
 
     rng = derive_rng(seed, "deal")
     if bank_w is None:
         pool_ids, pool_coords, stock = bank_u.rows, bank_u.coords, bank_u.counts.copy()
+        uni = slice(0, len(stock))
+        held = np.zeros(len(stock), dtype=np.int64)
     else:
-        # the pool: residual rows in the mixture, then all uniform rows (a row may repeat)
+        # the pool: residual rows in the mixture, all uniform rows (a row may
+        # repeat), then, to certify m_r, the residual rows the mixture left out
         s_w = int(rng.binomial(slots, 0.5))
         mixed = rng.multivariate_hypergeometric(bank_w.counts, s_w)
         picks = np.flatnonzero(mixed)
-        pool_ids = np.concatenate([bank_w.rows[picks], bank_u.rows])
-        pool_coords = np.concatenate([bank_w.coords[picks], bank_u.coords])
+        rest = np.flatnonzero(mixed == 0) if certify else picks[:0]
+        uni = slice(len(picks), len(picks) + len(bank_u.rows))
+        pool_ids = np.concatenate([bank_w.rows[picks], bank_u.rows, bank_w.rows[rest]])
+        pool_coords = np.concatenate([bank_w.coords[picks], bank_u.coords,
+                                      bank_w.coords[rest]])
         stock = np.concatenate([mixed[picks], rng.multivariate_hypergeometric(
-            bank_u.counts, slots - s_w)])
-    u_at = len(stock) - len(bank_u.rows)
-    spare = bank_u.counts - stock[u_at:]
+            bank_u.counts, slots - s_w), np.zeros(len(rest), dtype=np.int64)])
+        # the residual draws no chain can be dealt: rho's sample
+        held = np.zeros(len(stock), dtype=np.int64)
+        if certify:
+            held[:uni.start] = bank_w.counts[picks] - mixed[picks]
+            held[uni.stop:] = bank_w.counts[rest]
+    spare = bank_u.counts - stock[uni]
     del bank_w, bank_u  # free their coordinates; the pool holds those it needs
-    w_pool = residual_distances(pool_coords, pivot) ** p
+    d_piv = residual_distances(pool_coords, pivot)
+    d_cur = d_piv.copy()
+    w_pool = d_piv ** p
     q_pool = (proposal_q(w_pool, err_pivot, n) if err_pivot > 0.0
               else np.full(len(pool_ids), 1.0 / n))
     basis = pivot
     blocks: list[tuple[int, ...]] = []
     states: list[ChainState] = []
+    stats: list[RoundStats] = []
     warnings: list[str] = []
     floor_fill = err_pivot <= 0.0
     if floor_fill:
@@ -711,7 +799,9 @@ def mcmc_select(source_or_points, pivot: OrthonormalBasis, params: DerivedParams
             # only entries that still hold proposals are dealt or reached
             live = stock > 0
             if rnd > 0:
-                w_pool[live] = residual_distances(pool_coords[live], basis) ** p
+                seen = live | (held > 0)
+                d_cur[seen] = residual_distances(pool_coords[seen], basis)
+                w_pool[seen] = d_cur[seen] ** p
             if float(w_pool[live].max(initial=0.0)) <= 0.0:
                 floor_fill = True
                 warnings.append(
@@ -719,14 +809,30 @@ def mcmc_select(source_or_points, pivot: OrthonormalBasis, params: DerivedParams
                     "remaining blocks drawn from the uniform floor")
         if floor_fill:
             # t i.i.d. uniform rows, taken from the uniform draws no chain was dealt
-            spare += stock[u_at:]
-            stock[u_at:] = 0
-            x = u_at + _deal(rng, spare, t)
+            spare += stock[uni]
+            stock[uni] = 0
+            x = uni.start + _deal(rng, spare, t)
             p_x, accepted, steps = np.zeros(t), np.zeros(t, dtype=int), 0
+            stats.append(RoundStats(0))
         else:
+            stat = RoundStats(m)
+            if certify:
+                stat = _certify_round(rnd, d_cur, d_piv, held, p, params)
+                left = int(stock.sum())
+                if stat.rho_bound <= params.eps_err:
+                    warnings.append(
+                        f"round {rnd}: error ratio bound {stat.rho_bound:.3g} is at most "
+                        f"eps_err = {params.eps_err:.3g}; ran the cap of {m} chain steps")
+                if t * stat.chain_steps > left:
+                    raise SlotBudgetError(
+                        f"round {rnd}: error ratio bound {stat.rho_bound:.3g} certifies "
+                        f"{stat.chain_steps} chain steps, which need t*m_r = "
+                        f"{t * stat.chain_steps} proposals; {left} of the {slots} drawn "
+                        "are left")
+            stats.append(stat)
             r = np.divide(w_pool, q_pool, out=np.zeros(len(stock)), where=live)
-            x, accepted = _chain_round(rng, stock, r, t, m, seed, rnd)
-            p_x, steps = w_pool[x], m - 1
+            x, accepted = _chain_round(rng, stock, r, t, stat.chain_steps, seed, rnd)
+            p_x, steps = w_pool[x], stat.chain_steps - 1
         block = tuple(int(i) for i in pool_ids[x])
         states.extend(ChainState(i, float(w), float(q), steps, int(a))
                       for i, w, q, a in zip(block, p_x, q_pool[x], accepted))
@@ -736,7 +842,23 @@ def mcmc_select(source_or_points, pivot: OrthonormalBasis, params: DerivedParams
     return SelectionResult(
         initial_ids=pivot.source_ids, blocks=tuple(blocks), p=p,
         passes=source.pass_log, final_states=tuple(states), params=params,
-        warnings=tuple(warnings), basis=basis)
+        warnings=tuple(warnings), basis=basis, round_stats=tuple(stats))
+
+
+def _certify_round(rnd: int, d_cur: np.ndarray, d_piv: np.ndarray, held: np.ndarray,
+                   p: float, params: DerivedParams) -> RoundStats:
+    """A derived-m round's certified chain length: rho = 1 in round 0, whose
+    span is the pivot's; later, the error_ratio_bound of (d_cur / d_piv)^p
+    over the `held` residual draws. A bound at most eps_err runs the cap."""
+    if rnd == 0:
+        rho = bound = 1.0
+    else:
+        h = np.flatnonzero(held)
+        ratio = np.divide(d_cur[h], d_piv[h], out=np.zeros(len(h)), where=d_piv[h] > 0.0)
+        rho, bound = error_ratio_bound(np.minimum(ratio, 1.0) ** p, held[h], params.eps_tv)
+    m_r = (certified_chain_steps(bound, params.eps_tv, params.chain_steps)
+           if bound > params.eps_err else params.chain_steps)
+    return RoundStats(m_r, rho, bound)
 
 
 # ---------------------------------------------------------------------------

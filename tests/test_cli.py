@@ -243,6 +243,17 @@ def test_run_p3_needs_adaptive_init(tmp_path, capsys):
     assert [row.passes for row in parse_report(out.read_text())] == [3, 3]
 
 
+def test_run_p3_adaptive_init_on_derived_params(tmp_path):
+    # without --m the chain lengths are certified per round; the closed-form
+    # m alone would need t*l*m = 2.2e9 proposals
+    path = gen_dataset(tmp_path, n=400, d=200, rank=5, noise=0.5)
+    out = tmp_path / "lp.csv"
+    assert main(["run", "--input", str(path), "--alg", "mcmc", "--k", "3", "--p", "3",
+                 "--init", "adaptive-k-pass", "--timing", "zero", "--out", str(out)]) == 0
+    [row] = parse_report(out.read_text())
+    assert (row.passes, row.subset_size) == (3 + 1, 3 + 48 * 3)
+
+
 def test_run_byte_identical_across_modes(tmp_path):
     path = gen_dataset(tmp_path)
     outs = []

@@ -19,11 +19,14 @@ from subsel import samplers
 from subsel.outliers import robust_select
 from subsel.samplers import (
     ExactFitReached,
+    RoundStats,
     SamplingConfig,
     SlotBudgetError,
     adaptive_sample,
     adaptive_sample_round,
+    certified_chain_steps,
     derive_params,
+    error_ratio_bound,
     enumerate_volume_distribution,
     greedy_max_volume_init,
     init_pivot,
@@ -1093,7 +1096,8 @@ def test_mcmc_select_refuses_oversized_slot_budget(monkeypatch):
     # a fixed 8 GiB machine, so the outcome does not depend on the host
     monkeypatch.setattr(samplers, "physical_memory_bytes", lambda: 8 * 2 ** 30)
     pts = instance(20, 6, seed=75)
-    params = derive_params(3, 0.5, p=3.0)  # theory m is ~1.5e7
+    theory_m = derive_params(3, 0.5, p=3.0).chain_steps  # ~1.5e7
+    params = derive_params(3, 0.5, p=3.0, chain_steps=theory_m)
     assert params.total_points * params.chain_steps > 10 ** 8
     with pytest.raises(ValueError, match="reaches the limit of 1e9; .* chain_steps override"):
         mcmc_select(pts, orthonormal_basis(pts, [0, 1, 2]), params, p=3.0, seed=76)
@@ -1141,3 +1145,147 @@ def test_sampling_config_validation():
         SamplingConfig(k=2, epsilon=0.5, init_mode="nope")
     with pytest.raises(ValueError):
         SamplingConfig(k=2, epsilon=0.5, rounds=0)
+
+
+# ---------------------------------------------------------------------------
+# certified per-round chain lengths (derived m)
+# ---------------------------------------------------------------------------
+
+def test_certified_chain_steps_examples():
+    params = derive_params(5, 0.5)  # theory m = 140218, e2 = 6.5e-5
+    m = params.chain_steps
+    # rho = 1, the pivot round: ceil(1 + 2 ln(1/e2))
+    assert certified_chain_steps(1.0, params.eps_tv, m) == 21
+    assert certified_chain_steps(0.25, params.eps_tv, m) == \
+        math.ceil(1 + 8 * math.log(1 / params.eps_tv))
+    # at rho = e1 the bound is the first of derive_params' two forms
+    assert certified_chain_steps(params.eps_err, params.eps_tv, m) <= m
+    assert certified_chain_steps(0.0, params.eps_tv, m) == m
+    assert certified_chain_steps(1e-300, params.eps_tv, m) == m
+
+
+def test_error_ratio_bound_is_empirical_bernstein():
+    ratios, counts = np.array([0.0, 0.5, 1.0]), np.array([10, 20, 10])
+    mean, bound = error_ratio_bound(ratios, counts, 0.01)
+    assert mean == pytest.approx(0.5)
+    var = (10 * 0.25 + 10 * 0.25) / 39
+    log_term = math.log(2 / 0.01)
+    assert bound == pytest.approx(max(0.0, 0.5 - math.sqrt(2 * var * log_term / 40)
+                                      - 7 * log_term / (3 * 39)))
+    # a near-zero mean over many draws keeps a positive bound, where
+    # Hoeffding's sqrt(ln(1/delta) / 2N) would exceed the mean
+    n = 24_000_000
+    mean, bound = error_ratio_bound(np.array([0.0, 1e-3]), np.array([n - n // 10, n // 10]),
+                                    6.5e-5)
+    assert mean == pytest.approx(1e-4)
+    assert 0.9e-4 < bound < mean
+    assert math.sqrt(math.log(1 / 6.5e-5) / (2 * n)) > 4e-4
+    assert error_ratio_bound(np.array([0.5]), np.array([1]), 0.01)[1] == 0.0
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_tv_at_certified_chain_steps(p):
+    # chains of the certified length reach the one-point adaptive law as
+    # closely as an exact i.i.d. sample of the same size does, up to a margin
+    # of 0.005 (about five standard deviations of the sample's own TV). The
+    # exact error ratio stands in for mcmc_select's lower bound on it, which
+    # would only lengthen the chains. Four steps fail the same check.
+    pts = PointSet(np.random.default_rng(3).standard_normal((40, 4)) * [2.0, 1.5, 1.0, 0.8])
+    pivot, current = [0], [0, 1, 2]
+    rho = (err_p(pts, orthonormal_basis(pts, current), p)
+           / err_p(pts, orthonormal_basis(pts, pivot), p))
+    params = derive_params(1, 0.5, p=p)
+    m_r = certified_chain_steps(rho, params.eps_tv, params.chain_steps)
+    assert 20 < m_r < params.chain_steps // 10
+    trials, margin = 100_000, 0.005
+
+    def tv(m):
+        return tv_distance_diag(pts, pivot, current, m, p=p, trials=trials, seed=5)
+
+    diag = tv(m_r)
+    assert diag.gamma <= 2.0 / rho
+    iid = np.random.default_rng(6).choice(len(diag.exact), size=trials, p=diag.exact)
+    floor = empirical_tv(iid, diag.exact, len(diag.exact))
+    assert diag.tv_distance <= floor + margin
+    assert tv(4).tv_distance > floor + margin
+
+
+def test_derived_m_select_runs_certified_rounds():
+    # the theory-m instance: 2000 x 200 at the derived m = 140218. Each round
+    # runs its certified length, the whole selection under 1e5 chain steps
+    # (22.4M at the closed-form m), and the error ratio estimate of round 1
+    # brackets the exact ratio of the span it ran against
+    pts, _ = _planted(n=2000, d=200, rank=5, noise=1.0, seed=41)
+    result = select_subset(pts, SamplingConfig(k=5, epsilon=0.5, seed=42))
+    params = result.params
+    assert not params.explicit_m and params.chain_steps == 140_218
+    assert result.size == 5 + params.total_points and not result.warnings
+    stats = result.round_stats
+    assert len(stats) == params.rounds == 2
+    assert stats[0] == RoundStats(21, 1.0, 1.0)
+    assert all(s.chain_steps <= params.chain_steps for s in stats)
+    assert sum(s.steps_taken for s in result.final_states) < 10 ** 5
+    for rnd, stat in enumerate(stats):
+        chains = result.final_states[rnd * 80:(rnd + 1) * 80]
+        assert all(s.steps_taken == stat.chain_steps - 1 for s in chains)
+    span_0 = orthonormal_basis(pts, result.initial_ids + result.blocks[0])
+    exact = (err_p(pts, span_0, 2.0)
+             / err_p(pts, orthonormal_basis(pts, result.initial_ids), 2.0))
+    assert stats[1].rho_bound <= exact
+    assert stats[1].rho == pytest.approx(exact, rel=0.01)
+    assert stats[1].chain_steps == certified_chain_steps(
+        stats[1].rho_bound, params.eps_tv, params.chain_steps)
+
+
+def test_select_subset_p3_derived_params(tmp_path):
+    # p = 3 with the adaptive init on derived parameters: t*l*m = 2.2e9 is
+    # over the 1e9 draws a bank can hold, and certified rounds need far
+    # fewer. k + 1 passes, byte-identical from memory and streaming opens
+    pts, _ = _planted(n=2000, d=200, rank=5, noise=0.5, seed=43)
+    path = tmp_path / "p3.bin"
+    write_binary(path, pts.data)
+    cfg = SamplingConfig(k=3, epsilon=0.5, p=3.0, seed=44, init_mode="adaptive-k-pass")
+    runs = []
+    for mode in ("memory", "streaming"):
+        result = select_subset(open_source(path, mode), cfg)
+        result.passes.assert_passes(3 + 1)
+        params = result.params
+        assert params.total_points * params.chain_steps > 10 ** 9
+        assert result.size == 3 + params.total_points and not result.warnings
+        assert [s.chain_steps <= params.chain_steps for s in result.round_stats] == \
+            [True] * params.rounds
+        runs.append((result.selected_ids, result.basis.vectors.tobytes(),
+                     result.round_stats))
+    assert runs[0] == runs[1]
+
+
+def test_saturated_round_raises_before_dealing(monkeypatch):
+    # in d = 5 the pivot and round 0 span everything: round 1's residuals are
+    # rounding noise, its error ratio bound is 0, and the capped chains
+    # (t*m = 1.7e10 proposals) cannot fit in the 1e9 - 1 draws of the banks
+    dealt = []
+    real_round = samplers._chain_round
+
+    def chain_round(rng, stock, r, t, m, seed, rnd):
+        dealt.append(rnd)
+        return real_round(rng, stock, r, t, m, seed, rnd)
+
+    monkeypatch.setattr(samplers, "_chain_round", chain_round)
+    pts, _ = _planted(n=300, d=5, rank=5, noise=0.1, seed=3)
+    cfg = SamplingConfig(k=4, epsilon=0.5, p=3.0, seed=2, init_mode="adaptive-k-pass")
+    with pytest.raises(SlotBudgetError, match=r"round 1: error ratio bound 0 certifies "
+                                              r"\d+ chain steps, .* of the 999999999 drawn"):
+        select_subset(pts, cfg)
+    assert dealt == [0]
+
+
+def test_explicit_m_runs_exactly():
+    # an explicit chain_steps runs that m in every round, with no estimate,
+    # even where the certified length would be shorter
+    pts = instance(300, 20, seed=45)
+    params = derive_params(2, 0.5, points_per_round=4, rounds=3, chain_steps=37)
+    assert params.explicit_m
+    result = mcmc_select(pts, orthonormal_basis(pts, [0, 1]), params, seed=46)
+    assert all(s.steps_taken == 36 for s in result.final_states)
+    assert result.round_stats == (RoundStats(37),) * 3
+    assert all(s.rho is None and s.rho_bound is None for s in result.round_stats)
