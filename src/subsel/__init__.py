@@ -21,6 +21,7 @@ from .samplers import (
     ChainState,
     DerivedParams,
     ExactFitReached,
+    RankDeficientError,
     RoundStats,
     SamplingConfig,
     SelectionResult,
@@ -62,6 +63,7 @@ __all__ = [
     "PassCountError",
     "PassLog",
     "PointSet",
+    "RankDeficientError",
     "RoundStats",
     "SamplingConfig",
     "SelectionResult",

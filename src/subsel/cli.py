@@ -227,7 +227,7 @@ def _trial_mcmc(spec, source, seed, truth):
     k_pass_init = spec.init_mode == "adaptive-k-pass"
     return result.basis, result.passes, {
         **extras, "accept_rate": result.acceptance_rate, "warnings": result.warnings,
-        "expected_passes": len(result.initial_ids) + 1 if k_pass_init else 2}
+        "expected_passes": spec.k + 1 if k_pass_init else 2}
 
 
 def _trial_adaptive(spec, source, seed, truth):

@@ -69,6 +69,10 @@ class ExactFitReached(RuntimeError):
     """The selected span already fits every point; residual weights vanish."""
 
 
+class RankDeficientError(ValueError):
+    """The data has rank below k, so no k rows span a k-dimensional pivot."""
+
+
 class SlotBudgetError(ValueError):
     """The proposals a selection needs do not fit: the captured rows and one
     block of proposals would not fit in memory, an explicit m makes t*l*m
@@ -386,7 +390,7 @@ def enumerate_volume_distribution(points: PointSet, k: int, p: float = 2.0,
     weights = dets ** (p / 2.0)
     total = float(weights.sum())
     if total <= 0.0:
-        raise ValueError("rank-deficient dataset: every k-subset has zero volume")
+        raise RankDeficientError("rank-deficient dataset: every k-subset has zero volume")
     return subsets, weights / total
 
 
@@ -421,7 +425,7 @@ def volume_sample_dpp(points: PointSet, k: int, seed: int = 0, *,
     xs, lam, vecs = _gram_eigh(points.data)
     r = int(np.count_nonzero(lam > lam[0] * 1e-12))
     if r < k:
-        raise ValueError("rank-deficient dataset: every k-subset has zero volume")
+        raise RankDeficientError("rank-deficient dataset: every k-subset has zero volume")
     lam = lam[:r] / lam[0]
 
     # e[j, i] = elementary symmetric polynomial of degree j over lam[:i]
@@ -466,7 +470,8 @@ def greedy_max_volume_init(points: PointSet, k: int) -> list[int]:
         res = residual_distances(points.data, basis)
         i = int(np.argmax(res))
         if res[i] <= RANK_TOL * scale:
-            raise ValueError("cannot find full-rank initial subset: data rank < k")
+            raise RankDeficientError(
+                "rank-deficient dataset: cannot find a full-rank initial subset, data rank < k")
         ids.append(i)
         basis = extend_basis(basis, points.data[i], [i])
     return ids
@@ -887,14 +892,19 @@ def init_pivot(source: DatasetSource, k: int, p: float, seed: int, init_mode: st
     alpha is the approximate-volume-sampling quality factor the parameter
     derivation should assume for this pivot. Volume inits (p = 2 only) take
     one materializing pass. The adaptive init is adaptive_sample with k
-    single-point rounds from the empty span, k passes that stop early once
-    the picks fit every point.
+    single-point rounds from the empty span, in k passes. Every init raises
+    RankDeficientError when the data has rank below k; the adaptive init
+    finds that when its picks fit every point before k rounds.
     """
     if p != 2.0 and init_mode != "adaptive-k-pass":
         raise ValueError(f"p = {p:g} needs init_mode 'adaptive-k-pass'; "
                          f"{init_mode} samples p = 2 volumes")
     if init_mode == "adaptive-k-pass":
         pivot = adaptive_sample(source, OrthonormalBasis.empty(source.d), 1, k, p, seed)
+        if len(pivot.blocks) < k:
+            raise RankDeficientError(
+                f"rank-deficient dataset: {len(pivot.blocks)} adaptive init rows fit every "
+                f"point, fewer than k = {k}")
         return pivot.basis, (float(math.factorial(k)) if p == 2.0 else 1.0)
     if init_mode not in ("exact-volume", "mcmc-volume"):
         raise ValueError(f"unknown init_mode {init_mode!r}")

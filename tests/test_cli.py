@@ -254,6 +254,16 @@ def test_run_p3_adaptive_init_on_derived_params(tmp_path):
     assert (row.passes, row.subset_size) == (3 + 1, 3 + 48 * 3)
 
 
+def test_run_rank_deficient_adaptive_init_exits_2(tmp_path, capsys):
+    # 4 rows of rank 1 hold no 2-row pivot: a usage error, not a pass-count
+    # failure
+    path = tmp_path / "flat.csv"
+    path.write_text("1.0,2.0\n2.0,4.0\n-1.0,-2.0\n3.0,6.0\n")
+    assert main(["run", "--input", str(path), "--alg", "mcmc", "--k", "2",
+                 "--init", "adaptive-k-pass", "--m", "4", "--seed", "38"]) == 2
+    assert "rank-deficient" in capsys.readouterr().err
+
+
 def test_run_byte_identical_across_modes(tmp_path):
     path = gen_dataset(tmp_path)
     outs = []

@@ -19,6 +19,7 @@ from subsel import samplers
 from subsel.outliers import robust_select
 from subsel.samplers import (
     ExactFitReached,
+    RankDeficientError,
     RoundStats,
     SamplingConfig,
     SlotBudgetError,
@@ -466,9 +467,20 @@ def test_adaptive_volume_init_exact_directions():
 
 
 def test_adaptive_volume_init_early_stop():
+    # rank 1 < k = 2: the first pick fits every point, and the init refuses
+    # rather than return a one-row pivot
     pts = PointSet(np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
-    pivot, _ = init_pivot(open_source(pts), 2, 2.0, 38, "adaptive-k-pass")
-    assert len(pivot.source_ids) == 1
+    with pytest.raises(RankDeficientError, match="rank-deficient"):
+        init_pivot(open_source(pts), 2, 2.0, 38, "adaptive-k-pass")
+
+
+@pytest.mark.parametrize("init_mode", ["exact-volume", "mcmc-volume", "adaptive-k-pass"])
+def test_rank_below_k_is_one_typed_error(init_mode):
+    pts = PointSet(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [-1.0, -2.0, 0.0],
+                             [3.0, 6.0, 0.0]]))
+    with pytest.raises(RankDeficientError, match="rank-deficient"):
+        select_subset(pts, SamplingConfig(k=2, epsilon=0.5, seed=39, init_mode=init_mode,
+                                          chain_steps=4, init_walk_steps=10))
 
 
 def test_adaptive_volume_init_expectation_bound():
