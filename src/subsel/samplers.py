@@ -235,9 +235,9 @@ def error_ratio_bound(ratios: np.ndarray, counts: np.ndarray,
     V being the sample variance of the N draws. It is 0 for N < 2.
     """
     n = float(counts.sum())
+    mean = float(ratios @ counts) / max(n, 1.0)
     if n < 2.0:
-        return (float(ratios @ counts) / n if n else 0.0), 0.0
-    mean = float(ratios @ counts) / n
+        return mean, 0.0
     var = float(((ratios - mean) ** 2) @ counts) / (n - 1.0)
     log_term = math.log(2.0 / delta)
     bound = mean - math.sqrt(2.0 * var * log_term / n) - 7.0 * log_term / (3.0 * (n - 1.0))
