@@ -5,12 +5,15 @@ errors, simplex volumes, and the best k-subspace (globally and inside a
 span) used for grading. All operations are pure functions of immutable
 inputs and safe to call from many threads.
 
-Every spectral step uses one Gram eigen-kernel, `_gram_eigh` (X rescaled
-by an exact power of two, X^T X in O(n d^2), `eigh`), never a thin SVD of
-an n-row matrix. Subspaces come from the Gram; their errors from a direct
-residual pass, never trace minus eigenvalues. The Gram squares condition
-numbers, so rank is cut at eigenvalues <= 1e-12 of the largest (singular
-values 1e-6). Results repeat bit for bit under power-of-two data scaling.
+Every spectral step uses one Gram eigen-kernel, `_gram_eigh` (X^T X in
+O(n d^2), summed over blocks of rows each rescaled by one exact power of
+two, then `eigh`), never a thin SVD of an n-row matrix. The kernel forms no
+rescaled copy of X and no n-row product: a row selection and a right factor
+are applied block by block. Subspaces come from the Gram; their errors from
+a direct residual pass, never trace minus eigenvalues. The Gram squares
+condition numbers, so rank is cut at eigenvalues <= 1e-12 of the largest
+(singular values 1e-6). Results repeat bit for bit under power-of-two data
+scaling.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ import numpy as np
 # the largest input row norm are treated as linearly dependent.
 RANK_TOL = 1e-9
 
-# Rows per block of residual_distances: 1024 rows of d = 200 are 1.6 MB.
+# Rows per block of the residual and Gram passes: 1024 rows of d = 200 are
+# 1.6 MB.
 RESIDUAL_BLOCK_ROWS = 1024
 
 SubsetIds = Sequence[int]
@@ -47,6 +51,16 @@ class PointSet:
             raise ValueError("point data contains NaN or Inf")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
+
+    @classmethod
+    def _adopt(cls, data: np.ndarray) -> PointSet:
+        """Wrap a 2-D float64 array of finite entries, at least one row and
+        one column, that the caller built and hands over: no copy and no
+        second check. The array becomes read-only."""
+        data.setflags(write=False)
+        pts = object.__new__(cls)
+        object.__setattr__(pts, "data", data)
+        return pts
 
     @property
     def n(self) -> int:
@@ -103,20 +117,43 @@ def check_subset_ids(ids: SubsetIds, n: int) -> list[int]:
     return out
 
 
+def _pow2_exponent(a: np.ndarray) -> int:
+    """e with the largest magnitude of a * 2**-e in [0.5, 1), read off
+    a.max() and a.min(), which allocate nothing; it moves by exactly k when
+    a is scaled by 2**k."""
+    top = max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
+    return int(np.frexp(top)[1])
+
+
 def _pow2_scale(a: np.ndarray) -> tuple[np.ndarray, int]:
     """(a * 2**-e, e) with the largest magnitude in [0.5, 1); exact, so its
     results repeat bit for bit under power-of-two scaling of a."""
-    top = max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
-    e = int(np.frexp(top)[1])
+    e = _pow2_exponent(a)
     return np.ldexp(a, -e), e
 
 
-def _gram_eigh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Gram eigen-kernel: (xs, lam, v) for xs = x * 2**-e, with the
-    eigenvalues of xs^T xs descending and their eigenvectors as columns."""
-    xs, _ = _pow2_scale(x)
-    lam, v = np.linalg.eigh(xs.T @ xs)
-    return xs, lam[::-1], v[:, ::-1]
+def _gram_eigh(x: np.ndarray, rows: np.ndarray | None = None,
+               right: np.ndarray | None = None) -> tuple[int, np.ndarray, np.ndarray]:
+    """The Gram eigen-kernel: (e, lam, v) for y = (x[rows] * 2**-e) @ right,
+    with the eigenvalues of y^T y descending and their eigenvectors as
+    columns. rows defaults to every row and right to the identity.
+
+    One exponent e, from x, rescales every block of RESIDUAL_BLOCK_ROWS rows;
+    the Gram is summed block by block, so neither the rescaled x nor the
+    n-row product y is ever formed.
+    """
+    e = _pow2_exponent(x)
+    n = len(x) if rows is None else len(rows)
+    width = x.shape[1] if right is None else right.shape[1]
+    gram = np.zeros((width, width))
+    for lo in range(0, n, RESIDUAL_BLOCK_ROWS):
+        hi = lo + RESIDUAL_BLOCK_ROWS
+        y = np.ldexp(x[lo:hi] if rows is None else x[rows[lo:hi]], -e)
+        if right is not None:
+            y = y @ right
+        gram += y.T @ y
+    lam, v = np.linalg.eigh(gram)
+    return e, lam[::-1], v[:, ::-1]
 
 
 def _cgs2_extend(base: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -236,6 +273,6 @@ def best_rank_k_in_span(points: PointSet, basis: OrthonormalBasis,
     """
     if basis.r <= k:
         return basis, err_p(points, basis, 2.0)
-    _, _, w = _gram_eigh(points.data @ basis.vectors.T)
+    _, _, w = _gram_eigh(points.data, right=basis.vectors.T)
     sub = OrthonormalBasis(basis.d, w[:, :k].T @ basis.vectors, basis.source_ids)
     return sub, err_p(points, sub, 2.0)

@@ -76,7 +76,7 @@ def fit_trimmed_subspace(points: PointSet, span: OrthonormalBasis, k: int,
     if span.r <= k:
         return span
     keep = _trim(residual_distances(points.data, span), beta).ids
-    _, _, w = _gram_eigh(points.data[list(keep)] @ span.vectors.T)
+    _, _, w = _gram_eigh(points.data, rows=np.asarray(keep), right=span.vectors.T)
     return OrthonormalBasis(span.d, w[:, :k].T @ span.vectors, span.source_ids)
 
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from .linalg import (
     RANK_TOL,
+    RESIDUAL_BLOCK_ROWS,
     OrthonormalBasis,
     PointSet,
     _gram_eigh,
@@ -422,7 +423,8 @@ def volume_sample_dpp(points: PointSet, k: int, seed: int = 0, *,
     n = points.n
     if not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= n")
-    xs, lam, vecs = _gram_eigh(points.data)
+    x = points.data
+    e_x, lam, vecs = _gram_eigh(x)
     r = int(np.count_nonzero(lam > lam[0] * 1e-12))
     if r < k:
         raise RankDeficientError("rank-deficient dataset: every k-subset has zero volume")
@@ -443,7 +445,13 @@ def volume_sample_dpp(points: PointSet, k: int, seed: int = 0, *,
         if rng.random() < lam[i - 1] * e[j - 1, i - 1] / e[j, i]:
             chosen.append(i - 1)
             j -= 1
-    v, _ = np.linalg.qr(xs @ (vecs[:, chosen] / np.sqrt(lam[chosen])))
+    # X V_S Lambda_S^(-1/2), one rescaled block of rows at a time
+    right = vecs[:, chosen] / np.sqrt(lam[chosen])
+    v = np.empty((n, k))
+    for lo in range(0, n, RESIDUAL_BLOCK_ROWS):
+        hi = lo + RESIDUAL_BLOCK_ROWS
+        v[lo:hi] = np.ldexp(x[lo:hi], -e_x) @ right
+    v, _ = np.linalg.qr(v)
 
     ids: list[int] = []
     for rem in range(k, 0, -1):

@@ -125,12 +125,14 @@ class DatasetSource:
             entry = PassEntry(label, self.n, self.n, reporting)
             self.pass_log.entries.append(entry)
             return self._points
-        rows: list[np.ndarray] = []
-        self.stream_pass_chunks(label, lambda s, c: rows.append(c),
-                                reporting=reporting)
-        data = np.vstack(rows)
-        rows.clear()  # PointSet copies `data`; the chunks go first
-        return PointSet(data)
+        data = np.empty((self.n, self.d))
+
+        def fill(start: int, chunk: np.ndarray) -> None:
+            data[start:start + len(chunk)] = chunk
+
+        # the reader checked every chunk's shape and finiteness
+        self.stream_pass_chunks(label, fill, reporting=reporting)
+        return PointSet._adopt(data)
 
 
 def open_source(path_or_points, mode: str = "memory") -> DatasetSource:
@@ -156,10 +158,10 @@ def open_source(path_or_points, mode: str = "memory") -> DatasetSource:
     for start, chunk in _read_chunks(path, fmt):
         if mode == "memory":
             kept.append(chunk)
-    data = np.vstack(kept) if kept else None
-    kept.clear()  # PointSet copies `data`; the chunks go first
-    return DatasetSource(points=None if data is None else PointSet(data), path=path,
-                         fmt=fmt, n=start + len(chunk), d=chunk.shape[1], mode=mode)
+    # the reader checked every chunk; the stacked rows are the one copy kept
+    points = PointSet._adopt(np.vstack(kept)) if kept else None
+    return DatasetSource(points=points, path=path, fmt=fmt,
+                         n=start + len(chunk), d=chunk.shape[1], mode=mode)
 
 
 def as_source(source_or_points) -> DatasetSource:

@@ -8,6 +8,8 @@ check that power-of-two scaling of the data leaves every basis bit for bit
 unchanged, and guard against a tall SVD coming back into the package.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,8 @@ from subsel.linalg import (
     orthonormal_basis,
 )
 from subsel.outliers import fit_trimmed_subspace
-from subsel.stream import inlier_count
+from subsel.samplers import volume_sample_dpp
+from subsel.stream import CHUNK_ROWS, inlier_count
 
 REL = 1e-9
 
@@ -103,6 +106,29 @@ def test_fit_trimmed_subspace_matches_svd(n, d, k, sigma, scale, seed):
         scaled = fit_trimmed_subspace(scaled_pts, orthonormal_basis(
             scaled_pts, range(n // 20, n // 20 + k + 3)), k, beta)
     assert np.array_equal(scaled.vectors, fitted.vectors)
+
+
+@pytest.mark.parametrize("caller", ["optimal_subspace", "best_rank_k_in_span",
+                                    "fit_trimmed_subspace", "volume_sample_dpp"])
+def test_kernel_callers_make_no_n_row_copy(caller):
+    # the Gram is summed block by block and the DPP projection is n x k: no
+    # rescaled copy of the data and no n x r product
+    n, d, k = 20 * CHUNK_ROWS, 20, 3
+    pts = PointSet(planted(n, d, k, 0.1, seed=9, outlier_rows=n // 20))
+    span = orthonormal_basis(pts, range(n // 20, n // 20 + k + 5))
+    call = {
+        "optimal_subspace": lambda: optimal_subspace(pts, k),
+        "best_rank_k_in_span": lambda: best_rank_k_in_span(pts, span, k),
+        "fit_trimmed_subspace": lambda: fit_trimmed_subspace(pts, span, k, 0.1),
+        "volume_sample_dpp": lambda: volume_sample_dpp(pts, k, seed=2),
+    }[caller]
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * n * d * 8
 
 
 def test_no_tall_svd(monkeypatch):

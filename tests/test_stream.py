@@ -151,11 +151,11 @@ def test_changed_file_fails_next_pass(tmp_path, fmt, change):
 
 
 @pytest.mark.parametrize("mode, payloads", [("streaming", 0.25), ("memory", 2.5),
-                                           ("streaming-collect", 2.5)])
+                                           ("streaming-collect", 1.25)])
 def test_open_binary_peak_memory(tmp_path, mode, payloads):
     # a streamed open reads one chunk at a time, so the payload is never
-    # resident; a memory open, or a streamed open and its collect, holds the
-    # rows at most twice (chunks, then the stacked rows beside PointSet's copy)
+    # resident; a memory open holds the rows at most twice (chunks, then the
+    # stacked rows), and a streamed collect fills one array chunk by chunk
     n, d = 20 * CHUNK_ROWS, 20
     path = tmp_path / "big.bin"
     write_binary(path, np.random.default_rng(4).standard_normal((n, d)))
