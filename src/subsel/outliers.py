@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import OrthonormalBasis, PointSet, _gram_eigh, residual_distances
+from .linalg import (
+    RESIDUAL_BLOCK_ROWS,
+    OrthonormalBasis,
+    PointSet,
+    _gram_eigh,
+    _pow2_exponent,
+    residual_distances,
+)
 from .samplers import SelectionResult, derive_params, init_pivot, mcmc_select
 from .stream import as_source, inlier_count
 
@@ -55,16 +62,22 @@ def check_lambda(points: PointSet, reference_basis: OrthonormalBasis, beta: floa
     instance check); otherwise over the nearest (1-beta)n points. A zero
     total error counts as ratio 1.
     """
-    res_sq = residual_distances(points.data, reference_basis) ** 2
-    total = float(res_sq.sum())
+    # residuals and row norms in units of 2**e, so their squares neither
+    # overflow nor underflow and the ratio repeats under power-of-two scaling
+    x = points.data
+    e = _pow2_exponent(x)
+    res = np.ldexp(residual_distances(x, reference_basis), -e)
+    total = float(np.sum(res ** 2))
+    data_sq = sum(float(np.sum(np.ldexp(x[lo:lo + RESIDUAL_BLOCK_ROWS], -e) ** 2))
+                  for lo in range(0, len(x), RESIDUAL_BLOCK_ROWS))
     # exact fit up to numerical noise (residuals below 1e-12 of data scale)
-    if total <= 1e-24 * max(float(np.sum(points.data ** 2)), 1e-300):
+    if total <= 1e-24 * max(data_sq, 1e-300):
         return 1.0
     if ground_truth_inliers is not None:
         ids = [int(i) for i in ground_truth_inliers]
-        inlier = float(res_sq[ids].sum())
+        inlier = float(np.sum(res[ids] ** 2))
     else:
-        inlier = _trim(np.sqrt(res_sq), beta).inlier_error
+        inlier = _trim(res, beta).inlier_error
     return inlier / total
 
 

@@ -145,6 +145,19 @@ def test_check_lambda_matches_two_loop_oracle():
     assert ratio == pytest.approx(num / den, abs=1e-9)
 
 
+@pytest.mark.parametrize("scale", [600, -600])
+def test_check_lambda_repeats_under_power_of_two_scaling(scale):
+    # squared residuals and row norms at 2**600 overflow, at 2**-600 they
+    # underflow; either way the ratio must not turn into an exact-fit 1.0
+    pts, truth = generate_synthetic(n=300, d=20, rank=3, noise_sigma=0.1,
+                                    outlier_frac=0.1, outlier_scale=3.0, seed=3)
+    scaled = PointSet(pts.data * 2.0 ** scale)
+    for inliers in (None, truth.inlier_ids):
+        ratio = check_lambda(pts, truth.planted_basis, 0.1, inliers)
+        assert ratio < 0.5
+        assert check_lambda(scaled, truth.planted_basis, 0.1, inliers) == ratio
+
+
 # ---------------------------------------------------------------------------
 # robust_select
 # ---------------------------------------------------------------------------
