@@ -312,8 +312,14 @@ class CountBank:
             self._compact()
 
     def _compact(self) -> None:
-        at = np.searchsorted(np.concatenate([r for r, _ in self._kept]), self.rows)
-        self._kept = [(self.rows, np.concatenate([c for _, c in self._kept])[at])]
+        # pieces hold increasing, disjoint id ranges, so each fills its own
+        # slice of the bank's rows straight into one array
+        out = np.empty((len(self.rows), self._kept[0][1].shape[1]))
+        for rows, coords in self._kept:
+            if len(rows):
+                lo, hi = np.searchsorted(self.rows, (rows[0], rows[-1] + 1))
+                out[lo:hi] = coords[np.searchsorted(rows, self.rows[lo:hi])]
+        self._kept = [(self.rows, out)]
 
     @property
     def coords(self) -> np.ndarray:
