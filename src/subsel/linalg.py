@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -132,6 +132,16 @@ def _pow2_scale(a: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(a, -e), e
 
 
+def _scaled_blocks(x: np.ndarray, e: int, rows: np.ndarray | None = None,
+                   ) -> Iterator[tuple[int, np.ndarray]]:
+    """(lo, x[rows][lo:lo + RESIDUAL_BLOCK_ROWS] * 2**-e) for each block of
+    rows, every row when rows is None; only one block exists at a time."""
+    n = len(x) if rows is None else len(rows)
+    for lo in range(0, n, RESIDUAL_BLOCK_ROWS):
+        hi = lo + RESIDUAL_BLOCK_ROWS
+        yield lo, np.ldexp(x[lo:hi] if rows is None else x[rows[lo:hi]], -e)
+
+
 def _gram_eigh(x: np.ndarray, rows: np.ndarray | None = None,
                right: np.ndarray | None = None) -> tuple[int, np.ndarray, np.ndarray]:
     """The Gram eigen-kernel: (e, lam, v) for y = (x[rows] * 2**-e) @ right,
@@ -143,12 +153,9 @@ def _gram_eigh(x: np.ndarray, rows: np.ndarray | None = None,
     n-row product y is ever formed.
     """
     e = _pow2_exponent(x)
-    n = len(x) if rows is None else len(rows)
     width = x.shape[1] if right is None else right.shape[1]
     gram = np.zeros((width, width))
-    for lo in range(0, n, RESIDUAL_BLOCK_ROWS):
-        hi = lo + RESIDUAL_BLOCK_ROWS
-        y = np.ldexp(x[lo:hi] if rows is None else x[rows[lo:hi]], -e)
+    for _, y in _scaled_blocks(x, e, rows):
         if right is not None:
             y = y @ right
         gram += y.T @ y

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    RESIDUAL_BLOCK_ROWS,
     OrthonormalBasis,
     PointSet,
     _gram_eigh,
     _pow2_exponent,
+    _scaled_blocks,
     residual_distances,
 )
 from .samplers import SelectionResult, derive_params, init_pivot, mcmc_select
@@ -68,8 +68,7 @@ def check_lambda(points: PointSet, reference_basis: OrthonormalBasis, beta: floa
     e = _pow2_exponent(x)
     res = np.ldexp(residual_distances(x, reference_basis), -e)
     total = float(np.sum(res ** 2))
-    data_sq = sum(float(np.sum(np.ldexp(x[lo:lo + RESIDUAL_BLOCK_ROWS], -e) ** 2))
-                  for lo in range(0, len(x), RESIDUAL_BLOCK_ROWS))
+    data_sq = sum(float(np.sum(block ** 2)) for _, block in _scaled_blocks(x, e))
     # exact fit up to numerical noise (residuals below 1e-12 of data scale)
     if total <= 1e-24 * max(data_sq, 1e-300):
         return 1.0

@@ -26,10 +26,10 @@ import numpy as np
 
 from .linalg import (
     RANK_TOL,
-    RESIDUAL_BLOCK_ROWS,
     OrthonormalBasis,
     PointSet,
     _gram_eigh,
+    _scaled_blocks,
     check_subset_ids,
     extend_basis,
     gram_dets,
@@ -423,8 +423,7 @@ def volume_sample_dpp(points: PointSet, k: int, seed: int = 0, *,
     n = points.n
     if not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= n")
-    x = points.data
-    e_x, lam, vecs = _gram_eigh(x)
+    e_x, lam, vecs = _gram_eigh(points.data)
     r = int(np.count_nonzero(lam > lam[0] * 1e-12))
     if r < k:
         raise RankDeficientError("rank-deficient dataset: every k-subset has zero volume")
@@ -448,9 +447,8 @@ def volume_sample_dpp(points: PointSet, k: int, seed: int = 0, *,
     # X V_S Lambda_S^(-1/2), one rescaled block of rows at a time
     right = vecs[:, chosen] / np.sqrt(lam[chosen])
     v = np.empty((n, k))
-    for lo in range(0, n, RESIDUAL_BLOCK_ROWS):
-        hi = lo + RESIDUAL_BLOCK_ROWS
-        v[lo:hi] = np.ldexp(x[lo:hi], -e_x) @ right
+    for lo, block in _scaled_blocks(points.data, e_x):
+        v[lo:lo + len(block)] = block @ right
     v, _ = np.linalg.qr(v)
 
     ids: list[int] = []
