@@ -120,7 +120,9 @@ class DatasetSource:
         return entry
 
     def collect(self, label: str, *, reporting: bool = False) -> PointSet:
-        """Materialize all rows with one sequential pass."""
+        """Materialize all rows with one sequential pass. A streaming source
+        writes each chunk into one n x d array, which becomes the read-only
+        PointSet's data without another copy."""
         if self.mode == "memory":
             entry = PassEntry(label, self.n, self.n, reporting)
             self.pass_log.entries.append(entry)
