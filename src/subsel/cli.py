@@ -176,8 +176,9 @@ def run_experiment(spec: ExperimentSpec, input_path: str,
     optimum = None
     if spec.p == 2.0:
         if spec.beta > 0.0 and truth is not None and truth.get("inlier_ids"):
-            inlier_rows = eval_points.data[list(truth["inlier_ids"])]
-            _, optimum = optimal_subspace(PointSet(inlier_rows), spec.k)
+            # one gathered copy of the checked inlier rows, freed after the call
+            _, optimum = optimal_subspace(
+                PointSet._adopt(eval_points.data[list(truth["inlier_ids"])]), spec.k)
         elif spec.beta == 0.0:
             _, optimum = optimal_subspace(eval_points, spec.k)
 

@@ -1,13 +1,17 @@
 """Dataset sources with enforced sequential access and pass accounting.
 
 A pass is exactly one full sequential visit of rows 0..n-1, and passes are
-the only way to read rows in either mode. Streaming-mode sources re-read
-their file on every pass; in-memory sources present the same rows in the
-same fixed-size chunks, so a seeded algorithm consumes its random stream
-identically in both modes and produces bit-identical results. Each file
-format has one reader, which checks the file as it reads it: opening a file
-is one pass of it, and every later pass runs it again against the n and d
-learned at open.
+the only way to read rows in either mode. In-memory sources keep the rows
+read at open; streaming-mode sources read their file again on every pass.
+Both present the same rows in the same fixed-size chunks, so a seeded
+algorithm consumes its random stream identically in both modes and produces
+bit-identical results. Each file format has one reader, which checks the
+file as it reads it, and opening a file is one pass of it. A later binary
+pass runs that reader again against the n and d learned at open. A CSV is
+parsed only at open: a streaming source keeps the parsed rows in a private
+spill file and the sha256 of the bytes parsed, and a later pass hashes the
+whole file, checks it against that digest, then reads the rows back from the
+spill.
 
 Also provides weighted reservoir sampling (many independent single draws in
 one pass, kept as per-row counts: a chunk thins each row's count by a
@@ -19,9 +23,13 @@ instance generation.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import math
 import os
 import struct
+import tempfile
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -35,6 +43,9 @@ from .rng import derive_rng
 CHUNK_ROWS = 1024
 
 BINARY_MAGIC = b"SSEL1\x00"
+
+# block size of the digest check a streamed CSV pass makes of its file
+_HASH_BLOCK = 1 << 16
 
 
 class DatasetFormatError(ValueError):
@@ -89,24 +100,36 @@ class DatasetSource:
     """Sequential-only access to a dataset; create via open_source()."""
 
     def __init__(self, *, points: PointSet | None, path: str | None,
-                 fmt: str | None, n: int, d: int, mode: str):
+                 n: int, d: int, mode: str, spill=None, digest: bytes | None = None):
         self._points = points
         self.path = path
-        self._fmt = fmt
         self.n = n
         self.d = d
         self.mode = mode
         self.pass_log = PassLog()
+        self._spill = spill
+        self._digest = digest
+        if spill is not None:
+            weakref.finalize(self, spill.close)
 
     # -- sequential access ---------------------------------------------------
 
     def _chunks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """A memory source slices its rows. A streamed binary file is read
+        again by its format's reader. A streamed CSV is hashed whole and
+        checked against the digest taken at open, before any row is yielded;
+        its rows then come from the spill, as the reader parsed them."""
         if self.mode == "memory":
             data = self._points.data
             for start in range(0, self.n, CHUNK_ROWS):
                 yield start, data[start:start + CHUNK_ROWS]
+        elif self._spill is None:
+            yield from _binary_rows(self.path, (self.n, self.d))
         else:
-            yield from _read_chunks(self.path, self._fmt, (self.n, self.d))
+            if _sha256(self.path) != self._digest:
+                raise DatasetFormatError(f"{self.path}: changed since it was opened")
+            self._spill.seek(0)
+            yield from _payload_chunks(self._spill, self.n, self.d, "spill of " + self.path)
 
     def stream_pass_chunks(self, label: str,
                            visitor: Callable[[int, np.ndarray], None], *,
@@ -142,9 +165,13 @@ def open_source(path_or_points, mode: str = "memory") -> DatasetSource:
 
     Accepts a PointSet (in-memory only) or a file path. Opening a file is one
     pass of its format's reader, which learns n and d; memory mode keeps the
-    chunks read, streaming mode drops them. A later pass raises
-    DatasetFormatError if the file no longer holds n rows of d finite
-    entries. The pass counter starts at zero after opening.
+    chunks read. A streamed binary file keeps nothing, and a later pass raises
+    DatasetFormatError if the file no longer holds n rows of d finite entries.
+    A streamed CSV is parsed here and only here: its rows go to an unlinked
+    temporary file (n * d * 8 bytes of temp-dir disk, closed when the source
+    is collected), and a later pass raises DatasetFormatError if the file's
+    sha256 differs from that of the bytes parsed. The pass counter starts at
+    zero after opening.
     """
     if mode not in ("memory", "streaming"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -152,18 +179,32 @@ def open_source(path_or_points, mode: str = "memory") -> DatasetSource:
         if mode != "memory":
             raise ValueError("streaming mode requires a file path")
         pts = path_or_points
-        return DatasetSource(points=pts, path=None, fmt=None,
-                             n=pts.n, d=pts.d, mode="memory")
+        return DatasetSource(points=pts, path=None, n=pts.n, d=pts.d, mode="memory")
     path = str(path_or_points)
     fmt = _sniff_format(path)
+    if fmt == "csv" and mode == "streaming":
+        return _open_streamed_csv(path)
     kept = []
-    for start, chunk in _read_chunks(path, fmt):
+    for start, chunk in _csv_rows(path) if fmt == "csv" else _binary_rows(path):
         if mode == "memory":
             kept.append(chunk)
     # the reader checked every chunk; the stacked rows are the one copy kept
     points = PointSet._adopt(np.vstack(kept)) if kept else None
-    return DatasetSource(points=points, path=path, fmt=fmt,
-                         n=start + len(chunk), d=chunk.shape[1], mode=mode)
+    return DatasetSource(points=points, path=path, n=start + len(chunk),
+                         d=chunk.shape[1], mode=mode)
+
+
+def _open_streamed_csv(path: str) -> DatasetSource:
+    digest = hashlib.sha256()
+    spill = tempfile.TemporaryFile()
+    try:
+        for start, chunk in _csv_rows(path, digest):
+            spill.write(chunk.astype("<f8", copy=False))
+    except BaseException:
+        spill.close()
+        raise
+    return DatasetSource(points=None, path=path, n=start + len(chunk), d=chunk.shape[1],
+                         mode="streaming", spill=spill, digest=digest.digest())
 
 
 def as_source(source_or_points) -> DatasetSource:
@@ -188,36 +229,50 @@ def _sniff_format(path: str) -> str:
     return "csv"
 
 
-def _read_chunks(path: str, fmt: str, shape: tuple[int, int] | None = None,
-                 ) -> Iterator[tuple[int, np.ndarray]]:
-    """The one reader of a file: (start, chunk) blocks of CHUNK_ROWS rows in
-    index order, each checked as it is read. Given the (n, d) learned at
-    open, it also checks that the file still holds n rows of d entries, and
-    raises before any row past the n-th reaches the caller."""
-    rows = _csv_rows if fmt == "csv" else _binary_rows
+class _HashingReader(io.RawIOBase):
+    """A raw binary file that folds every byte read through it into `digest`."""
+
+    def __init__(self, raw, digest):
+        self._raw, self._digest = raw, digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        count = self._raw.readinto(buf)
+        self._digest.update(memoryview(buf)[:count])
+        return count
+
+    def close(self) -> None:
+        self._raw.close()
+        super().close()
+
+
+def _sha256(path: str) -> bytes:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(_HASH_BLOCK), b""):
+            digest.update(block)
+    return digest.digest()
+
+
+def _csv_rows(path: str, digest=None) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, chunk) blocks of CHUNK_ROWS rows, each checked as it is read.
+    Every byte read also goes into `digest` when one is given."""
+    raw = open(path, "rb", buffering=0)
+    if digest is not None:
+        raw = _HashingReader(raw, digest)
+    d = None
     start = 0
-    for chunk in rows(path, shape):
-        if shape is not None and start + len(chunk) > shape[0]:
-            raise DatasetFormatError(
-                f"{path}: more than the {shape[0]} rows it held when opened")
-        yield start, chunk
-        start += len(chunk)
-    if start == 0 or (shape is not None and start != shape[0]):
-        raise DatasetFormatError(f"{path}: {start} data rows" + (
-            "" if shape is None else f", but {shape[0]} when opened"))
-
-
-def _csv_rows(path: str, shape: tuple[int, int] | None) -> Iterator[np.ndarray]:
-    d = None if shape is None else shape[1]
     buf: list[list[float]] = []
     lines: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
             try:
-                values = [float(tok) for tok in text.split(",")]
+                values = list(map(float, text.split(",")))
             except ValueError as exc:
                 raise DatasetFormatError(f"{path}: line {lineno}: {exc}") from None
             if d is None:
@@ -228,13 +283,19 @@ def _csv_rows(path: str, shape: tuple[int, int] | None) -> Iterator[np.ndarray]:
             buf.append(values)
             lines.append(lineno)
             if len(buf) == CHUNK_ROWS:
-                yield _finite(np.array(buf, dtype=np.float64), path, "line", lines)
+                yield start, _finite(np.array(buf, dtype=np.float64), path, "line", lines)
+                start += len(buf)
                 buf, lines = [], []
     if buf:
-        yield _finite(np.array(buf, dtype=np.float64), path, "line", lines)
+        yield start, _finite(np.array(buf, dtype=np.float64), path, "line", lines)
+    elif start == 0:
+        raise DatasetFormatError(f"{path}: 0 data rows")
 
 
-def _binary_rows(path: str, shape: tuple[int, int] | None) -> Iterator[np.ndarray]:
+def _binary_rows(path: str, shape: tuple[int, int] | None = None,
+                 ) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, chunk) blocks of CHUNK_ROWS rows, each checked as it is read.
+    Given the (n, d) learned at open, the header must still say n x d."""
     with open(path, "rb") as fh:
         header = fh.read(len(BINARY_MAGIC) + 16)
         if len(header) < len(BINARY_MAGIC) + 16:
@@ -251,14 +312,20 @@ def _binary_rows(path: str, shape: tuple[int, int] | None) -> Iterator[np.ndarra
         if found != n * d * 8:
             raise DatasetFormatError(
                 f"{path}: expected {n * d * 8} payload bytes, found {found}")
-        for start in range(0, n, CHUNK_ROWS):
-            count = min(CHUNK_ROWS, n - start)
-            raw = fh.read(count * d * 8)
-            if len(raw) != count * d * 8:
-                raise DatasetFormatError(
-                    f"{path}: payload ends inside rows {start}..{start + count - 1}")
-            chunk = np.frombuffer(raw, dtype="<f8").reshape(count, d)
-            yield _finite(chunk, path, "row", range(start, start + count))
+        for start, chunk in _payload_chunks(fh, n, d, path):
+            yield start, _finite(chunk, path, "row", range(start, start + len(chunk)))
+
+
+def _payload_chunks(fh, n: int, d: int, name: str) -> Iterator[tuple[int, np.ndarray]]:
+    """n rows of d little-endian float64s from fh's position, CHUNK_ROWS at
+    a time."""
+    for start in range(0, n, CHUNK_ROWS):
+        count = min(CHUNK_ROWS, n - start)
+        raw = fh.read(count * d * 8)
+        if len(raw) != count * d * 8:
+            raise DatasetFormatError(
+                f"{name}: payload ends inside rows {start}..{start + count - 1}")
+        yield start, np.frombuffer(raw, dtype="<f8").reshape(count, d)
 
 
 def _finite(chunk: np.ndarray, path: str, unit: str, labels) -> np.ndarray:

@@ -150,6 +150,58 @@ def test_changed_file_fails_next_pass(tmp_path, fmt, change):
     assert not src.pass_log.entries[-1].complete
 
 
+def test_same_size_csv_edit_fails_next_pass(tmp_path):
+    # a streamed CSV pass checks the file's sha256 against the bytes parsed
+    # at open, so one digit changed in the last chunk fails the next pass
+    # before any row reaches the visitor
+    n, d = 2 * CHUNK_ROWS + 900, 5
+    path = tmp_path / "edited.csv"
+    data = np.random.default_rng(6).standard_normal((n, d))
+    write_csv(path, data)
+    src = open_source(path, "streaming")
+    src.stream_pass_chunks("before", lambda s, c: None)
+    raw = bytearray(path.read_bytes())
+    at = raw.index(b".", raw.rindex(b"\n", 0, len(raw) - 1)) + 1  # last row, first value
+    raw[at] = ord("8") if raw[at] == ord("9") else raw[at] + 1
+    path.write_bytes(bytes(raw))
+    assert open_source(path).collect("load").data[n - 1, 0] != data[n - 1, 0]
+    seen = []
+    with pytest.raises(DatasetFormatError, match="edited.csv: changed since it was opened"):
+        src.stream_pass_chunks("after", lambda s, c: seen.append(s))
+    assert seen == []
+    assert not src.pass_log.entries[-1].complete
+
+
+def test_streamed_csv_pass_memory_and_spill_lifetime(tmp_path):
+    # a pass reads the parsed rows back from the spill one chunk at a time
+    # and hashes the file in small blocks, so no payload-sized buffer is
+    # resident; dropping the source closes the spill
+    import gc
+    import warnings
+
+    n, d = 20 * CHUNK_ROWS, 20
+    data = np.random.default_rng(7).standard_normal((n, d))
+    path = tmp_path / "big.csv"
+    write_csv(path, data)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        src = open_source(path, "streaming")
+        tracemalloc.start()
+        try:
+            src.stream_pass_chunks("pass", lambda s, c: None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = src.collect("load").data
+        spill = src._spill
+        del src
+        gc.collect()
+    assert peak < 0.25 * n * d * 8
+    assert np.array_equal(rows, data)
+    assert spill.closed
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 @pytest.mark.parametrize("mode, payloads", [("streaming", 0.25), ("memory", 2.5),
                                            ("streaming-collect", 1.25)])
 def test_open_binary_peak_memory(tmp_path, mode, payloads):
