@@ -128,8 +128,7 @@ class DatasetSource:
         else:
             if _sha256(self.path) != self._digest:
                 raise DatasetFormatError(f"{self.path}: changed since it was opened")
-            self._spill.seek(0)
-            yield from _payload_chunks(self._spill, self.n, self.d, "spill of " + self.path)
+            yield from _payload_chunks(self._spill, 0, self.n, self.d, "spill of " + self.path)
 
     def stream_pass_chunks(self, label: str,
                            visitor: Callable[[int, np.ndarray], None], *,
@@ -312,15 +311,18 @@ def _binary_rows(path: str, shape: tuple[int, int] | None = None,
         if found != n * d * 8:
             raise DatasetFormatError(
                 f"{path}: expected {n * d * 8} payload bytes, found {found}")
-        for start, chunk in _payload_chunks(fh, n, d, path):
+        for start, chunk in _payload_chunks(fh, len(header), n, d, path):
             yield start, _finite(chunk, path, "row", range(start, start + len(chunk)))
 
 
-def _payload_chunks(fh, n: int, d: int, name: str) -> Iterator[tuple[int, np.ndarray]]:
-    """n rows of d little-endian float64s from fh's position, CHUNK_ROWS at
-    a time."""
+def _payload_chunks(fh, offset: int, n: int, d: int, name: str,
+                    ) -> Iterator[tuple[int, np.ndarray]]:
+    """n rows of d little-endian float64s stored from byte `offset` of fh,
+    CHUNK_ROWS at a time. Every read seeks first, so passes that share one
+    file object (a spill) may nest."""
     for start in range(0, n, CHUNK_ROWS):
         count = min(CHUNK_ROWS, n - start)
+        fh.seek(offset + start * d * 8)
         raw = fh.read(count * d * 8)
         if len(raw) != count * d * 8:
             raise DatasetFormatError(

@@ -172,6 +172,25 @@ def test_same_size_csv_edit_fails_next_pass(tmp_path):
     assert not src.pass_log.entries[-1].complete
 
 
+def test_streamed_csv_passes_may_nest(tmp_path):
+    # passes of one streamed CSV read the same spill, each at its own offsets
+    n, d = 3 * CHUNK_ROWS + 5, 4
+    data = np.random.default_rng(8).standard_normal((n, d))
+    path = tmp_path / "nest.csv"
+    write_csv(path, data)
+    src = open_source(path, "streaming")
+    inner, outer = [], []
+
+    def visit(start, chunk):
+        if start == CHUNK_ROWS:
+            inner.append(src.collect("inner").data)
+        outer.append(chunk)
+
+    src.stream_pass_chunks("outer", visit)
+    assert np.array_equal(inner[0], data)
+    assert np.array_equal(np.vstack(outer), data)
+
+
 def test_streamed_csv_pass_memory_and_spill_lifetime(tmp_path):
     # a pass reads the parsed rows back from the spill one chunk at a time
     # and hashes the file in small blocks, so no payload-sized buffer is
