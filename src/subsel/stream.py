@@ -128,7 +128,7 @@ class DatasetSource:
         else:
             if _sha256(self.path) != self._digest:
                 raise DatasetFormatError(f"{self.path}: changed since it was opened")
-            yield from _payload_chunks(self._spill, 0, self.n, self.d, "spill of " + self.path)
+            yield from _payload_chunks(self._spill, 0, self.n, self.d, f"spill of {self.path}")
 
     def stream_pass_chunks(self, label: str,
                            visitor: Callable[[int, np.ndarray], None], *,
