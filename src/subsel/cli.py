@@ -23,6 +23,8 @@ import numpy as np
 from .linalg import (
     OrthonormalBasis,
     PointSet,
+    _exact_fit,
+    _pow2_exponent,
     best_rank_k_in_span,
     err_p,
     extend_basis,
@@ -168,26 +170,35 @@ def run_experiment(spec: ExperimentSpec, input_path: str,
     summary dict. Raises PassCountError when a pass assertion fails.
 
     The input is opened and validated once; every trial reads that one
-    source with a fresh pass log. Trial warnings are printed to stderr.
+    source with a fresh pass log. Trial warnings are printed to stderr. When
+    the p = 2 optimum is an exact fit (rounding noise, at most EXACT_FIT_REL
+    of the data's squared norm), no ratio is reported: both sides of it
+    would be noise.
     """
     spec.validate()
     source = open_source(input_path, spec.mode)
     eval_points = source.collect("report:oracle", reporting=True)
     optimum = None
+    exact_fit = False
     if spec.p == 2.0:
+        opt_points = None
         if spec.beta > 0.0 and truth is not None and truth.get("inlier_ids"):
             # one gathered copy of the checked inlier rows, freed after the call
-            _, optimum = optimal_subspace(
-                PointSet._adopt(eval_points.data[list(truth["inlier_ids"])]), spec.k)
+            opt_points = PointSet._adopt(eval_points.data[list(truth["inlier_ids"])])
         elif spec.beta == 0.0:
-            _, optimum = optimal_subspace(eval_points, spec.k)
+            opt_points = eval_points
+        if opt_points is not None:
+            _, optimum = optimal_subspace(opt_points, spec.k)
+            e = _pow2_exponent(opt_points.data)
+            exact_fit = _exact_fit(opt_points.data, e, math.ldexp(optimum, -2 * e))
+            del opt_points
 
     rows = []
     for trial in range(spec.trials):
         seed = trial_seed(spec.seed, trial)
         source.pass_log = PassLog()
         rows.append(_run_trial(spec, source, trial, seed, eval_points,
-                               optimum, truth))
+                               optimum, exact_fit, truth))
     ratios = [r.ratio for r in rows if r.ratio is not None]
     summary = {
         "algorithm": spec.algorithm,
@@ -272,7 +283,7 @@ TRIALS = {
 
 
 def _run_trial(spec: ExperimentSpec, source, trial: int, seed: int,
-               eval_points: PointSet, optimum: float | None,
+               eval_points: PointSet, optimum: float | None, exact_fit: bool,
                truth: dict | None) -> ReportRow:
     start = time.perf_counter()
     basis, passes, extras = TRIALS[spec.algorithm](spec, source, seed, truth)
@@ -284,7 +295,7 @@ def _run_trial(spec: ExperimentSpec, source, trial: int, seed: int,
                 else err_p(eval_points, basis, spec.p))
     passes.assert_passes(extras.get("expected_passes", 1))
     wall = _elapsed(spec, start)
-    ratio = _ratio(err, optimum)
+    ratio = None if exact_fit else _ratio(err, optimum)
     # with an exact p=2 optimum and no trimming, no subset can beat it
     if spec.beta == 0.0 and ratio is not None and ratio < 1.0 - 1e-9:
         raise GuaranteeError(f"trial {trial}: ratio {ratio} below 1 against "

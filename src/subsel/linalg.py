@@ -5,15 +5,16 @@ errors, simplex volumes, and the best k-subspace (globally and inside a
 span) used for grading. All operations are pure functions of immutable
 inputs and safe to call from many threads.
 
-Every spectral step uses one Gram eigen-kernel, `_gram_eigh` (X^T X in
-O(n d^2), summed over blocks of rows each rescaled by one exact power of
-two, then `eigh`), never a thin SVD of an n-row matrix. The kernel forms no
-rescaled copy of X and no n-row product: a row selection and a right factor
-are applied block by block. Subspaces come from the Gram; their errors from
-a direct residual pass, never trace minus eigenvalues. The Gram squares
-condition numbers, so rank is cut at eigenvalues <= 1e-12 of the largest
-(singular values 1e-6). Results repeat bit for bit under power-of-two data
-scaling.
+Every spectral step starts from one d x d Gram, `_gram` (X^T X in O(n d^2),
+summed over blocks of rows each rescaled by one exact power of two), and
+takes `eigh` of it or of its in-span form B G B^T; no thin SVD of an n-row
+matrix is run. The block kernels (`_scaled_blocks`, `residual_distances`)
+work in one reused scratch block per call: they form no rescaled copy of X,
+no n-row product and no per-block temporary. Subspaces come from the Gram;
+their errors from a direct residual pass, never trace minus eigenvalues.
+The Gram squares condition numbers, so rank is cut at eigenvalues <= 1e-12
+of the largest (singular values 1e-6). Results repeat bit for bit under
+power-of-two data scaling.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ RANK_TOL = 1e-9
 # Rows per block of the residual and Gram passes: 1024 rows of d = 200 are
 # 1.6 MB.
 RESIDUAL_BLOCK_ROWS = 1024
+
+# A p = 2 error at or below this fraction of ||X||_F^2 is rounding noise (an
+# exact fit): residuals below 1e-12 of the data's scale.
+EXACT_FIT_REL = 1e-24
 
 SubsetIds = Sequence[int]
 
@@ -132,35 +137,83 @@ def _pow2_scale(a: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(a, -e), e
 
 
+def _scale_into(a: np.ndarray, e: int, out: np.ndarray) -> np.ndarray:
+    """out = a * 2**-e, bit for bit np.ldexp(a, -e); out may be a.
+
+    While 2**-e is a normal double one multiplication rounds exactly as
+    ldexp does, subnormal results included; other e go through ldexp.
+    """
+    if -1023 <= e <= 1022:
+        return np.multiply(a, 2.0 ** -e, out=out)
+    return np.ldexp(a, -e, out=out)
+
+
 def _scaled_blocks(x: np.ndarray, e: int, rows: np.ndarray | None = None,
                    ) -> Iterator[tuple[int, np.ndarray]]:
     """(lo, x[rows][lo:lo + RESIDUAL_BLOCK_ROWS] * 2**-e) for each block of
-    rows, every row when rows is None; only one block exists at a time."""
+    rows, every row when rows is None.
+
+    Every block is a view of one scratch buffer that the next block
+    overwrites: it is valid only until the generator resumes, so copy what
+    must outlive it. Selected rows are gathered straight into that buffer.
+    """
     n = len(x) if rows is None else len(rows)
+    # ids are checked once here, so the gathers can skip numpy's bounds
+    # check, which would buffer every block through a fresh copy
+    if rows is not None and n and not 0 <= rows.min() <= rows.max() < len(x):
+        raise IndexError(f"row id outside [0, {len(x)})")
+    buf = np.empty((min(n, RESIDUAL_BLOCK_ROWS), x.shape[1]))
     for lo in range(0, n, RESIDUAL_BLOCK_ROWS):
-        hi = lo + RESIDUAL_BLOCK_ROWS
-        yield lo, np.ldexp(x[lo:hi] if rows is None else x[rows[lo:hi]], -e)
+        hi = min(lo + RESIDUAL_BLOCK_ROWS, n)
+        block = buf[:hi - lo]
+        if rows is None:
+            _scale_into(x[lo:hi], e, block)
+        else:
+            np.take(x, rows[lo:hi], axis=0, out=block, mode="clip")
+            _scale_into(block, e, block)
+        yield lo, block
 
 
-def _gram_eigh(x: np.ndarray, rows: np.ndarray | None = None,
-               right: np.ndarray | None = None) -> tuple[int, np.ndarray, np.ndarray]:
-    """The Gram eigen-kernel: (e, lam, v) for y = (x[rows] * 2**-e) @ right,
-    with the eigenvalues of y^T y descending and their eigenvectors as
-    columns. rows defaults to every row and right to the identity.
+def _exact_fit(x: np.ndarray, e: int, err_sq: float) -> bool:
+    """Whether a squared error, in units of 4**e, is an exact fit of x: at
+    most EXACT_FIT_REL of ||x * 2**-e||_F^2."""
+    data_sq = sum(float(np.vdot(b, b)) for _, b in _scaled_blocks(x, e))
+    return err_sq <= EXACT_FIT_REL * max(data_sq, 1e-300)
 
-    One exponent e, from x, rescales every block of RESIDUAL_BLOCK_ROWS rows;
-    the Gram is summed block by block, so neither the rescaled x nor the
-    n-row product y is ever formed.
+
+def _gram(x: np.ndarray, rows: np.ndarray | None = None) -> tuple[int, np.ndarray]:
+    """The Gram kernel: (e, g) with g = y^T y for y = x[rows] * 2**-e, rows
+    defaulting to every row.
+
+    One exponent e, from x, rescales every block of RESIDUAL_BLOCK_ROWS rows,
+    and g is summed block by block in place, so the rescaled y is never
+    formed. Scaling x by 2**k moves e by k and leaves g bit for bit the same.
     """
     e = _pow2_exponent(x)
-    width = x.shape[1] if right is None else right.shape[1]
-    gram = np.zeros((width, width))
+    gram = np.zeros((x.shape[1], x.shape[1]))
+    part = np.empty_like(gram)
     for _, y in _scaled_blocks(x, e, rows):
-        if right is not None:
-            y = y @ right
-        gram += y.T @ y
-    lam, v = np.linalg.eigh(gram)
-    return e, lam[::-1], v[:, ::-1]
+        gram += np.matmul(y.T, y, out=part)
+    return e, gram
+
+
+def _eigh_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a symmetric matrix, descending, and their eigenvectors
+    as columns."""
+    lam, v = np.linalg.eigh(a)
+    return lam[::-1], v[:, ::-1]
+
+
+def _top_k_in_span(gram: np.ndarray, span: OrthonormalBasis,
+                   k: int) -> OrthonormalBasis:
+    """The top-k eigenvectors of the in-span Gram B g B^T, mapped back to R^d.
+
+    For V inside span(B), d(x, V)^2 = d(x, span)^2 + d(x B^T, W)^2, so these
+    give the best k-subspace inside the span for the rows g was summed over.
+    """
+    b = span.vectors
+    _, w = _eigh_desc(b @ gram @ b.T)
+    return OrthonormalBasis(span.d, w[:, :k].T @ b, span.source_ids)
 
 
 def _cgs2_extend(base: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -207,20 +260,29 @@ def extend_basis(basis: OrthonormalBasis, new_rows: np.ndarray,
 def residual_distances(rows: np.ndarray, basis: OrthonormalBasis) -> np.ndarray:
     """Euclidean distances of each row to span(basis), vectorized.
 
-    Rows go RESIDUAL_BLOCK_ROWS at a time, so the temporaries (projection,
-    residual, rescaled residual) are a few blocks whatever the row count.
-    Each block's residuals are rescaled by their own power of two, so extreme
-    scales cannot overflow.
+    Rows go RESIDUAL_BLOCK_ROWS at a time through one scratch block that
+    holds the projection and then the residual, so the temporaries are one
+    block whatever the row count. Each block's residuals are rescaled in
+    place by their own power of two, so extreme scales cannot overflow.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     if rows.shape[1] != basis.d:
         raise ValueError(f"point dimension {rows.shape[1]} != basis dimension {basis.d}")
-    out = np.empty(len(rows))
+    n = len(rows)
+    out = np.empty(n)
     v = basis.vectors
-    for lo in range(0, len(rows), RESIDUAL_BLOCK_ROWS):
+    buf = np.empty((min(n, RESIDUAL_BLOCK_ROWS), basis.d))
+    coef = np.empty((len(buf), basis.r))
+    for lo in range(0, n, RESIDUAL_BLOCK_ROWS):
         block = rows[lo:lo + RESIDUAL_BLOCK_ROWS]
-        resid, e = _pow2_scale(block - (block @ v.T) @ v if basis.r else block)
-        out[lo:lo + RESIDUAL_BLOCK_ROWS] = np.ldexp(np.linalg.norm(resid, axis=1), e)
+        resid, dist = buf[:len(block)], out[lo:lo + len(block)]
+        if basis.r:
+            np.matmul(np.matmul(block, v.T, out=coef[:len(block)]), v, out=resid)
+            block = np.subtract(block, resid, out=resid)
+        e = _pow2_exponent(block)
+        _scale_into(block, e, resid)
+        np.sqrt(np.einsum("ij,ij->i", resid, resid, out=dist), out=dist)
+        _scale_into(dist, -e, dist)
     return out
 
 
@@ -263,7 +325,7 @@ def optimal_subspace(points: PointSet, k: int, p: float = 2.0) -> tuple[Orthonor
         raise ValueError("exact optimum is only available for p = 2")
     if not 1 <= k <= points.d:
         raise ValueError(f"k must satisfy 1 <= k <= d, got k={k}, d={points.d}")
-    _, _, v = _gram_eigh(points.data)
+    _, v = _eigh_desc(_gram(points.data)[1])
     basis = OrthonormalBasis(points.d, v[:, :k].T, ())
     return basis, err_p(points, basis, 2.0)
 
@@ -274,12 +336,10 @@ def best_rank_k_in_span(points: PointSet, basis: OrthonormalBasis,
 
     This is the quantity subset selection is graded on: the selected span
     must contain a k-dimensional subspace whose err_2 is near the optimum.
-    For V inside the span, d(x, V)^2 = d(x, span)^2 + d(proj x, V)^2, so the
-    top-k eigenvectors of the r x r Gram of the in-span coordinates give
-    the optimum; its error is measured by a direct residual pass.
+    It is read off the one d x d Gram of the data (`_top_k_in_span`); its
+    error is measured by a direct residual pass.
     """
     if basis.r <= k:
         return basis, err_p(points, basis, 2.0)
-    _, _, w = _gram_eigh(points.data, right=basis.vectors.T)
-    sub = OrthonormalBasis(basis.d, w[:, :k].T @ basis.vectors, basis.source_ids)
+    sub = _top_k_in_span(_gram(points.data)[1], basis, k)
     return sub, err_p(points, sub, 2.0)

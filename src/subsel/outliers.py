@@ -16,21 +16,22 @@ import numpy as np
 from .linalg import (
     OrthonormalBasis,
     PointSet,
-    _gram_eigh,
+    _exact_fit,
+    _gram,
     _pow2_exponent,
-    _scaled_blocks,
+    _top_k_in_span,
     residual_distances,
 )
 from .samplers import SelectionResult, derive_params, init_pivot, mcmc_select
 from .stream import as_source, inlier_count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InlierSet:
-    """Indices of the nearest ceil((1-beta) n) points to a subspace and their
-    summed squared distances."""
+    """Indices of the nearest ceil((1-beta) n) points to a subspace, as an
+    increasing read-only int64 array, and their summed squared distances."""
 
-    ids: tuple[int, ...]
+    ids: np.ndarray
     inlier_error: float
 
     @property
@@ -41,10 +42,11 @@ class InlierSet:
 def _trim(residuals: np.ndarray, beta: float) -> InlierSet:
     keep = inlier_count(len(residuals), beta)
     # stable sort: ties at the trim threshold break toward the smaller index
-    order = np.argsort(residuals, kind="stable")[:keep]
-    ids = np.sort(order)
-    return InlierSet(ids=tuple(int(i) for i in ids),
-                     inlier_error=float(np.sum(residuals[ids] ** 2)))
+    ids = np.argsort(residuals, kind="stable")[:keep].astype(np.int64, copy=False)
+    ids.sort()
+    ids.setflags(write=False)
+    kept = residuals[ids]
+    return InlierSet(ids=ids, inlier_error=float(np.sum(np.square(kept, out=kept))))
 
 
 def nearest_inliers(points: PointSet, basis: OrthonormalBasis, beta: float) -> InlierSet:
@@ -68,12 +70,10 @@ def check_lambda(points: PointSet, reference_basis: OrthonormalBasis, beta: floa
     e = _pow2_exponent(x)
     res = np.ldexp(residual_distances(x, reference_basis), -e)
     total = float(np.sum(res ** 2))
-    data_sq = sum(float(np.sum(block ** 2)) for _, block in _scaled_blocks(x, e))
-    # exact fit up to numerical noise (residuals below 1e-12 of data scale)
-    if total <= 1e-24 * max(data_sq, 1e-300):
+    if _exact_fit(x, e, total):
         return 1.0
     if ground_truth_inliers is not None:
-        ids = [int(i) for i in ground_truth_inliers]
+        ids = np.asarray(ground_truth_inliers, dtype=np.int64)
         inlier = float(np.sum(res[ids] ** 2))
     else:
         inlier = _trim(res, beta).inlier_error
@@ -84,12 +84,11 @@ def fit_trimmed_subspace(points: PointSet, span: OrthonormalBasis, k: int,
                          beta: float) -> OrthonormalBasis:
     """Best k-dimensional subspace inside `span` fitted on the span-trimmed
     points: trim to the nearest (1-beta)n rows, then take the top-k
-    eigenvectors of the Gram of their in-span coordinates."""
+    eigenvectors of the in-span form of their d x d Gram."""
     if span.r <= k:
         return span
     keep = _trim(residual_distances(points.data, span), beta).ids
-    _, _, w = _gram_eigh(points.data, rows=np.asarray(keep), right=span.vectors.T)
-    return OrthonormalBasis(span.d, w[:, :k].T @ span.vectors, span.source_ids)
+    return _top_k_in_span(_gram(points.data, rows=keep)[1], span, k)
 
 
 def robust_select(source_or_points, k: int, epsilon: float, beta: float,

@@ -28,7 +28,8 @@ from .linalg import (
     RANK_TOL,
     OrthonormalBasis,
     PointSet,
-    _gram_eigh,
+    _eigh_desc,
+    _gram,
     _scaled_blocks,
     check_subset_ids,
     extend_basis,
@@ -423,7 +424,8 @@ def volume_sample_dpp(points: PointSet, k: int, seed: int = 0, *,
     n = points.n
     if not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= n")
-    e_x, lam, vecs = _gram_eigh(points.data)
+    e_x, gram = _gram(points.data)
+    lam, vecs = _eigh_desc(gram)
     r = int(np.count_nonzero(lam > lam[0] * 1e-12))
     if r < k:
         raise RankDeficientError("rank-deficient dataset: every k-subset has zero volume")
@@ -448,7 +450,7 @@ def volume_sample_dpp(points: PointSet, k: int, seed: int = 0, *,
     right = vecs[:, chosen] / np.sqrt(lam[chosen])
     v = np.empty((n, k))
     for lo, block in _scaled_blocks(points.data, e_x):
-        v[lo:lo + len(block)] = block @ right
+        np.matmul(block, right, out=v[lo:lo + len(block)])
     v, _ = np.linalg.qr(v)
 
     ids: list[int] = []

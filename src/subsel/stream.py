@@ -355,7 +355,8 @@ def write_binary(path: str, data: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(BINARY_MAGIC)
         fh.write(struct.pack("<QQ", n, d))
-        fh.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
+        # the buffer itself, not a bytes copy of it
+        fh.write(memoryview(np.ascontiguousarray(data, dtype="<f8")))
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,21 @@ def test_run_svd_oracle_ratio_one(tmp_path):
     assert all(r.passes == 1 for r in rows)
 
 
+@pytest.mark.parametrize("alg", ["mcmc", "fkv"])
+def test_run_exact_fit_reports_no_ratio(tmp_path, alg):
+    # rank-3 rows fitted with k = 3: the optimum and the selection's error
+    # are both rounding noise, so their ratio means nothing and is not
+    # checked against 1
+    path = gen_dataset(tmp_path, n=1500, d=30, rank=3, noise=0.0, seed=0)
+    out = tmp_path / "report.csv"
+    assert main(["run", "--input", str(path), "--alg", alg, "--k", "3",
+                 "--m", "32", "--out", str(out)]) == 0
+    (row,) = parse_report(out.read_text())
+    assert row.ratio is None and row.optimum is not None
+    data = open_source(path).collect("check").data
+    assert row.optimum <= 1e-24 * float(np.sum(data * data))
+
+
 def test_run_mcmc_passes_and_summary(tmp_path, capsys):
     path = gen_dataset(tmp_path)
     out = tmp_path / "report.csv"

@@ -17,7 +17,11 @@ from hypothesis import strategies as st
 
 from subsel import SamplingConfig, robust_select, select_subset
 from subsel.linalg import (
+    RESIDUAL_BLOCK_ROWS,
     PointSet,
+    _pow2_exponent,
+    _scale_into,
+    _scaled_blocks,
     best_rank_k_in_span,
     optimal_subspace,
     orthonormal_basis,
@@ -155,3 +159,52 @@ def test_no_tall_svd(monkeypatch):
     assert result.size > 2 and robust.size > 2 and basis.r == sub.r == 2
     with pytest.raises(AssertionError, match="tall SVD"):
         np.linalg.svd(x)
+
+
+TINY = np.finfo(np.float64).tiny  # the smallest normal double
+
+
+@pytest.mark.parametrize("e", [-1074, -1023, -1022, 1021, 1022, 1023, 1024])
+def test_scale_into_matches_ldexp_bitwise(e):
+    # mantissas of every sign across the whole exponent range, subnormal
+    # inputs included, so outputs land normal, subnormal, zero and infinite
+    rng = np.random.default_rng(e & 0xFFFF)
+    m = rng.uniform(0.5, 1.0, 4096) * rng.choice([-1.0, 1.0], 4096)
+    a = np.ldexp(m, rng.integers(-1073, 1025, 4096))
+    a[:8] = [0.0, -0.0, 5e-324, -5e-324, TINY, np.finfo(np.float64).max, 1.0, 0.75]
+    in_place = a.copy()
+    with np.errstate(over="ignore", under="ignore"):
+        want = np.ldexp(a, -e)
+        got = _scale_into(a, e, np.empty_like(a))
+        _scale_into(in_place, e, in_place)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(in_place.view(np.int64), want.view(np.int64))
+    # scaling down rounds into the subnormal range; scaling up overflows
+    if e > 0:
+        assert ((want != 0) & (np.abs(want) < TINY)).any()
+    else:
+        assert np.isinf(want).any()
+
+
+@pytest.mark.parametrize("n", [RESIDUAL_BLOCK_ROWS - 1, RESIDUAL_BLOCK_ROWS,
+                               RESIDUAL_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("shift", [0, 1023])
+def test_scaled_blocks_rows_match_ldexp_gather(n, shift):
+    # a row selection is gathered into the reused block, rescaled there, and
+    # equals ldexp of the gathered rows bit for bit; shift 1023 takes the
+    # ldexp branch of the rescale
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n + 7, 5)) * 2.0 ** 40
+    rows = rng.integers(0, len(x), n)
+    e = _pow2_exponent(x) + shift
+    want = np.ldexp(x[rows], -e)
+    seen = []
+    for lo, block in _scaled_blocks(x, e, rows):
+        assert block.shape[0] == min(RESIDUAL_BLOCK_ROWS, n - lo)
+        assert np.array_equal(block.view(np.int64),
+                              want[lo:lo + RESIDUAL_BLOCK_ROWS].view(np.int64))
+        seen.append(lo)
+    assert seen == list(range(0, n, RESIDUAL_BLOCK_ROWS))
+    for bad in (-1, len(x)):
+        with pytest.raises(IndexError):
+            next(_scaled_blocks(x, e, np.append(rows, bad)))

@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from subsel.linalg import OrthonormalBasis, PointSet, orthonormal_basis
 from subsel.outliers import (
+    _trim,
     check_lambda,
     fit_trimmed_subspace,
     nearest_inliers,
@@ -34,21 +36,38 @@ def points_with_residuals(residuals):
 def test_nearest_inliers_drops_farthest():
     pts, basis = points_with_residuals([0.0, 1.0, 2.0, 9.0])
     got = nearest_inliers(pts, basis, 0.25)
-    assert got.ids == (0, 1, 2)
+    assert got.ids.tolist() == [0, 1, 2]
     assert got.inlier_error == pytest.approx(5.0)
+
+
+def test_trim_holds_an_int64_array():
+    # the kept ids are one read-only int64 array: the peak is the sort's
+    # index array plus the kept residuals, about 16 B per row, where a tuple
+    # of Python ints took about 61
+    n = 100_000
+    residuals = np.random.default_rng(4).random(n)
+    tracemalloc.start()
+    try:
+        got = _trim(residuals, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * n
+    assert got.ids.dtype == np.int64 and not got.ids.flags.writeable
+    assert np.all(np.diff(got.ids) > 0) and got.count == inlier_count(n, 0.05)
 
 
 def test_nearest_inliers_beta_zero_keeps_all():
     pts, basis = points_with_residuals([3.0, 1.0, 2.0])
     got = nearest_inliers(pts, basis, 0.0)
-    assert got.ids == (0, 1, 2)
+    assert got.ids.tolist() == [0, 1, 2]
     assert got.inlier_error == pytest.approx(14.0)
 
 
 def test_nearest_inliers_tie_break_by_index():
     pts, basis = points_with_residuals([1.0, 1.0, 2.0, 2.0])
     got = nearest_inliers(pts, basis, 0.5)
-    assert got.ids == (0, 1)
+    assert got.ids.tolist() == [0, 1]
 
 
 def test_nearest_inliers_count_invariant():

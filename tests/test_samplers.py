@@ -1057,7 +1057,7 @@ def test_selection_mode_identity_property(tmp_path_factory, n, fmt, zero_rows,
         robust, inliers = robust_select(open_source(path, mode), 2, 0.5, 0.05, 1.0,
                                         seed, **knobs)
         runs.append([(r.selected_ids, r.basis.source_ids, r.basis.vectors.tobytes())
-                     for r in (plain, robust)] + [inliers.ids])
+                     for r in (plain, robust)] + [inliers.ids.tolist()])
     assert runs[0] == runs[1]
 
 

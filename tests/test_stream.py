@@ -84,6 +84,26 @@ def test_binary_byte_layout(tmp_path):
     assert raw[22:] == struct.pack("<6d", 1.0, -2.5, 0.0, 3.25, 1e-300, 7.0)
 
 
+def test_write_binary_writes_the_buffer_without_a_copy(tmp_path):
+    # the payload goes out from the array's own buffer: no bytes copy of it,
+    # and the same bytes from Fortran-ordered, float32 or empty input
+    data = np.random.default_rng(3).standard_normal((20480, 50))
+    path = tmp_path / "big.bin"
+    tracemalloc.start()
+    try:
+        write_binary(path, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * data.nbytes
+    raw = path.read_bytes()
+    assert raw[22:] == data.astype("<f8").tobytes()
+    for other in (np.asfortranarray(data), data[::2].astype(np.float32),
+                  np.empty((0, 50))):
+        write_binary(path, other)
+        assert path.read_bytes()[22:] == np.asarray(other, "<f8").tobytes(order="C")
+
+
 def test_binary_magic_mismatch(tmp_path):
     path = tmp_path / "a.bin"
     path.write_bytes(b"SSEL9\x00" + b"\x00" * 32)
