@@ -23,11 +23,10 @@ import numpy as np
 from .linalg import (
     OrthonormalBasis,
     PointSet,
-    _exact_fit,
-    _pow2_exponent,
     best_rank_k_in_span,
     err_p,
     extend_basis,
+    is_exact_fit,
     optimal_subspace,
 )
 from .outliers import check_lambda, robust_select
@@ -189,8 +188,7 @@ def run_experiment(spec: ExperimentSpec, input_path: str,
             opt_points = eval_points
         if opt_points is not None:
             _, optimum = optimal_subspace(opt_points, spec.k)
-            e = _pow2_exponent(opt_points.data)
-            exact_fit = _exact_fit(opt_points.data, e, math.ldexp(optimum, -2 * e))
+            exact_fit = is_exact_fit(opt_points, optimum)
             del opt_points
 
     rows = []

@@ -137,17 +137,6 @@ def _pow2_scale(a: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(a, -e), e
 
 
-def _scale_into(a: np.ndarray, e: int, out: np.ndarray) -> np.ndarray:
-    """out = a * 2**-e, bit for bit np.ldexp(a, -e); out may be a.
-
-    While 2**-e is a normal double one multiplication rounds exactly as
-    ldexp does, subnormal results included; other e go through ldexp.
-    """
-    if -1023 <= e <= 1022:
-        return np.multiply(a, 2.0 ** -e, out=out)
-    return np.ldexp(a, -e, out=out)
-
-
 def _scaled_blocks(x: np.ndarray, e: int, rows: np.ndarray | None = None,
                    ) -> Iterator[tuple[int, np.ndarray]]:
     """(lo, x[rows][lo:lo + RESIDUAL_BLOCK_ROWS] * 2**-e) for each block of
@@ -167,10 +156,10 @@ def _scaled_blocks(x: np.ndarray, e: int, rows: np.ndarray | None = None,
         hi = min(lo + RESIDUAL_BLOCK_ROWS, n)
         block = buf[:hi - lo]
         if rows is None:
-            _scale_into(x[lo:hi], e, block)
+            np.ldexp(x[lo:hi], -e, out=block)
         else:
             np.take(x, rows[lo:hi], axis=0, out=block, mode="clip")
-            _scale_into(block, e, block)
+            np.ldexp(block, -e, out=block)
         yield lo, block
 
 
@@ -179,6 +168,15 @@ def _exact_fit(x: np.ndarray, e: int, err_sq: float) -> bool:
     most EXACT_FIT_REL of ||x * 2**-e||_F^2."""
     data_sq = sum(float(np.vdot(b, b)) for _, b in _scaled_blocks(x, e))
     return err_sq <= EXACT_FIT_REL * max(data_sq, 1e-300)
+
+
+def is_exact_fit(points: PointSet, err: float) -> bool:
+    """Whether a p = 2 error of the points, in data units, is an exact fit:
+    rounding noise, at most EXACT_FIT_REL of ||X||_F^2. Both sides are
+    compared in units of 4**e, so the answer repeats under power-of-two
+    scaling and ||X||_F^2 cannot overflow or underflow."""
+    e = _pow2_exponent(points.data)
+    return _exact_fit(points.data, e, math.ldexp(err, -2 * e))
 
 
 def _gram(x: np.ndarray, rows: np.ndarray | None = None) -> tuple[int, np.ndarray]:
@@ -280,9 +278,9 @@ def residual_distances(rows: np.ndarray, basis: OrthonormalBasis) -> np.ndarray:
             np.matmul(np.matmul(block, v.T, out=coef[:len(block)]), v, out=resid)
             block = np.subtract(block, resid, out=resid)
         e = _pow2_exponent(block)
-        _scale_into(block, e, resid)
+        np.ldexp(block, -e, out=resid)
         np.sqrt(np.einsum("ij,ij->i", resid, resid, out=dist), out=dist)
-        _scale_into(dist, -e, dist)
+        np.ldexp(dist, e, out=dist)
     return out
 
 

@@ -73,7 +73,7 @@ def check_lambda(points: PointSet, reference_basis: OrthonormalBasis, beta: floa
     if _exact_fit(x, e, total):
         return 1.0
     if ground_truth_inliers is not None:
-        ids = np.asarray(ground_truth_inliers, dtype=np.int64)
+        ids = [int(i) for i in ground_truth_inliers]
         inlier = float(np.sum(res[ids] ** 2))
     else:
         inlier = _trim(res, beta).inlier_error

@@ -20,7 +20,6 @@ from subsel.linalg import (
     RESIDUAL_BLOCK_ROWS,
     PointSet,
     _pow2_exponent,
-    _scale_into,
     _scaled_blocks,
     best_rank_k_in_span,
     optimal_subspace,
@@ -165,20 +164,20 @@ TINY = np.finfo(np.float64).tiny  # the smallest normal double
 
 
 @pytest.mark.parametrize("e", [-1074, -1023, -1022, 1021, 1022, 1023, 1024])
-def test_scale_into_matches_ldexp_bitwise(e):
+def test_scaled_blocks_match_ldexp_bitwise(e):
     # mantissas of every sign across the whole exponent range, subnormal
-    # inputs included, so outputs land normal, subnormal, zero and infinite
+    # inputs included, so outputs land normal, subnormal, zero and infinite,
+    # whether rows are rescaled into the block or gathered and rescaled there
     rng = np.random.default_rng(e & 0xFFFF)
     m = rng.uniform(0.5, 1.0, 4096) * rng.choice([-1.0, 1.0], 4096)
-    a = np.ldexp(m, rng.integers(-1073, 1025, 4096))
-    a[:8] = [0.0, -0.0, 5e-324, -5e-324, TINY, np.finfo(np.float64).max, 1.0, 0.75]
-    in_place = a.copy()
+    a = np.ldexp(m, rng.integers(-1073, 1025, 4096)).reshape(512, 8)
+    a[0] = [0.0, -0.0, 5e-324, -5e-324, TINY, np.finfo(np.float64).max, 1.0, 0.75]
+    rows = rng.integers(0, len(a), len(a))
     with np.errstate(over="ignore", under="ignore"):
-        want = np.ldexp(a, -e)
-        got = _scale_into(a, e, np.empty_like(a))
-        _scale_into(in_place, e, in_place)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    assert np.array_equal(in_place.view(np.int64), want.view(np.int64))
+        for sel in (None, rows):
+            want = np.ldexp(a if sel is None else a[sel], -e)
+            ((_, got),) = _scaled_blocks(a, e, sel)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
     # scaling down rounds into the subnormal range; scaling up overflows
     if e > 0:
         assert ((want != 0) & (np.abs(want) < TINY)).any()
@@ -188,15 +187,13 @@ def test_scale_into_matches_ldexp_bitwise(e):
 
 @pytest.mark.parametrize("n", [RESIDUAL_BLOCK_ROWS - 1, RESIDUAL_BLOCK_ROWS,
                                RESIDUAL_BLOCK_ROWS + 1])
-@pytest.mark.parametrize("shift", [0, 1023])
-def test_scaled_blocks_rows_match_ldexp_gather(n, shift):
+def test_scaled_blocks_rows_match_ldexp_gather(n):
     # a row selection is gathered into the reused block, rescaled there, and
-    # equals ldexp of the gathered rows bit for bit; shift 1023 takes the
-    # ldexp branch of the rescale
+    # equals ldexp of the gathered rows bit for bit, block by block
     rng = np.random.default_rng(n)
     x = rng.standard_normal((n + 7, 5)) * 2.0 ** 40
     rows = rng.integers(0, len(x), n)
-    e = _pow2_exponent(x) + shift
+    e = _pow2_exponent(x)
     want = np.ldexp(x[rows], -e)
     seen = []
     for lo, block in _scaled_blocks(x, e, rows):

@@ -162,6 +162,9 @@ def test_check_lambda_matches_two_loop_oracle():
         if i in inliers:
             num += r2
     assert ratio == pytest.approx(num / den, abs=1e-9)
+    # any iterable of ids will do
+    assert check_lambda(pts, truth.planted_basis, 0.05, set(truth.inlier_ids)) == ratio
+    assert check_lambda(pts, truth.planted_basis, 0.05, iter(truth.inlier_ids)) == ratio
 
 
 @pytest.mark.parametrize("scale", [600, -600])
