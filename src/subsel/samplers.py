@@ -52,16 +52,14 @@ ENUMERATION_GUARD = 10 ** 6
 TV_DIAG_MAX_POINTS = 4096
 
 
-# A chain round deals its proposals in blocks of about BLOCK_PROPOSALS, each
-# LANE_STEPS-step segment of a chain being one lane of the block. A block of
-# 2**18 stays in cache while it is shuffled; at a coupling rate of 0.5 per
-# step, a 64-step segment that never couples has probability 2**-64.
-LANE_STEPS = 64
+# A chain round deals its proposals in blocks of whole steps, at most
+# BLOCK_PROPOSALS each (one step when t exceeds it). A block of 2**18 stays
+# in cache while it is shuffled.
 BLOCK_PROPOSALS = 2 ** 18
 
-# Bytes per proposal of one block in mcmc_select: an int64 pool index, a
-# float64 chain uniform, its float64 ratio and the product it is compared
-# with. numpy's hypergeometric deal takes under 1e9 draws, so a derived-m
+# Bytes per proposal of one block in mcmc_select: its int64 pool index, its
+# float64 ratio and its float64 chain uniform, 24 B, rounded up for headroom.
+# numpy's hypergeometric deal takes under 1e9 draws, so a derived-m
 # selection draws at most MAX_DERIVED_DRAWS.
 SLOT_BYTES = 32
 MAX_DERIVED_DRAWS = 10 ** 9 - 1
@@ -163,9 +161,7 @@ def _ceil_at_least_1(x: float) -> int:
 def derive_params(k: int, epsilon: float, alpha: float = 1.0, *,
                   p: float = 2.0, lam: float = 1.0,
                   points_per_round: int | None = None, rounds: int | None = None,
-                  chain_steps: int | None = None,
-                  eps_err: float | None = None, eps_tv: float | None = None,
-                  ) -> DerivedParams:
+                  chain_steps: int | None = None) -> DerivedParams:
     """Parameter settings for a pivot of quality alpha:
 
         t  = ceil(8 k / eps)
@@ -179,9 +175,9 @@ def derive_params(k: int, epsilon: float, alpha: float = 1.0, *,
     when p != 2 (the k-pass adaptive pivot guarantee folded in). m takes the
     larger of the two published forms, which dominates both; it is a worst
     case over all inputs, and mcmc_select runs each round only the
-    certified_chain_steps its error ratio needs, at most m. Explicit
-    overrides replace individual outputs, and an explicit chain_steps is run
-    exactly (explicit_m); eps_err / eps_tv overrides feed the m formula.
+    certified_chain_steps its error ratio needs, at most m. The t, l and m
+    overrides replace individual outputs (e2 follows the t and l used), and
+    an explicit chain_steps is run exactly (explicit_m).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -200,10 +196,8 @@ def derive_params(k: int, epsilon: float, alpha: float = 1.0, *,
     t = points_per_round if points_per_round is not None else _ceil_at_least_1(8.0 * k / epsilon)
     l = rounds if rounds is not None else _ceil_at_least_1(
         math.log(2.0 * a * (k + 1) / epsilon) / math.log(8.0 / epsilon))
-    e1 = eps_err if eps_err is not None else epsilon / (8.0 * a * (k + 1))
-    e2 = eps_tv if eps_tv is not None else epsilon / (8.0 * t * l * a * (k + 1))
-    if not (0.0 < e1 < 1.0 and 0.0 < e2 < 1.0):
-        raise ValueError("tolerance overrides must lie in (0, 1)")
+    e1 = epsilon / (8.0 * a * (k + 1))
+    e2 = epsilon / (8.0 * t * l * a * (k + 1))
     m = chain_steps if chain_steps is not None else _ceil_at_least_1(
         1.0 + max((2.0 / e1) * math.log(1.0 / e2), (2.0 / e2) * math.log(1.0 / e1)))
     return DerivedParams(points_per_round=int(t), rounds=int(l), chain_steps=int(m),
@@ -619,60 +613,17 @@ def _deal(rng: np.random.Generator, stock: np.ndarray, count: int) -> np.ndarray
     return ids
 
 
-def _walk(x: np.ndarray, y: np.ndarray, u: np.ndarray,
-          r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Chains at pool entries x take step j to proposals y[j] with uniforms
-    u[j], one step after another; returns their states and acceptances."""
-    accepted = np.zeros(len(x), dtype=np.int64)
-    for y_j, u_j in zip(y, u):
-        acc = mh_accept(r[y_j], r[x], u_j)
-        x = np.where(acc, y_j, x)
+def _walk(x: np.ndarray, r_x: np.ndarray, accepted: np.ndarray, y: np.ndarray,
+          u: np.ndarray, r: np.ndarray) -> None:
+    """Chains at pool entries x, with ratios r_x, take step j to proposals
+    y[j] with uniforms u[j], one step after another; x, r_x and the
+    acceptance counts are updated in place."""
+    r_y = r[y]
+    for y_j, r_j, u_j in zip(y, r_y, u):
+        acc = mh_accept(r_j, r_x, u_j)
+        np.copyto(x, y_j, where=acc)
+        np.copyto(r_x, r_j, where=acc)
         accepted += acc
-    return x, accepted
-
-
-def _lane_block(x: np.ndarray, y: np.ndarray, u: np.ndarray,
-                r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Chains at pool entries x (t,) walk a (g, b, t) block: y[s, j, c] is
-    the proposal of step s*b + j of chain c and u[s, j, c] its uniform.
-    Returns the states the block leaves and the acceptances in it, equal to
-    those of walking the steps one after another.
-
-    Every (segment s, chain c) is a lane. Its first step that accepts from
-    every state (r_y > u r_max) forgets where the lane entered, so all lanes
-    run at once from there. Segment ends are then stitched chain by chain,
-    walking lanes without such a step from their entry, and a second lane
-    pass counts the acceptances before each lane's first coupling step.
-    """
-    g, b, t = y.shape
-    top = len(r)
-    rs = np.append(r, r.max())  # entry `top` stands for any state of a lane
-    ry = rs[y]
-    couple = mh_accept(ry, rs[top], u)
-    coupled = couple.any(axis=1)
-    first = np.where(coupled, couple.argmax(axis=1), b)
-    z = np.full((g, t), top)
-    accepted = np.zeros((g, t), dtype=np.int64)
-    for j in range(int(first.min()), b):
-        acc = mh_accept(ry[:, j], rs[z], u[:, j])
-        z = np.where(acc, y[:, j], z)
-        accepted += acc
-
-    entry = np.empty_like(z)
-    for s in range(g):
-        entry[s] = x
-        loose = ~coupled[s]  # accepted nothing above
-        if loose.any():
-            z[s, loose], accepted[s, loose] = _walk(x[loose], y[s][:, loose],
-                                                   u[s][:, loose], r)
-        x = z[s]
-
-    stop = np.where(coupled, first, 0)
-    for j in range(int(stop.max())):
-        acc = mh_accept(ry[:, j], rs[entry], u[:, j]) & (j < stop)
-        entry = np.where(acc, y[:, j], entry)
-        accepted += acc
-    return x, accepted.sum(axis=0)
 
 
 def _chain_round(rng: np.random.Generator, stock: np.ndarray, r: np.ndarray,
@@ -680,25 +631,19 @@ def _chain_round(rng: np.random.Generator, stock: np.ndarray, r: np.ndarray,
     """t chains of m - 1 steps over proposals dealt out of `stock`, r being
     the ratio of each pool entry; returns the endpoints and acceptances.
 
-    The deal runs in step order: the t starts, then blocks of whole
-    LANE_STEPS segments, then the steps left over. The uniforms are one
-    stream drawn in the same order.
+    The deal runs in step order: the t starts, then blocks of whole steps,
+    at most BLOCK_PROPOSALS proposals each. The uniforms are one stream
+    drawn in the same order.
     """
     urng = derive_rng(seed, "chain", rnd)
     x = _deal(rng, stock, t)
+    r_x = r[x]
     accepted = np.zeros(t, dtype=np.int64)
-    segments, tail = divmod(m - 1, LANE_STEPS)
-    per_block = max(1, BLOCK_PROPOSALS // (LANE_STEPS * t))
-    for lo in range(0, segments, per_block):
-        shape = (min(per_block, segments - lo), LANE_STEPS, t)
-        y = _deal(rng, stock, math.prod(shape)).reshape(shape)
-        u = urng.random((shape[0] * LANE_STEPS, t)).reshape(shape)
-        x, acc = _lane_block(x, y, u, r)
-        accepted += acc
-    if tail:
-        x, acc = _walk(x, _deal(rng, stock, tail * t).reshape(tail, t),
-                       urng.random((tail, t)), r)
-        accepted += acc
+    per_block = max(1, BLOCK_PROPOSALS // t)
+    for lo in range(0, m - 1, per_block):
+        g = min(per_block, m - 1 - lo)
+        _walk(x, r_x, accepted, _deal(rng, stock, g * t).reshape(g, t),
+              urng.random((g, t)), r)
     return x, accepted
 
 
@@ -723,30 +668,30 @@ def mcmc_select(source_or_points, pivot: OrthonormalBasis, params: DerivedParams
     rho_r = E_cur / E_piv, capped at m: rho_0 = 1 exactly, and a later
     round bounds it by error_ratio_bound at delta = eps_tv from the residual
     draws the mixture did not take. Those are i.i.d. draws of w_piv / E_piv,
-    independent of every chain, and (d_cur / d_piv)^p has mean rho_r. A
-    bound at most eps_err runs the cap, with a warning. SlotBudgetError is
-    raised before a round's deal when t*m_r exceeds the draws left.
-    result.round_stats records m_r, rho and its bound per round.
+    independent of every chain, and (d_cur / d_piv)^p has mean rho_r. In a
+    round that is not saturated (below), a bound at most eps_err runs the
+    cap, with a warning. SlotBudgetError is raised before a round's deal
+    when t*m_r exceeds the draws left. result.round_stats records m_r, rho
+    and its bound per round.
 
     A round deals t*m_r draws in step order: the t chain starts, then
-    blocks of g*LANE_STEPS*t proposals laid out (g, LANE_STEPS, t), row j of
-    a block being step j of every chain, then a (m_r-1) mod LANE_STEPS step
-    tail. Each block is a hypergeometric split of the stock shuffled in
-    itself, which has the law of one shuffle of the whole round, so a round
-    keeps one block in memory. The chain uniforms are one stream per round,
+    blocks of whole steps, at most BLOCK_PROPOSALS proposals each and laid
+    out (steps, t), row j of a block being one step of every chain. Each
+    block is a hypergeometric split of the stock shuffled in itself, which
+    has the law of one shuffle of the whole round, so a round keeps one
+    block in memory. The chain uniforms are one stream per round,
     derive_rng(seed, "chain", round), drawn in the same step order. The
     chains are independence Metropolis samplers on r = target / q, computed
-    once per round for the pool entries that still hold proposals. A step
-    with r_y > u r_max accepts from every state, so from there a segment's
-    path does not depend on where it entered: a block runs all its segments
-    as vector lanes (_lane_block), with the same endpoints and acceptance
-    counts as walking the steps one after another.
+    once per round for the pool entries that still hold proposals; _walk
+    steps all t chains at once, one step after another.
 
     SlotBudgetError is also raised before the pass when the captured rows
     plus one dealt block would not fit in physical memory, or an explicit m
-    makes t*l*m reach 1e9. Once every proposal left fits the span, each
-    later round selects t uniform draws that no chain was dealt. The
-    result's basis spans the selection; grading it is the caller's scan.
+    makes t*l*m reach 1e9. A round in which every pool row that still holds
+    proposals has a residual at most RANK_TOL times its norm (the rows
+    extend_basis would drop as dependent) is saturated: it and every later
+    round select t uniform draws that no chain was dealt, with a warning.
+    The result's basis spans the selection; grading it is the caller's scan.
     """
     source = as_source(source_or_points)
     n = source.n
@@ -754,7 +699,7 @@ def mcmc_select(source_or_points, pivot: OrthonormalBasis, params: DerivedParams
     certify = not params.explicit_m
 
     slots = min(t * l * m, MAX_DERIVED_DRAWS) if certify else t * l * m
-    per_deal = min(t * m, max(BLOCK_PROPOSALS, LANE_STEPS * t))
+    per_deal = min(t * m, max(BLOCK_PROPOSALS, t))
     need = per_deal * SLOT_BYTES + 2 * min(n, slots) * (source.d + 2) * 8
     have = physical_memory_bytes()
     if slots >= 10 ** 9 or need > have:
@@ -795,6 +740,7 @@ def mcmc_select(source_or_points, pivot: OrthonormalBasis, params: DerivedParams
     del bank_w, bank_u  # free their coordinates; the pool holds those it needs
     d_piv = residual_distances(pool_coords, pivot)
     d_cur = d_piv.copy()
+    fit_tol = RANK_TOL * residual_distances(pool_coords, OrthonormalBasis.empty(source.d))
     w_pool = d_piv ** p
     q_pool = (proposal_q(w_pool, err_pivot, n) if err_pivot > 0.0
               else np.full(len(pool_ids), 1.0 / n))
@@ -815,10 +761,10 @@ def mcmc_select(source_or_points, pivot: OrthonormalBasis, params: DerivedParams
                 seen = live | (held > 0)
                 d_cur[seen] = residual_distances(pool_coords[seen], basis)
                 w_pool[seen] = d_cur[seen] ** p
-            if float(w_pool[live].max(initial=0.0)) <= 0.0:
+            if np.all(d_cur[live] <= fit_tol[live]):
                 floor_fill = True
                 warnings.append(
-                    f"candidate pool exactly fit after {rnd} rounds; "
+                    f"candidate pool fit up to rounding after {rnd} rounds; "
                     "remaining blocks drawn from the uniform floor")
         if floor_fill:
             # t i.i.d. uniform rows, taken from the uniform draws no chain was dealt

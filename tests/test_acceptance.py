@@ -26,7 +26,6 @@ from subsel.samplers import (
     SamplingConfig,
     adaptive_sample,
     adaptive_sample_round,
-    derive_params,
     enumerate_volume_distribution,
     select_subset,
     tv_distance_diag,
@@ -126,10 +125,10 @@ def test_criterion_3_chain_tv():
     e_pivot = err_p(pts, orthonormal_basis(pts, [0]), 2.0)
     e_cur = err_p(pts, orthonormal_basis(pts, [0, 1]), 2.0)
     assert e_cur / e_pivot >= 0.1
-    params = derive_params(2, 0.5, eps_err=0.1, eps_tv=0.05)
-    assert params.chain_steps == 94
-    diag = tv_distance_diag(pts, [0], [0, 1], params.chain_steps,
-                            trials=100_000, seed=77)
+    # derive_params' m at e1 = 0.1, e2 = 0.05
+    m = math.ceil(1 + max(20 * math.log(1 / 0.05), 40 * math.log(10)) - 1e-9)
+    assert m == 94
+    diag = tv_distance_diag(pts, [0], [0, 1], m, trials=100_000, seed=77)
     elapsed = time.perf_counter() - start
     bound = 0.05 + 0.01
     report("criterion-3", diag.tv_distance <= bound and elapsed <= 30.0,

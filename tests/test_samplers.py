@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from subsel.linalg import (
     OrthonormalBasis,
@@ -136,9 +135,6 @@ def test_derive_params_overrides():
     assert (got.points_per_round, got.rounds, got.chain_steps) == (7, 2, 9)
     # eps_tv follows the overridden t and l
     assert got.eps_tv == pytest.approx(0.5 / (8 * 7 * 2 * 1 * 3))
-    via_tols = derive_params(2, 0.5, 1.0, eps_err=0.1, eps_tv=0.05)
-    expected = math.ceil(1 + max(20 * math.log(1 / 0.05), 40 * math.log(10)) - 1e-9)
-    assert via_tols.chain_steps == expected == 94
 
 
 def test_derive_params_validation():
@@ -548,8 +544,9 @@ uniforms = st.floats(0.0, 1.0, exclude_max=True)
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(r_y=ratios, r_x=ratios, r_max=ratios, u=uniforms)
 def test_mh_accept_from_the_top_ratio_accepts_from_every_state(r_y, r_x, r_max, u):
-    # the coupling test of the chain rounds: accepting from the largest
-    # ratio means accepting from any state of smaller ratio
+    # acceptance is monotone in the current ratio: accepting from the
+    # largest ratio means accepting from any state of smaller ratio, so
+    # chains that take such a step meet there
     r_x, r_max = sorted((r_x, r_max))
     if mh_accept(r_y, r_max, u):
         assert mh_accept(r_y, r_x, u)
@@ -683,67 +680,25 @@ def _sequential_chains(x, steps, u, r):
     return x, accepted
 
 
-@st.composite
-def lane_blocks(draw):
-    """(x, y, u, r) for _lane_block: zero-mass and subnormal ratios, repeated
-    pool indices (few entries, many proposals), and pools whose largest
-    ratio dwarfs the rest, so that lanes often never couple."""
-    pool = draw(st.integers(1, 6))
-    r = np.array(draw(st.lists(ratios, min_size=pool, max_size=pool)))
-    if draw(st.booleans()):
-        r[0] = 1e300 * draw(st.floats(0.5, 1.0))
-    g, b, t = draw(st.integers(1, 4)), draw(st.integers(1, 9)), draw(st.integers(1, 4))
-    y = draw(hnp.arrays(np.int64, (g, b, t), elements=st.integers(0, pool - 1)))
-    u = draw(hnp.arrays(np.float64, (g, b, t), elements=uniforms))
-    x = draw(hnp.arrays(np.int64, t, elements=st.integers(0, pool - 1)))
-    return x, y, u, r
-
-
-def test_lane_block_matches_sequential_reference(monkeypatch):
-    fallbacks = []
-    real_walk = samplers._walk
-
-    def walk(*args):
-        fallbacks.append(len(args[0]))
-        return real_walk(*args)
-
-    monkeypatch.setattr(samplers, "_walk", walk)
-
-    @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(block=lane_blocks())
-    def check(block):
-        x, y, u, r = block
-        g, b, t = y.shape
-        got_x, got_acc = samplers._lane_block(x, y, u, r)
-        want_x, want_acc = _sequential_chains(x, y.reshape(g * b, t),
-                                              u.reshape(g * b, t), r)
-        assert got_x.tolist() == want_x
-        assert got_acc.tolist() == want_acc
-
-    check()
-    # lanes without a coupling step were walked from their entry states
-    assert len(fallbacks) > 30
-
-
-@pytest.mark.parametrize("m, segments_per_block", [
-    (129, None),    # m - 1 = 2 * LANE_STEPS, one block
-    (203, 1),       # three one-segment blocks and a 10-step tail
-    (40, None),     # m - 1 < LANE_STEPS: the tail alone
+@pytest.mark.parametrize("m, steps_per_block", [
+    (40, 50),    # m - 1 below one block
+    (129, 32),   # m - 1 = four whole blocks
+    (203, 64),   # three blocks and a 10-step last one
 ])
-def test_mcmc_select_chains_replay_sequentially(monkeypatch, m, segments_per_block):
+def test_mcmc_select_chains_replay_sequentially(monkeypatch, m, steps_per_block):
     # every round's endpoints and acceptances equal a one-step-at-a-time
     # replay of its dealt proposals with derive_rng(seed, "chain", round)
     # drawn in one call: PCG64 doubles do not depend on how draws are split
     t, l, seed = 3, 2, 95
-    if segments_per_block is not None:
-        monkeypatch.setattr(samplers, "BLOCK_PROPOSALS",
-                            segments_per_block * samplers.LANE_STEPS * t)
+    monkeypatch.setattr(samplers, "BLOCK_PROPOSALS", steps_per_block * t)
     deals, rounds = _record_deals(monkeypatch), []
     real_round = samplers._chain_round
 
     def chain_round(rng, stock, r, t, m, seed, rnd):
         deals.clear()
         x, accepted = real_round(rng, stock, r, t, m, seed, rnd)
+        assert [len(ids) for ids in deals] == [t] + [
+            min(steps_per_block, m - 1 - lo) * t for lo in range(0, m - 1, steps_per_block)]
         rounds.append((np.concatenate(deals).reshape(m, t), r.copy(), x))
         return x, accepted
 
@@ -1271,10 +1226,8 @@ def test_select_subset_p3_derived_params(tmp_path):
     assert runs[0] == runs[1]
 
 
-def test_saturated_round_raises_before_dealing(monkeypatch):
-    # in d = 5 the pivot and round 0 span everything: round 1's residuals are
-    # rounding noise, its error ratio bound is 0, and the capped chains
-    # (t*m = 1.7e10 proposals) cannot fit in the 1e9 - 1 draws of the banks
+def _record_chain_rounds(monkeypatch):
+    """Wrap samplers._chain_round; returns the list of rounds it ran."""
     dealt = []
     real_round = samplers._chain_round
 
@@ -1283,11 +1236,44 @@ def test_saturated_round_raises_before_dealing(monkeypatch):
         return real_round(rng, stock, r, t, m, seed, rnd)
 
     monkeypatch.setattr(samplers, "_chain_round", chain_round)
+    return dealt
+
+
+def test_saturated_round_fills_from_floor(monkeypatch):
+    # in d = 5 the pivot and round 0 span everything: round 1's residuals are
+    # rounding noise, so it draws from the uniform floor instead of running
+    # capped chains (t*m = 1.7e10 proposals, over the 1e9 - 1 drawn)
+    dealt = _record_chain_rounds(monkeypatch)
     pts, _ = _planted(n=300, d=5, rank=5, noise=0.1, seed=3)
     cfg = SamplingConfig(k=4, epsilon=0.5, p=3.0, seed=2, init_mode="adaptive-k-pass")
-    with pytest.raises(SlotBudgetError, match=r"round 1: error ratio bound 0 certifies "
-                                              r"\d+ chain steps, .* of the 999999999 drawn"):
-        select_subset(pts, cfg)
+    result = select_subset(pts, cfg)
+    assert dealt == [0]
+    assert result.round_stats[1] == RoundStats(0)
+    assert result.warnings == ("candidate pool fit up to rounding after 1 rounds; "
+                               "remaining blocks drawn from the uniform floor",)
+
+
+def test_saturated_derived_round_runs_no_chain_steps():
+    # 85 rows of round 0 span R^60: round 1 runs no chain steps, where the
+    # capped chains would run 140218
+    pts = instance(2000, 60, seed=47)
+    result = select_subset(pts, SamplingConfig(k=5, epsilon=0.5, seed=48))
+    assert result.params.chain_steps == 140_218 and result.params.rounds == 2
+    assert result.round_stats[0] == RoundStats(21, 1.0, 1.0)
+    assert result.round_stats[1] == RoundStats(0)
+    assert all(s.steps_taken == 0 for s in result.final_states[80:])
+    assert any("uniform floor" in w for w in result.warnings)
+
+
+def test_round_over_draws_left_raises_before_dealing(monkeypatch):
+    # with 3280 draws, round 0's 80 * 21 leave 1600, fewer than round 1's
+    # t*m_r >= 80 * 21 on this unsaturated instance
+    monkeypatch.setattr(samplers, "MAX_DERIVED_DRAWS", 3280)
+    dealt = _record_chain_rounds(monkeypatch)
+    pts, _ = _planted(n=2000, d=200, rank=5, noise=1.0, seed=41)
+    with pytest.raises(SlotBudgetError, match=r"round 1: error ratio bound \S+ certifies "
+                                              r"\d+ chain steps, .*; 1600 of the 3280 drawn"):
+        select_subset(pts, SamplingConfig(k=5, epsilon=0.5, seed=42))
     assert dealt == [0]
 
 
