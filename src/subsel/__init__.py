@@ -14,7 +14,6 @@ from .linalg import (
     optimal_subspace,
     orthonormal_basis,
     residual_distances,
-    simplex_volume_sq,
 )
 from .outliers import InlierSet, check_lambda, nearest_inliers, robust_select
 from .samplers import (
@@ -85,7 +84,6 @@ __all__ = [
     "residual_distances",
     "robust_select",
     "select_subset",
-    "simplex_volume_sq",
     "tv_distance_diag",
     "volume_sample_dpp",
     "volume_sample_exact",

@@ -1,9 +1,10 @@
 """Dense linear-algebra kernels.
 
 Point sets, orthonormal spans of point subsets, residual distances, lp
-errors, simplex volumes, and the best k-subspace (globally and inside a
-span) used for grading. All operations are pure functions of immutable
-inputs and safe to call from many threads.
+errors, subset Gram determinants (the volume samplers' weights), and the
+best k-subspace (globally and inside a span) used for grading. All
+operations are pure functions of immutable inputs and safe to call from
+many threads.
 
 Every spectral step starts from one d x d Gram, `_gram` (X^T X in O(n d^2),
 summed over blocks of rows each rescaled by one exact power of two), and
@@ -292,28 +293,13 @@ def err_p(points: PointSet, basis: OrthonormalBasis, p: float) -> float:
     return float(np.sum(res ** p))
 
 
-def simplex_volume_sq(points: PointSet, subset: SubsetIds) -> float:
-    """Squared volume of the simplex spanned by the subset and the origin.
-
-    det(G) / (k!)^2 with G the k x k Gram matrix; 0 for dependent subsets.
-    """
-    ids = check_subset_ids(subset, points.n)
-    if not ids:
-        raise ValueError("subset must be nonempty")
-    rows = points.data[ids]
-    gram = rows @ rows.T
-    det = float(np.linalg.det(gram))
-    if det < 0:
-        det = 0.0
-    return det / float(math.factorial(len(ids))) ** 2
-
-
-def gram_dets(points: PointSet, subsets: np.ndarray) -> np.ndarray:
-    """det of the Gram matrix for a batch of equal-size subsets (b, k)."""
-    rows = points.data[subsets]
-    grams = rows @ np.swapaxes(rows, 1, 2)
-    dets = np.linalg.det(grams)
-    return np.maximum(dets, 0.0)
+def gram_dets(points: PointSet, subsets: np.ndarray, e: int) -> np.ndarray:
+    """Gram dets of a batch of equal-size subsets (b, k), their rows scaled
+    by 2**-e: the dets times 4**(-k e), 0 for dependent subsets. At the
+    data's exponent (`_pow2_exponent`) no scale overflows; e = 0 gives the
+    dets themselves."""
+    rows = np.ldexp(points.data[np.asarray(subsets)], -e)
+    return np.maximum(np.linalg.det(rows @ np.swapaxes(rows, 1, 2)), 0.0)
 
 
 def optimal_subspace(points: PointSet, k: int, p: float = 2.0) -> tuple[OrthonormalBasis, float]:

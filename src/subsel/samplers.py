@@ -28,15 +28,16 @@ from .linalg import (
     RANK_TOL,
     OrthonormalBasis,
     PointSet,
+    _cgs2_extend,
     _eigh_desc,
     _gram,
+    _pow2_exponent,
     _scaled_blocks,
     check_subset_ids,
     extend_basis,
     gram_dets,
     orthonormal_basis,
     residual_distances,
-    simplex_volume_sq,
 )
 from .rng import derive_rng
 from .stream import (
@@ -381,8 +382,9 @@ def enumerate_volume_distribution(points: PointSet, k: int, p: float = 2.0,
     dets = np.empty(count)
     batch = 8192
     arr = np.array(subsets, dtype=np.int64)
+    e = _pow2_exponent(points.data)
     for lo in range(0, count, batch):
-        dets[lo:lo + batch] = gram_dets(points, arr[lo:lo + batch])
+        dets[lo:lo + batch] = gram_dets(points, arr[lo:lo + batch], e)
     weights = dets ** (p / 2.0)
     total = float(weights.sum())
     if total <= 0.0:
@@ -409,10 +411,13 @@ def volume_sample_dpp(points: PointSet, k: int, seed: int = 0, *,
     P(S) ~ det(Gram_S) is a fixed-size DPP with kernel X X^T, sampled in
     dual form (Kulesza & Taskar 2012, 3.3): eigenpairs of the power-of-two-
     rescaled Gram X^T X, an eigenvector subset S by the elementary-symmetric
-    recursion, then the projection chain on X V_S Lambda_S^(-1/2) made
-    orthonormal by QR. Eigenvalues <= 1e-12 of the largest (singular values
-    1e-6) are zero: the Gram resolves about d * 2**-52. Seeded ids are the
-    same for data scaled by a power of two.
+    recursion, then the projection chain on the rows v_i of the one n x k
+    array v = X V_S Lambda_S^(-1/2), made orthonormal in place. The chain
+    runs in R^k: a row's mass is its squared norm off the span of the picks,
+    which _cgs2_extend grows, so a pick q takes (v_i . q)^2 off each mass.
+    Eigenvalues <= 1e-12 of the largest (singular values 1e-6) are zero:
+    the Gram resolves about d * 2**-52. Seeded ids are the same for data
+    scaled by a power of two.
     """
     rng = rng if rng is not None else derive_rng(seed, "volume-dpp")
     n = points.n
@@ -422,7 +427,8 @@ def volume_sample_dpp(points: PointSet, k: int, seed: int = 0, *,
     lam, vecs = _eigh_desc(gram)
     r = int(np.count_nonzero(lam > lam[0] * 1e-12))
     if r < k:
-        raise RankDeficientError("rank-deficient dataset: every k-subset has zero volume")
+        raise RankDeficientError(f"rank-deficient dataset: numerical rank {r} < k = {k} "
+                                 "(Gram eigenvalues <= 1e-12 of the largest are zero)")
     lam = lam[:r] / lam[0]
 
     # e[j, i] = elementary symmetric polynomial of degree j over lam[:i]
@@ -445,32 +451,37 @@ def volume_sample_dpp(points: PointSet, k: int, seed: int = 0, *,
     v = np.empty((n, k))
     for lo, block in _scaled_blocks(points.data, e_x):
         np.matmul(block, right, out=v[lo:lo + len(block)])
-    v, _ = np.linalg.qr(v)
+    # whitened in place: v U, U = L^-T upper triangular for L L^T = v^T v;
+    # column j of v U needs only columns <= j, so columns go right to left
+    white = np.linalg.inv(np.linalg.cholesky(v.T @ v)).T
+    probs = np.empty(n)
+    for j in range(k - 1, -1, -1):
+        v[:, j] = np.matmul(v[:, :j + 1], white[:j + 1, j], out=probs)
 
+    mass = np.einsum("ij,ij->i", v, v)
+    span = np.empty((0, k))
     ids: list[int] = []
-    for rem in range(k, 0, -1):
-        row_sq = np.maximum(np.einsum("ij,ij->i", v, v), 0.0)
-        probs = row_sq / row_sq.sum()
-        i = int(rng.choice(n, p=probs))
+    while True:
+        np.maximum(mass, 0.0, out=mass)
+        i = int(rng.choice(n, p=np.divide(mass, mass.sum(), out=probs)))
         ids.append(i)
-        if rem == 1:
-            break
-        c = int(np.argmax(np.abs(v[i])))
-        v = v - np.outer(v[:, c] / v[i, c], v[i])
-        v = np.delete(v, c, axis=1)
-        v, _ = np.linalg.qr(v)
-    return ids
+        if len(ids) == k:
+            return ids
+        span = _cgs2_extend(span, v[i:i + 1])
+        mass -= np.square(np.matmul(v, span[-1], out=probs), out=probs)
 
 
 def greedy_max_volume_init(points: PointSet, k: int) -> list[int]:
     """Deterministic farthest-residual picks; guarantees nonzero volume when
-    the data has rank >= k. Ties break toward the smaller index."""
+    the data has rank >= k. Ties break toward the smaller index. A residual
+    at most RANK_TOL times the largest row norm counts as dependent."""
     ids: list[int] = []
     basis = OrthonormalBasis.empty(points.d)
-    scale = float(np.max(np.linalg.norm(points.data, axis=1)))
     for _ in range(k):
         res = residual_distances(points.data, basis)
         i = int(np.argmax(res))
+        if not ids:  # residuals off the empty span: the scale-safe row norms
+            scale = float(res[i])
         if res[i] <= RANK_TOL * scale:
             raise RankDeficientError(
                 "rank-deficient dataset: cannot find a full-rank initial subset, data rank < k")
@@ -485,10 +496,12 @@ def volume_sample_mcmc(points: PointSet, k: int, walk_steps: int, seed: int = 0,
     """Lazy Metropolis walk over k-subsets targeting squared volumes.
 
     Each step proposes swapping a uniform member for a uniform outsider and
-    moves with probability (1/2) min(1, vol_new^2 / vol_old^2); the walk
-    distribution converges to exact volume sampling (p = 2) as steps grow.
-    The current subset is kept sorted so step randomness matches the
-    table-driven diagnostic walk exactly.
+    moves iff its uniform u < 1/2 and mh_accept(vol_new^2, vol_old^2, 2u);
+    the walk distribution converges to exact volume sampling (p = 2) as
+    steps grow (Anari, Oveis Gharan & Rezaei 2016). Squared volumes are
+    gram_dets at the data's power of two, read once per walk, so ids repeat
+    under power-of-two scaling. The current subset is kept sorted so step
+    randomness matches the table-driven diagnostic walk exactly.
     """
     rng = rng if rng is not None else derive_rng(seed, "volume-walk")
     n = points.n
@@ -500,7 +513,8 @@ def volume_sample_mcmc(points: PointSet, k: int, walk_steps: int, seed: int = 0,
         cur = sorted(check_subset_ids(initial, n))
     else:
         cur = sorted(greedy_max_volume_init(points, k))
-    vol_cur = simplex_volume_sq(points, cur)
+    e = _pow2_exponent(points.data)
+    vol_cur = gram_dets(points, [cur], e)[0]
     if vol_cur <= 0.0:
         raise ValueError("cannot start the walk from a zero-volume subset")
     for _ in range(walk_steps):
@@ -510,11 +524,9 @@ def volume_sample_mcmc(points: PointSet, k: int, walk_steps: int, seed: int = 0,
         for c in cur:  # the j-th outsider: skip every member at or below it
             j += c <= j
         cand = sorted([c for pos, c in enumerate(cur) if pos != i_pos] + [j])
-        vol_new = simplex_volume_sq(points, cand)
-        ratio = vol_new / vol_cur
-        if u < 0.5 * min(1.0, ratio):
-            cur = cand
-            vol_cur = vol_new
+        vol_new = gram_dets(points, [cand], e)[0]
+        if u < 0.5 and mh_accept(vol_new, vol_cur, 2.0 * u):
+            cur, vol_cur = cand, vol_new
     return list(cur)
 
 
@@ -532,16 +544,15 @@ def volume_walk_distribution(points: PointSet, k: int, steps: int, walks: int,
     """Empirical end-state distribution of `walks` independent lazy volume
     walks versus the brute-force target (small instances only).
 
-    Table-driven over enumerated subsets; with walks=1 it consumes random
-    draws exactly like volume_sample_mcmc, which the tests exploit.
+    Table-driven over enumerated subsets, with volume_sample_mcmc's
+    gram_dets volumes and acceptance; with walks=1 it consumes random draws
+    exactly like volume_sample_mcmc, which the tests exploit.
     """
     subsets, probs = enumerate_volume_distribution(points, k, 2.0, guard=guard)
     n = points.n
     count = len(subsets)
     index = {s: i for i, s in enumerate(subsets)}
-    dets = np.empty(count)
-    arr = np.array(subsets, dtype=np.int64)
-    dets[:] = gram_dets(points, arr)
+    dets = gram_dets(points, np.array(subsets, dtype=np.int64), _pow2_exponent(points.data))
 
     trans = np.empty((count, k, n - k), dtype=np.int64)
     for si, sub in enumerate(subsets):
@@ -559,9 +570,7 @@ def volume_walk_distribution(points: PointSet, k: int, steps: int, walks: int,
         ip = rng.integers(0, k, size=walks)
         jo = rng.integers(0, n - k, size=walks)
         nxt = trans[state, ip, jo]
-        with np.errstate(invalid="ignore"):
-            ratio = dets[nxt] / dets[state]
-        acc = u < 0.5 * np.minimum(1.0, ratio)
+        acc = (u < 0.5) & mh_accept(dets[nxt], dets[state], 2.0 * u)
         state[acc] = nxt[acc]
     emp = np.bincount(state, minlength=count) / walks
     tv = 0.5 * float(np.abs(emp - probs).sum())
@@ -590,7 +599,9 @@ def mh_accept(r_y, r_x, u):
     """Accept the move from x to y iff r_y > u r_x; elementwise on arrays.
 
     r = target / q is the importance ratio of an independence Metropolis
-    chain with proposal q, finite as q >= 1/(2n). Off a zero-mass state
+    chain with proposal q, finite as q >= 1/(2n). The lazy volume walks pass
+    squared volumes and accept iff u < 1/2 and mh_accept at 2u, with
+    probability (1/2) min(1, r_y / r_x). Off a zero-mass state
     (r_x = 0) any positive-mass proposal is accepted, and a zero-mass
     proposal (r_y = 0) is never accepted. fl(u r) is nondecreasing in r, so
     r_y > u r_max, r_max the largest ratio a chain can be at, accepts from
@@ -913,8 +924,9 @@ def tv_distance_diag(points: PointSet, pivot_ids: Sequence[int],
     the exact one-point adaptive distribution conditioned on `current_ids`.
 
     chain_steps = m means one q-draw plus m-1 proposal steps; m = 1 measures
-    TV between q itself and the target. The steps use mcmc_select's kernel,
-    mh_accept on r = target / q. Also reports gamma, the worst-case
+    TV between q itself and the target. The steps use mcmc_select's
+    stepper, _walk on r = target / q, with each step's proposals and then
+    uniforms drawn as (1, trials) arrays. Also reports gamma, the worst-case
     target/proposal ratio that controls the (1 - 1/gamma)^(m-1) decay.
     Enumeration-based: n must be at most 4096.
     """
@@ -941,11 +953,10 @@ def tv_distance_diag(points: PointSet, pivot_ids: Sequence[int],
 
     rng = derive_rng(seed, "tv-diag")
     state = rng.choice(n, size=trials, p=q)
+    r_state, accepted = r[state], np.zeros(trials, dtype=np.int64)
     for _ in range(chain_steps - 1):
-        y = rng.choice(n, size=trials, p=q)
-        u = rng.random(trials)
-        acc = mh_accept(r[y], r[state], u)
-        state[acc] = y[acc]
+        y = rng.choice(n, size=(1, trials), p=q)
+        _walk(state, r_state, accepted, y, rng.random((1, trials)), r)
     emp = np.bincount(state, minlength=n) / trials
     tv = 0.5 * float(np.abs(emp - target).sum())
     return TVDiagnostic(tv_distance=tv, gamma=gamma, empirical=emp, exact=target,

@@ -112,10 +112,12 @@ def test_fit_trimmed_subspace_matches_svd(n, d, k, sigma, scale, seed):
 
 
 @pytest.mark.parametrize("caller", ["optimal_subspace", "best_rank_k_in_span",
-                                    "fit_trimmed_subspace", "volume_sample_dpp"])
+                                    "fit_trimmed_subspace", "volume_sample_dpp",
+                                    "volume_sample_dpp_k5"])
 def test_kernel_callers_make_no_n_row_copy(caller):
-    # the Gram is summed block by block and the DPP projection is n x k: no
-    # rescaled copy of the data and no n x r product
+    # the Gram is summed block by block and the DPP holds one n x k array
+    # (k = 3 and the workloads' k = 5): no rescaled copy of the data and no
+    # n x r product
     n, d, k = 20 * CHUNK_ROWS, 20, 3
     pts = PointSet(planted(n, d, k, 0.1, seed=9, outlier_rows=n // 20))
     span = orthonormal_basis(pts, range(n // 20, n // 20 + k + 5))
@@ -124,6 +126,7 @@ def test_kernel_callers_make_no_n_row_copy(caller):
         "best_rank_k_in_span": lambda: best_rank_k_in_span(pts, span, k),
         "fit_trimmed_subspace": lambda: fit_trimmed_subspace(pts, span, k, 0.1),
         "volume_sample_dpp": lambda: volume_sample_dpp(pts, k, seed=2),
+        "volume_sample_dpp_k5": lambda: volume_sample_dpp(pts, 5, seed=2),
     }[caller]
     tracemalloc.start()
     try:

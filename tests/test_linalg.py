@@ -7,13 +7,14 @@ import pytest
 from subsel.linalg import (
     OrthonormalBasis,
     PointSet,
+    _pow2_exponent,
     best_rank_k_in_span,
     err_p,
     extend_basis,
+    gram_dets,
     orthonormal_basis,
     optimal_subspace,
     residual_distances,
-    simplex_volume_sq,
 )
 
 
@@ -331,17 +332,23 @@ def test_err_monotone_under_subset_growth():
 
 
 # ---------------------------------------------------------------------------
-# simplex_volume_sq
+# gram_dets
 # ---------------------------------------------------------------------------
 
+def dets_of(ps, subset, e=0):
+    """gram_dets of one subset; e = 0 gives the determinant itself."""
+    return float(gram_dets(ps, np.array([subset]), e)[0])
+
+
 def test_volume_unit_right_simplex():
+    # vol^2 = 1/4 for the unit right triangle: det = vol^2 (k!)^2 = 1
     ps = PointSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assert simplex_volume_sq(ps, [0, 1]) == pytest.approx(0.25)
+    assert dets_of(ps, [0, 1]) == pytest.approx(0.25 * 4)
 
 
 def test_volume_collinear_zero():
     ps = PointSet(np.array([[1.0, 0.0], [2.0, 0.0]]))
-    assert simplex_volume_sq(ps, [0, 1]) == pytest.approx(0.0, abs=1e-12)
+    assert dets_of(ps, [0, 1]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_volume_scaled_square():
@@ -350,7 +357,7 @@ def test_volume_scaled_square():
     expected = gram_volume_sq_oracle(rows)
     assert expected == pytest.approx(4.0)
     ps = PointSet(np.array(rows))
-    assert simplex_volume_sq(ps, [0, 1]) == pytest.approx(expected)
+    assert dets_of(ps, [0, 1]) == pytest.approx(expected * math.factorial(2) ** 2)
 
 
 def test_volume_permutation_and_scaling():
@@ -358,16 +365,24 @@ def test_volume_permutation_and_scaling():
     data = rng.standard_normal((6, 4))
     ps = PointSet(data)
     ids = [0, 2, 5]
-    v = simplex_volume_sq(ps, ids)
-    assert simplex_volume_sq(ps, [5, 0, 2]) == pytest.approx(v, rel=1e-9)
+    v = dets_of(ps, ids)
+    assert dets_of(ps, [5, 0, 2]) == pytest.approx(v, rel=1e-9)
     scaled = data.copy()
     scaled[2] *= 3.0
-    assert simplex_volume_sq(PointSet(scaled), ids) == pytest.approx(9.0 * v, rel=1e-9)
-    # matches the cofactor oracle on random subsets
-    for _ in range(5):
-        sub = list(rng.choice(6, size=3, replace=False))
-        assert simplex_volume_sq(ps, sub) == pytest.approx(
-            gram_volume_sq_oracle([data[i] for i in sub]), rel=1e-9, abs=1e-12)
+    assert dets_of(PointSet(scaled), ids) == pytest.approx(9.0 * v, rel=1e-9)
+    # matches the cofactor oracle on random subsets, one batch
+    subs = np.array([rng.choice(6, size=3, replace=False) for _ in range(5)])
+    for sub, det in zip(subs, gram_dets(ps, subs, 0)):
+        assert det == pytest.approx(gram_volume_sq_oracle([data[i] for i in sub])
+                                    * math.factorial(3) ** 2, rel=1e-9, abs=1e-12)
+    # at the data's power of two the dets come in units of 4**(k e), and
+    # data scaled by 2**+-600 gives the same dets without overflow
+    e = _pow2_exponent(data)
+    assert np.ldexp(dets_of(ps, ids, e), 2 * 3 * e) == pytest.approx(v, rel=1e-12)
+    for shift in (-600, 600):
+        big = PointSet(np.ldexp(data, shift))
+        with np.errstate(all="raise"):
+            assert dets_of(big, ids, _pow2_exponent(big.data)) == dets_of(ps, ids, e)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from subsel.linalg import (
     OrthonormalBasis,
     PointSet,
     err_p,
+    gram_dets,
     orthonormal_basis,
     residual_distances,
 )
@@ -344,6 +345,20 @@ def test_volume_dpp_rank_deficient():
         volume_sample_dpp(flat, 2)
 
 
+def test_volume_dpp_names_the_numerical_rank():
+    # full-rank Gaussian rows beside one row of 1e300: under the 1e-12
+    # eigenvalue cut the Gram has rank 1, and many 3-subsets still have
+    # nonzero volume, so the error names the rank and the cut
+    x = np.vstack([np.random.default_rng(40).standard_normal((299, 20)),
+                   np.full((1, 20), 1e300)])
+    pts = PointSet(x)
+    want = r"rank-deficient dataset: numerical rank 1 < k = 3 .*1e-12"
+    with pytest.raises(RankDeficientError, match=want):
+        volume_sample_dpp(pts, 3)
+    with pytest.raises(RankDeficientError, match=want):
+        select_subset(pts, SamplingConfig(k=3, epsilon=0.5, seed=41, chain_steps=4))
+
+
 def test_volume_dpp_extreme_scale_no_overflow():
     # squared singular values of data near 1e180 would overflow without the
     # power-of-two rescale; the rescale is exact, so the seeded ids are those
@@ -383,12 +398,23 @@ def test_greedy_init_nonzero_volume():
     pts = instance(10, 4, seed=29)
     ids = greedy_max_volume_init(pts, 3)
     assert len(set(ids)) == 3
-    from subsel.linalg import simplex_volume_sq
-
-    assert simplex_volume_sq(pts, ids) > 0
+    assert gram_dets(pts, np.array([ids]), 0)[0] > 0
     flat = PointSet(np.array([[1.0, 0.0], [2.0, 0.0]]))
     with pytest.raises(ValueError, match="full-rank"):
         greedy_max_volume_init(flat, 2)
+
+
+def test_volume_walk_extreme_scale_no_overflow():
+    # the greedy start's tolerance comes from its first residuals (the row
+    # norms) and the walk's volumes from gram_dets at the data's power of
+    # two, so data at 2**+-600 gives the unscaled run's ids
+    x = instance(30, 6, seed=42).data
+    greedy = greedy_max_volume_init(PointSet(x), 3)
+    ids = volume_sample_mcmc(PointSet(x), 3, 500, seed=43)
+    for scale in (2.0 ** 600, 2.0 ** -600):
+        with np.errstate(all="raise"):
+            assert greedy_max_volume_init(PointSet(x * scale), 3) == greedy
+            assert volume_sample_mcmc(PointSet(x * scale), 3, 500, seed=43) == ids
 
 
 def test_volume_walk_stationary_at_k_equals_n():
@@ -424,9 +450,7 @@ def test_volume_walk_exact_transition_matrix_oracle():
     # exact chain law with the brute-force volume distribution
     pts = instance(6, 3, seed=35)
     subsets, probs = enumerate_volume_distribution(pts, 2)
-    from subsel.linalg import simplex_volume_sq
-
-    vols = np.array([simplex_volume_sq(pts, list(s)) for s in subsets])
+    vols = gram_dets(pts, np.array(subsets), 0)
     count, n, k = len(subsets), 6, 2
     index = {s: i for i, s in enumerate(subsets)}
     trans = np.zeros((count, count))
