@@ -9,9 +9,13 @@ many threads.
 Every spectral step starts from one d x d Gram, `_gram` (X^T X in O(n d^2),
 summed over blocks of rows each rescaled by one exact power of two), and
 takes `eigh` of it or of its in-span form B G B^T; no thin SVD of an n-row
-matrix is run. The block kernels (`_scaled_blocks`, `residual_distances`)
-work in one reused scratch block per call: they form no rescaled copy of X,
-no n-row product and no per-block temporary. Subspaces come from the Gram;
+matrix is run. A PointSet sums the Gram of all its rows once, on first use,
+and keeps it: the optimum, best-k-in-span, the exact-fit test and the DPP
+pivot all read that one Gram, while the trimmed fit sums its own over the
+rows it keeps, which change with every span. The block kernels
+(`_scaled_blocks`, `residual_distances`) work in one reused scratch block
+per call: they form no rescaled copy of X, no n-row product and no
+per-block temporary. Subspaces come from the Gram;
 their errors from a direct residual pass, never trace minus eigenvalues.
 The Gram squares condition numbers, so rank is cut at eigenvalues <= 1e-12
 of the largest (singular values 1e-6). Results repeat bit for bit under
@@ -43,7 +47,12 @@ SubsetIds = Sequence[int]
 
 @dataclass(frozen=True)
 class PointSet:
-    """n points in d dimensions, one row per point, immutable once built."""
+    """n points in d dimensions, one row per point, immutable once built.
+
+    The Gram of all rows is summed on first use and kept for the life of
+    the set (`_full_gram`): d x d floats, as much as one call's transient
+    Gram.
+    """
 
     data: np.ndarray
 
@@ -67,6 +76,17 @@ class PointSet:
         pts = object.__new__(cls)
         object.__setattr__(pts, "data", data)
         return pts
+
+    def _full_gram(self) -> tuple[int, np.ndarray]:
+        """`_gram(self.data)`, summed on first use and kept, g read-only.
+        A plain memo in the instance dict, taken without a lock: threads that
+        race on the first call sum the same bits."""
+        memo = self.__dict__.get("_gram_memo")
+        if memo is None:
+            e, g = _gram(self.data)
+            g.setflags(write=False)
+            memo = self.__dict__["_gram_memo"] = (e, g)
+        return memo
 
     @property
     def n(self) -> int:
@@ -173,11 +193,12 @@ def _exact_fit(x: np.ndarray, e: int, err_sq: float) -> bool:
 
 def is_exact_fit(points: PointSet, err: float) -> bool:
     """Whether a p = 2 error of the points, in data units, is an exact fit:
-    rounding noise, at most EXACT_FIT_REL of ||X||_F^2. Both sides are
-    compared in units of 4**e, so the answer repeats under power-of-two
-    scaling and ||X||_F^2 cannot overflow or underflow."""
-    e = _pow2_exponent(points.data)
-    return _exact_fit(points.data, e, math.ldexp(err, -2 * e))
+    rounding noise, at most EXACT_FIT_REL of ||X||_F^2, read as the trace
+    of the points' kept Gram. Both sides are compared in units of 4**e, so
+    the answer repeats under power-of-two scaling and ||X||_F^2 cannot
+    overflow or underflow."""
+    e, gram = points._full_gram()
+    return math.ldexp(err, -2 * e) <= EXACT_FIT_REL * max(float(np.trace(gram)), 1e-300)
 
 
 def _gram(x: np.ndarray, rows: np.ndarray | None = None) -> tuple[int, np.ndarray]:
@@ -309,7 +330,7 @@ def optimal_subspace(points: PointSet, k: int, p: float = 2.0) -> tuple[Orthonor
         raise ValueError("exact optimum is only available for p = 2")
     if not 1 <= k <= points.d:
         raise ValueError(f"k must satisfy 1 <= k <= d, got k={k}, d={points.d}")
-    _, v = _eigh_desc(_gram(points.data)[1])
+    _, v = _eigh_desc(points._full_gram()[1])
     basis = OrthonormalBasis(points.d, v[:, :k].T, ())
     return basis, err_p(points, basis, 2.0)
 
@@ -325,5 +346,5 @@ def best_rank_k_in_span(points: PointSet, basis: OrthonormalBasis,
     """
     if basis.r <= k:
         return basis, err_p(points, basis, 2.0)
-    sub = _top_k_in_span(_gram(points.data)[1], basis, k)
+    sub = _top_k_in_span(points._full_gram()[1], basis, k)
     return sub, err_p(points, sub, 2.0)

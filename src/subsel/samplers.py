@@ -30,7 +30,6 @@ from .linalg import (
     PointSet,
     _cgs2_extend,
     _eigh_desc,
-    _gram,
     _pow2_exponent,
     _scaled_blocks,
     check_subset_ids,
@@ -368,10 +367,11 @@ def adaptive_sample(source_or_points, initial: OrthonormalBasis, count: int,
 # volume sampling
 # ---------------------------------------------------------------------------
 
-def enumerate_volume_distribution(points: PointSet, k: int, p: float = 2.0,
-                                  guard: int = ENUMERATION_GUARD,
-                                  ) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """All k-subsets with their normalized vol^p probabilities (brute force)."""
+def _enumerate_volumes(points: PointSet, k: int, p: float, guard: int,
+                       ) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+    """All k-subsets (brute force, at most `guard` of them), their
+    `gram_dets` at the data's power of two and their normalized vol^p
+    probabilities."""
     n = points.n
     if not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= n")
@@ -389,7 +389,15 @@ def enumerate_volume_distribution(points: PointSet, k: int, p: float = 2.0,
     total = float(weights.sum())
     if total <= 0.0:
         raise RankDeficientError("rank-deficient dataset: every k-subset has zero volume")
-    return subsets, weights / total
+    return subsets, dets, weights / total
+
+
+def enumerate_volume_distribution(points: PointSet, k: int, p: float = 2.0,
+                                  guard: int = ENUMERATION_GUARD,
+                                  ) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """All k-subsets with their normalized vol^p probabilities (brute force)."""
+    subsets, _, probs = _enumerate_volumes(points, k, p, guard)
+    return subsets, probs
 
 
 def volume_sample_exact(points: PointSet, k: int, p: float = 2.0, seed: int = 0, *,
@@ -410,9 +418,10 @@ def volume_sample_dpp(points: PointSet, k: int, seed: int = 0, *,
 
     P(S) ~ det(Gram_S) is a fixed-size DPP with kernel X X^T, sampled in
     dual form (Kulesza & Taskar 2012, 3.3): eigenpairs of the power-of-two-
-    rescaled Gram X^T X, an eigenvector subset S by the elementary-symmetric
-    recursion, then the projection chain on the rows v_i of the one n x k
-    array v = X V_S Lambda_S^(-1/2), made orthonormal in place. The chain
+    rescaled Gram X^T X (the one the points keep), an eigenvector subset S
+    by the elementary-symmetric recursion, then the projection chain on the
+    rows v_i of the one n x k array v = X V_S Lambda_S^(-1/2), made
+    orthonormal in place. The chain
     runs in R^k: a row's mass is its squared norm off the span of the picks,
     which _cgs2_extend grows, so a pick q takes (v_i . q)^2 off each mass.
     Eigenvalues <= 1e-12 of the largest (singular values 1e-6) are zero:
@@ -423,7 +432,7 @@ def volume_sample_dpp(points: PointSet, k: int, seed: int = 0, *,
     n = points.n
     if not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= n")
-    e_x, gram = _gram(points.data)
+    e_x, gram = points._full_gram()
     lam, vecs = _eigh_desc(gram)
     r = int(np.count_nonzero(lam > lam[0] * 1e-12))
     if r < k:
@@ -548,11 +557,10 @@ def volume_walk_distribution(points: PointSet, k: int, steps: int, walks: int,
     gram_dets volumes and acceptance; with walks=1 it consumes random draws
     exactly like volume_sample_mcmc, which the tests exploit.
     """
-    subsets, probs = enumerate_volume_distribution(points, k, 2.0, guard=guard)
+    subsets, dets, probs = _enumerate_volumes(points, k, 2.0, guard)
     n = points.n
     count = len(subsets)
     index = {s: i for i, s in enumerate(subsets)}
-    dets = gram_dets(points, np.array(subsets, dtype=np.int64), _pow2_exponent(points.data))
 
     trans = np.empty((count, k, n - k), dtype=np.int64)
     for si, sub in enumerate(subsets):

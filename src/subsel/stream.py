@@ -7,7 +7,8 @@ Both present the same rows in the same fixed-size chunks, so a seeded
 algorithm consumes its random stream identically in both modes and produces
 bit-identical results. Each file format has one reader, which checks the
 file as it reads it, and opening a file is one pass of it. A later binary
-pass runs that reader again against the n and d learned at open. A CSV is
+pass runs that reader again against the n and d learned at open, and
+against the file's size and modification time taken then. A CSV is
 parsed only at open: a streaming source keeps the parsed rows in a private
 spill file and the sha256 of the bytes parsed, and a later pass hashes the
 whole file, checks it against that digest, then reads the rows back from the
@@ -100,7 +101,8 @@ class DatasetSource:
     """Sequential-only access to a dataset; create via open_source()."""
 
     def __init__(self, *, points: PointSet | None, path: str | None,
-                 n: int, d: int, mode: str, spill=None, digest: bytes | None = None):
+                 n: int, d: int, mode: str, spill=None, digest: bytes | None = None,
+                 stamp: tuple[int, int] | None = None):
         self._points = points
         self.path = path
         self.n = n
@@ -109,6 +111,7 @@ class DatasetSource:
         self.pass_log = PassLog()
         self._spill = spill
         self._digest = digest
+        self._stamp = stamp
         if spill is not None:
             weakref.finalize(self, spill.close)
 
@@ -116,15 +119,16 @@ class DatasetSource:
 
     def _chunks(self) -> Iterator[tuple[int, np.ndarray]]:
         """A memory source slices its rows. A streamed binary file is read
-        again by its format's reader. A streamed CSV is hashed whole and
-        checked against the digest taken at open, before any row is yielded;
-        its rows then come from the spill, as the reader parsed them."""
+        again by its format's reader, checked against the size and mtime
+        taken at open. A streamed CSV is hashed whole and checked against
+        the digest taken at open, before any row is yielded; its rows then
+        come from the spill, as the reader parsed them."""
         if self.mode == "memory":
             data = self._points.data
             for start in range(0, self.n, CHUNK_ROWS):
                 yield start, data[start:start + CHUNK_ROWS]
         elif self._spill is None:
-            yield from _binary_rows(self.path, (self.n, self.d))
+            yield from _binary_rows(self.path, (self.n, self.d), self._stamp)
         else:
             if _sha256(self.path) != self._digest:
                 raise DatasetFormatError(f"{self.path}: changed since it was opened")
@@ -164,8 +168,10 @@ def open_source(path_or_points, mode: str = "memory") -> DatasetSource:
 
     Accepts a PointSet (in-memory only) or a file path. Opening a file is one
     pass of its format's reader, which learns n and d; memory mode keeps the
-    chunks read. A streamed binary file keeps nothing, and a later pass raises
-    DatasetFormatError if the file no longer holds n rows of d finite entries.
+    chunks read. A streamed binary file keeps only its size and mtime_ns,
+    taken before it is read, and a later pass raises DatasetFormatError if the
+    file no longer holds n rows of d finite entries or either of those moved;
+    an edit that keeps both goes unnoticed.
     A streamed CSV is parsed here and only here: its rows go to an unlinked
     temporary file (n * d * 8 bytes of temp-dir disk, closed when the source
     is collected), and a later pass raises DatasetFormatError if the file's
@@ -184,13 +190,17 @@ def open_source(path_or_points, mode: str = "memory") -> DatasetSource:
     if fmt == "csv" and mode == "streaming":
         return _open_streamed_csv(path)
     kept = []
+    stamp = None
+    if fmt == "binary" and mode == "streaming":
+        st = os.stat(path)
+        stamp = (st.st_size, st.st_mtime_ns)
     for start, chunk in _csv_rows(path) if fmt == "csv" else _binary_rows(path):
         if mode == "memory":
             kept.append(chunk)
     # the reader checked every chunk; the stacked rows are the one copy kept
     points = PointSet._adopt(np.vstack(kept)) if kept else None
     return DatasetSource(points=points, path=path, n=start + len(chunk),
-                         d=chunk.shape[1], mode=mode)
+                         d=chunk.shape[1], mode=mode, stamp=stamp)
 
 
 def _open_streamed_csv(path: str) -> DatasetSource:
@@ -292,9 +302,11 @@ def _csv_rows(path: str, digest=None) -> Iterator[tuple[int, np.ndarray]]:
 
 
 def _binary_rows(path: str, shape: tuple[int, int] | None = None,
+                 stamp: tuple[int, int] | None = None,
                  ) -> Iterator[tuple[int, np.ndarray]]:
     """(start, chunk) blocks of CHUNK_ROWS rows, each checked as it is read.
-    Given the (n, d) learned at open, the header must still say n x d."""
+    Given the (n, d) learned at open, the header must still say n x d; given
+    the (st_size, st_mtime_ns) taken at open, the file's must still match."""
     with open(path, "rb") as fh:
         header = fh.read(len(BINARY_MAGIC) + 16)
         if len(header) < len(BINARY_MAGIC) + 16:
@@ -307,10 +319,13 @@ def _binary_rows(path: str, shape: tuple[int, int] | None = None,
         if shape is not None and (n, d) != shape:
             raise DatasetFormatError(
                 f"{path}: header says {n} x {d}, but {shape[0]} x {shape[1]} when opened")
-        found = os.fstat(fh.fileno()).st_size - len(header)
+        st = os.fstat(fh.fileno())
+        found = st.st_size - len(header)
         if found != n * d * 8:
             raise DatasetFormatError(
                 f"{path}: expected {n * d * 8} payload bytes, found {found}")
+        if stamp is not None and (st.st_size, st.st_mtime_ns) != stamp:
+            raise DatasetFormatError(f"{path}: changed since it was opened")
         for start, chunk in _payload_chunks(fh, len(header), n, d, path):
             yield start, _finite(chunk, path, "row", range(start, start + len(chunk)))
 

@@ -5,7 +5,8 @@ and `volume_sample_dpp` read their subspaces off the d x d Gram of a
 power-of-two-rescaled matrix. These tests check their errors against
 `np.linalg.svd` on tall planted instances at noise levels from 1e-6 to 1,
 check that power-of-two scaling of the data leaves every basis bit for bit
-unchanged, and guard against a tall SVD coming back into the package.
+unchanged, check that a PointSet sums the Gram of all its rows once and
+keeps it, and guard against a tall SVD coming back into the package.
 """
 
 import tracemalloc
@@ -15,10 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subsel import SamplingConfig, robust_select, select_subset
+from subsel import SamplingConfig, linalg, robust_select, select_subset, write_binary
+from subsel.cli import ExperimentSpec, run_experiment
 from subsel.linalg import (
     RESIDUAL_BLOCK_ROWS,
     PointSet,
+    _gram,
     _pow2_exponent,
     _scaled_blocks,
     best_rank_k_in_span,
@@ -208,3 +211,80 @@ def test_scaled_blocks_rows_match_ldexp_gather(n):
     for bad in (-1, len(x)):
         with pytest.raises(IndexError):
             next(_scaled_blocks(x, e, np.append(rows, bad)))
+
+
+def count_full_grams(monkeypatch):
+    """Calls of linalg._gram over every row of its input, counted from now."""
+    calls = []
+
+    def counting(x, rows=None):
+        if rows is None:
+            calls.append(x.shape)
+        return _gram(x, rows)
+
+    monkeypatch.setattr(linalg, "_gram", counting)
+    return calls
+
+
+def test_point_set_sums_full_gram_once(monkeypatch):
+    # the optimum, best-k-in-span, the exact-fit test and the DPP pivot read
+    # one Gram kept on the PointSet; the trimmed fit sums its own over the
+    # rows it keeps
+    calls = count_full_grams(monkeypatch)
+    x = planted(3000, 12, 3, 0.1, seed=11, outlier_rows=30)
+    pts = PointSet(x)
+    _, opt = optimal_subspace(pts, 3)
+    best_rank_k_in_span(pts, orthonormal_basis(pts, range(30, 38)), 3)
+    volume_sample_dpp(pts, 3, seed=4)
+    linalg.is_exact_fit(pts, opt)
+    assert calls == [x.shape]
+    fit_trimmed_subspace(pts, orthonormal_basis(pts, range(30, 38)), 3, 0.05)
+    assert calls == [x.shape]
+    optimal_subspace(PointSet(x), 3)  # a new set sums its own
+    assert calls == [x.shape, x.shape]
+
+
+def test_kept_gram_is_read_only_and_bitwise_fresh():
+    x = planted(2 * RESIDUAL_BLOCK_ROWS + 5, 9, 2, 0.1, seed=12) * 2.0 ** 300
+    pts = PointSet(x)
+    e, g = pts._full_gram()
+    assert pts._full_gram()[1] is g
+    assert not g.flags.writeable
+    with pytest.raises(ValueError):
+        g[0, 0] = 0.0
+    e_fresh, g_fresh = _gram(pts.data)
+    assert e == e_fresh
+    assert np.array_equal(g.view(np.int64), g_fresh.view(np.int64))
+
+
+@pytest.mark.parametrize("warm_with", ["optimal_subspace", "best_rank_k_in_span",
+                                       "volume_sample_dpp"])
+def test_bases_match_cold_and_warm_gram(warm_with):
+    # each caller returns the same bits whether it sums the Gram (cold, on a
+    # fresh set) or reads the one another caller kept (warm), in every order
+    n, d, k = 2000, 10, 3
+    x = planted(n, d, k, 0.05, seed=13)
+    callers = {
+        "optimal_subspace": lambda pts: optimal_subspace(pts, k)[0].vectors,
+        "best_rank_k_in_span": lambda pts: best_rank_k_in_span(
+            pts, orthonormal_basis(pts, range(k + 4)), k)[0].vectors,
+        "volume_sample_dpp": lambda pts: np.array(volume_sample_dpp(pts, k, seed=8)),
+    }
+    warm_pts = PointSet(x)
+    callers[warm_with](warm_pts)
+    for name, call in callers.items():
+        cold = call(PointSet(x))
+        assert np.array_equal(call(warm_pts).view(np.int64), cold.view(np.int64)), name
+
+
+def test_run_experiment_sums_full_gram_once(tmp_path, monkeypatch):
+    # in memory mode every trial's DPP pivot and grading read the Gram of the
+    # one evaluation PointSet, which the optimum summed
+    path = tmp_path / "x.bin"
+    write_binary(path, planted(1500, 12, 3, 0.1, seed=14))
+    calls = count_full_grams(monkeypatch)
+    spec = ExperimentSpec(algorithm="mcmc", k=3, trials=3, seed=5, chain_steps=8,
+                          timing="zero")
+    rows, _ = run_experiment(spec, str(path))
+    assert len(rows) == 3 and all(r.ratio is not None for r in rows)
+    assert len(calls) == 1

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -189,6 +190,33 @@ def test_same_size_csv_edit_fails_next_pass(tmp_path):
     with pytest.raises(DatasetFormatError, match="edited.csv: changed since it was opened"):
         src.stream_pass_chunks("after", lambda s, c: seen.append(s))
     assert seen == []
+    assert not src.pass_log.entries[-1].complete
+
+
+@pytest.mark.parametrize("edit", ["finite", "nan"])
+def test_same_shape_binary_edit_fails_next_pass(tmp_path, edit):
+    # a streamed binary pass checks the file's size and mtime against those
+    # taken at open: an entry rewritten in place under a new mtime fails the
+    # next pass before any row is visited; with the mtime put back, a
+    # non-finite entry is still caught by the reader, naming its row
+    n, d = 2 * CHUNK_ROWS + 900, 5
+    path = tmp_path / "edited.bin"
+    data = np.random.default_rng(9).standard_normal((n, d))
+    write_binary(path, data)
+    opened = os.stat(path).st_mtime_ns
+    src = open_source(path, "streaming")
+    src.stream_pass_chunks("before", lambda s, c: None)
+    edited = data.copy()
+    edited[n - 1, 0] = edited[n - 1, 0] + 1.0 if edit == "finite" else np.nan
+    write_binary(path, edited)
+    mtime = opened + 10 ** 9 if edit == "finite" else opened
+    os.utime(path, ns=(mtime, mtime))
+    seen = []
+    message = ("changed since it was opened" if edit == "finite"
+               else f"row {n - 1}: non-finite entry")
+    with pytest.raises(DatasetFormatError, match=f"edited.bin: {message}"):
+        src.stream_pass_chunks("after", lambda s, c: seen.append(s))
+    assert seen == ([] if edit == "finite" else [0, CHUNK_ROWS])
     assert not src.pass_log.entries[-1].complete
 
 
