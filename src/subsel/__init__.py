@@ -26,7 +26,6 @@ from .samplers import (
     SelectionResult,
     SlotBudgetError,
     adaptive_sample,
-    adaptive_sample_round,
     derive_params,
     mcmc_select,
     mh_accept,
@@ -68,7 +67,6 @@ __all__ = [
     "SelectionResult",
     "SlotBudgetError",
     "adaptive_sample",
-    "adaptive_sample_round",
     "best_rank_k_in_span",
     "check_lambda",
     "derive_params",

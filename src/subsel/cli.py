@@ -25,17 +25,14 @@ from .linalg import (
     PointSet,
     best_rank_k_in_span,
     err_p,
-    extend_basis,
     is_exact_fit,
     optimal_subspace,
 )
 from .outliers import check_lambda, robust_select
 from .rng import derive_seed_sequence
 from .samplers import (
-    ExactFitReached,
     SamplingConfig,
     adaptive_sample,
-    adaptive_sample_round,
     derive_params,
     greedy_max_volume_init,
     init_pivot,
@@ -161,6 +158,10 @@ class ExperimentSpec:
             raise ValueError("mode must be memory or streaming")
         if self.timing not in ("real", "zero"):
             raise ValueError("timing must be real or zero")
+        for flag, value in (("--t", self.points_per_round), ("--l", self.rounds),
+                            ("--m", self.chain_steps), ("--steps", self.walk_steps)):
+            if value is not None and value < 1:
+                raise ValueError(f"{flag} must be >= 1")
 
 
 def run_experiment(spec: ExperimentSpec, input_path: str,
@@ -241,21 +242,27 @@ def _trial_mcmc(spec, source, seed, truth):
 
 
 def _trial_adaptive(spec, source, seed, truth):
-    t = spec.points_per_round or derive_params(spec.k, spec.epsilon).points_per_round
+    t = _points_per_round(spec)
     l = spec.rounds if spec.rounds is not None else derive_params(
         spec.k, spec.epsilon).rounds
     result = adaptive_sample(source, OrthonormalBasis.empty(source.d), t, l, spec.p, seed)
+    # the round that finds the exact fit makes its pass too
     return result.basis, result.passes, {
-        "warnings": result.warnings, "expected_passes": len(result.blocks)}
+        "warnings": result.warnings, "expected_passes": min(l, len(result.blocks) + 1)}
 
 
 def _trial_fkv(spec, source, seed, truth):
-    # length-squared sampling: an adaptive round against the empty span
-    t = spec.points_per_round or derive_params(spec.k, spec.epsilon).points_per_round
+    # length-squared sampling: one adaptive round of t*l draws from the empty span
     l = spec.rounds if spec.rounds is not None else 1
-    empty = OrthonormalBasis.empty(source.d)
-    ids, coords = adaptive_sample_round(source, empty, t * l, spec.p, seed, label="fkv")
-    return extend_basis(empty, coords, ids), source.pass_log, {}
+    result = adaptive_sample(source, OrthonormalBasis.empty(source.d),
+                             _points_per_round(spec) * l, 1, spec.p, seed)
+    return result.basis, result.passes, {"warnings": result.warnings}
+
+
+def _points_per_round(spec) -> int:
+    if spec.points_per_round is not None:
+        return spec.points_per_round
+    return derive_params(spec.k, spec.epsilon).points_per_round
 
 
 def _trial_svd_oracle(spec, source, seed, truth):
@@ -266,7 +273,8 @@ def _trial_svd_oracle(spec, source, seed, truth):
 
 def _trial_volume(spec, source, seed, truth):
     init_mode = "exact-volume" if spec.algorithm == "volume-exact" else "mcmc-volume"
-    basis, _ = init_pivot(source, spec.k, spec.p, seed, init_mode, spec.walk_steps or 1000)
+    steps = 1000 if spec.walk_steps is None else spec.walk_steps
+    basis, _ = init_pivot(source, spec.k, spec.p, seed, init_mode, steps)
     return basis, source.pass_log, {}
 
 
@@ -382,7 +390,7 @@ def cmd_run(args) -> int:
     except GuaranteeError as exc:
         print(f"guarantee check failed: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, ExactFitReached) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = emit_report(rows)

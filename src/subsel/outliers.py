@@ -22,7 +22,7 @@ from .linalg import (
     _top_k_in_span,
     residual_distances,
 )
-from .samplers import SelectionResult, derive_params, init_pivot, mcmc_select
+from .samplers import SamplingConfig, SelectionResult, _select
 from .stream import as_source, inlier_count
 
 
@@ -102,8 +102,9 @@ def robust_select(source_or_points, k: int, epsilon: float, beta: float,
     points, beta used only for evaluation.
 
     beta bounds the outlier fraction; lam is the assumed lower bound on the
-    inlier share of the total error under the optimal inlier subspace. Both
-    are validated before any pass.
+    inlier share of the total error under the optimal inlier subspace. They
+    and the sampling options, as one SamplingConfig, are validated before
+    any pass; the selection is select_subset's pipeline with lam.
 
     The returned InlierSet is evaluated against the best k-dimensional
     subspace inside the selected span (fitted on the span-trimmed points and
@@ -115,14 +116,11 @@ def robust_select(source_or_points, k: int, epsilon: float, beta: float,
         raise ValueError("beta must lie in [0, 1)")
     if not 0.0 < lam <= 1.0:
         raise ValueError("lambda must lie in (0, 1]")
+    config = SamplingConfig(k=k, epsilon=epsilon, seed=seed, init_mode=init_mode,
+                            points_per_round=points_per_round, rounds=rounds,
+                            chain_steps=chain_steps, init_walk_steps=init_walk_steps)
     source = as_source(source_or_points)
-    if k > source.d:
-        raise ValueError(f"k={k} exceeds data dimension d={source.d}")
-    pivot, alpha = init_pivot(source, k, 2.0, seed, init_mode, init_walk_steps)
-    params = derive_params(k, epsilon, alpha, lam=lam,
-                           points_per_round=points_per_round, rounds=rounds,
-                           chain_steps=chain_steps)
-    result = mcmc_select(source, pivot, params, 2.0, seed)
+    result = _select(source, config, lam)
 
     pts = source.collect("report:outlier-evaluation", reporting=True)
     fitted = fit_trimmed_subspace(pts, result.basis, k, beta)

@@ -32,7 +32,6 @@ from .linalg import (
     _eigh_desc,
     _pow2_exponent,
     _scaled_blocks,
-    check_subset_ids,
     extend_basis,
     gram_dets,
     orthonormal_basis,
@@ -118,10 +117,14 @@ class SamplingConfig:
             raise ValueError("p must be >= 2")
         if self.init_mode not in ("exact-volume", "mcmc-volume", "adaptive-k-pass"):
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
-        for name in ("points_per_round", "rounds", "chain_steps", "init_walk_steps"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} override must be >= 1")
+        _check_overrides(points_per_round=self.points_per_round, rounds=self.rounds,
+                         chain_steps=self.chain_steps, init_walk_steps=self.init_walk_steps)
+
+
+def _check_overrides(**overrides: int | None) -> None:
+    for name, value in overrides.items():
+        if value is not None and value < 1:
+            raise ValueError(f"{name} override must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -176,8 +179,8 @@ def derive_params(k: int, epsilon: float, alpha: float = 1.0, *,
     larger of the two published forms, which dominates both; it is a worst
     case over all inputs, and mcmc_select runs each round only the
     certified_chain_steps its error ratio needs, at most m. The t, l and m
-    overrides replace individual outputs (e2 follows the t and l used), and
-    an explicit chain_steps is run exactly (explicit_m).
+    overrides replace individual outputs (e2 follows the t and l used) and
+    must be >= 1, and an explicit chain_steps is run exactly (explicit_m).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -189,6 +192,8 @@ def derive_params(k: int, epsilon: float, alpha: float = 1.0, *,
         raise ValueError("lambda must lie in (0, 1]")
     if p < 2.0:
         raise ValueError("p must be >= 2")
+    _check_overrides(points_per_round=points_per_round, rounds=rounds,
+                     chain_steps=chain_steps)
     a = alpha / lam
     if p != 2.0:
         a = a * math.factorial(k) * (k + 1.0) ** (p - 1.0)
@@ -311,53 +316,34 @@ class SelectionResult:
 # adaptive sampling
 # ---------------------------------------------------------------------------
 
-def adaptive_sample_round(source_or_points, basis: OrthonormalBasis, count: int,
-                          p: float = 2.0, seed: int = 0, *,
-                          rng: np.random.Generator | None = None,
-                          label: str = "adaptive-round",
-                          ) -> tuple[list[int], np.ndarray]:
-    """count i.i.d. draws with probability proportional to the residual
-    distance to span(basis) raised to p, in one reservoir pass; returns
-    (ids, coordinates).
-
-    With the empty span this is squared-length sampling. Raises
-    ExactFitReached when every residual is zero.
-    """
-    source = as_source(source_or_points)
-    rng = rng if rng is not None else derive_rng(seed, "adaptive-round", label)
-    try:
-        bank = weighted_reservoir_sample(
-            source, lambda chunk: residual_distances(chunk, basis) ** p,
-            count, seed=0, rng=rng, label=label)
-    except DegenerateWeightsError:
-        raise ExactFitReached("the span fits every point") from None
-    return [int(i) for i in bank.ids], bank.points_for(bank.ids)
-
-
 def adaptive_sample(source_or_points, initial: OrthonormalBasis, count: int,
                     rounds: int, p: float = 2.0, seed: int = 0) -> SelectionResult:
     """Multi-pass adaptive sampling: `rounds` sequential rounds of `count`
-    draws, each conditioned on span(initial) and everything selected so far.
+    i.i.d. draws, each with probability proportional to the residual^p
+    distance to span(initial) and everything selected before the round, in
+    one reservoir pass. With the empty span a round is squared-length
+    sampling.
 
     initial is any span, such as a selection's basis or
     OrthonormalBasis.empty(d); its source ids head the selection. Consumes
-    exactly one pass per completed round and no reporting pass. Exact fit
-    stops early, with a warning.
+    one pass per completed round, plus the pass of a round that finds every
+    residual zero, and no reporting pass. Exact fit stops early, with a
+    warning.
     """
     source = as_source(source_or_points)
     basis = initial
     blocks: list[tuple[int, ...]] = []
     warnings: list[str] = []
     for i in range(rounds):
-        rng = derive_rng(seed, "adaptive-round", i)
         try:
-            ids, coords = adaptive_sample_round(source, basis, count, p, rng=rng,
-                                                label=f"adaptive:{i + 1}")
-        except ExactFitReached:
+            bank = weighted_reservoir_sample(
+                source, lambda chunk: residual_distances(chunk, basis) ** p, count,
+                seed=0, rng=derive_rng(seed, "adaptive-round", i), label=f"adaptive:{i + 1}")
+        except DegenerateWeightsError:
             warnings.append(f"exact fit after {i} rounds; stopped early")
             break
-        blocks.append(tuple(ids))
-        basis = extend_basis(basis, coords, ids)
+        blocks.append(tuple(int(j) for j in bank.ids))
+        basis = extend_basis(basis, bank.points_for(bank.ids), blocks[-1])
     return SelectionResult(
         initial_ids=initial.source_ids, blocks=tuple(blocks), p=p,
         passes=source.pass_log, warnings=tuple(warnings), basis=basis)
@@ -500,9 +486,9 @@ def greedy_max_volume_init(points: PointSet, k: int) -> list[int]:
 
 
 def volume_sample_mcmc(points: PointSet, k: int, walk_steps: int, seed: int = 0, *,
-                       initial: Sequence[int] | None = None,
                        rng: np.random.Generator | None = None) -> list[int]:
-    """Lazy Metropolis walk over k-subsets targeting squared volumes.
+    """Lazy Metropolis walk over k-subsets targeting squared volumes, from
+    greedy_max_volume_init's subset.
 
     Each step proposes swapping a uniform member for a uniform outsider and
     moves iff its uniform u < 1/2 and mh_accept(vol_new^2, vol_old^2, 2u);
@@ -518,10 +504,7 @@ def volume_sample_mcmc(points: PointSet, k: int, walk_steps: int, seed: int = 0,
         raise ValueError("k must satisfy 1 <= k <= n")
     if k == n:
         return list(range(n))
-    if initial is not None:
-        cur = sorted(check_subset_ids(initial, n))
-    else:
-        cur = sorted(greedy_max_volume_init(points, k))
+    cur = sorted(greedy_max_volume_init(points, k))
     e = _pow2_exponent(points.data)
     vol_cur = gram_dets(points, [cur], e)[0]
     if vol_cur <= 0.0:
@@ -867,17 +850,18 @@ def init_pivot(source: DatasetSource, k: int, p: float, seed: int, init_mode: st
     one materializing pass. The adaptive init is adaptive_sample with k
     single-point rounds from the empty span, in k passes. Every init raises
     RankDeficientError when the data has rank below k; the adaptive init
-    finds that when its picks fit every point before k rounds.
+    finds that when its picks span fewer than k dimensions (extend_basis
+    drops a pick whose residual is rounding error).
     """
     if p != 2.0 and init_mode != "adaptive-k-pass":
         raise ValueError(f"p = {p:g} needs init_mode 'adaptive-k-pass'; "
                          f"{init_mode} samples p = 2 volumes")
     if init_mode == "adaptive-k-pass":
         pivot = adaptive_sample(source, OrthonormalBasis.empty(source.d), 1, k, p, seed)
-        if len(pivot.blocks) < k:
+        if pivot.basis.r < k:
             raise RankDeficientError(
-                f"rank-deficient dataset: {len(pivot.blocks)} adaptive init rows fit every "
-                f"point, fewer than k = {k}")
+                f"rank-deficient dataset: the adaptive init rows span rank {pivot.basis.r} "
+                f"< k = {k}")
         return pivot.basis, (float(math.factorial(k)) if p == 2.0 else 1.0)
     if init_mode not in ("exact-volume", "mcmc-volume"):
         raise ValueError(f"unknown init_mode {init_mode!r}")
@@ -887,7 +871,8 @@ def init_pivot(source: DatasetSource, k: int, p: float, seed: int, init_mode: st
         ids = volume_sample_dpp(pts, k, rng=rng)
         alpha = 1.0
     else:
-        steps = init_walk_steps or _default_walk_steps(pts, k)
+        steps = (init_walk_steps if init_walk_steps is not None
+                 else _default_walk_steps(pts, k))
         ids = volume_sample_mcmc(pts, k, steps, rng=rng)
         alpha = (k + 2.0) / (k + 1.0)
     return orthonormal_basis(pts, ids), alpha
@@ -899,13 +884,19 @@ def select_subset(source_or_points, config: SamplingConfig) -> SelectionResult:
     A volume init (p = 2 only) runs in 2 passes, the adaptive init in k+1.
     All pass counts are auditable from the result's PassLog.
     """
-    source = as_source(source_or_points)
+    return _select(as_source(source_or_points), config)
+
+
+def _select(source: DatasetSource, config: SamplingConfig,
+            lam: float = 1.0) -> SelectionResult:
+    """select_subset's pipeline with constants scaled by 1/lam, which
+    robust_select shares; config was validated when it was built."""
     if config.k > source.d:
         raise ValueError(f"k={config.k} exceeds data dimension d={source.d}")
     k, p, seed = config.k, config.p, config.seed
     pivot, alpha = init_pivot(source, k, p, seed, config.init_mode,
                               config.init_walk_steps)
-    params = derive_params(k, config.epsilon, alpha, p=p,
+    params = derive_params(k, config.epsilon, alpha, p=p, lam=lam,
                            points_per_round=config.points_per_round,
                            rounds=config.rounds, chain_steps=config.chain_steps)
     return mcmc_select(source, pivot, params, p, seed)

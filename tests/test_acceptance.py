@@ -25,7 +25,6 @@ from subsel.rng import derive_rng
 from subsel.samplers import (
     SamplingConfig,
     adaptive_sample,
-    adaptive_sample_round,
     enumerate_volume_distribution,
     select_subset,
     tv_distance_diag,
@@ -250,8 +249,8 @@ def test_criterion_7_distributional_oracles():
     details = []
 
     w = np.linalg.norm(pts.data, axis=1) ** 2
-    tv_sl = empirical_tv(adaptive_sample_round(pts, OrthonormalBasis.empty(3), trials,
-                                               seed=701)[0], w / w.sum(), 5)
+    tv_sl = empirical_tv(adaptive_sample(pts, OrthonormalBasis.empty(3), trials, 1,
+                                         seed=701).blocks[0], w / w.sum(), 5)
     assert tv_sl <= 0.05
     details.append(f"squared-length tv={tv_sl:.4f}")
 
@@ -259,7 +258,7 @@ def test_criterion_7_distributional_oracles():
     from subsel.linalg import residual_distances
 
     res = residual_distances(pts.data, basis) ** 2
-    tv_ad = empirical_tv(adaptive_sample_round(pts, basis, trials, seed=702)[0],
+    tv_ad = empirical_tv(adaptive_sample(pts, basis, trials, 1, seed=702).blocks[0],
                          res / res.sum(), 5)
     assert tv_ad <= 0.05
     details.append(f"adaptive-round tv={tv_ad:.4f}")

@@ -156,12 +156,49 @@ def test_run_fkv_single_pass(tmp_path):
     assert rows[0].subset_size == 20
 
 
-def test_run_fkv_all_zero_input_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("alg", ["fkv", "adaptive"])
+def test_run_all_zero_input_is_exact_fit(tmp_path, capsys, alg):
+    # every residual is zero: the first round stops the sampling, after its
+    # one pass, and the empty selection is an exact fit with no ratio
     path = tmp_path / "zeros.csv"
     path.write_text("0.0,0.0\n0.0,0.0\n")
-    assert main(["run", "--input", str(path), "--alg", "fkv", "--k", "1",
-                 "--t", "2", "--l", "1"]) == 2
-    assert "fits every point" in capsys.readouterr().err
+    out = tmp_path / "report.csv"
+    assert main(["run", "--input", str(path), "--alg", alg, "--k", "1",
+                 "--t", "2", "--l", "1", "--out", str(out)]) == 0
+    (row,) = parse_report(out.read_text())
+    assert (row.subset_size, row.passes, row.ratio) == (0, 1, None)
+    assert "exact fit after 0 rounds; stopped early" in capsys.readouterr().err
+
+
+def test_run_adaptive_counts_the_pass_that_stops_it(tmp_path, capsys, rank_two_rows):
+    # the first round's rows span every point, so the second round finds
+    # zero residuals and stops after its pass
+    path = tmp_path / "rank2.csv"
+    np.savetxt(path, rank_two_rows, delimiter=",")
+    out = tmp_path / "report.csv"
+    assert main(["run", "--input", str(path), "--alg", "adaptive", "--k", "2",
+                 "--t", "4", "--l", "3", "--out", str(out)]) == 0
+    (row,) = parse_report(out.read_text())
+    assert (row.subset_size, row.passes) == (4, 2)
+    assert "exact fit after 1 rounds; stopped early" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alg, flags", [
+    ("mcmc", ["--beta", "0.05", "--t", "0"]),
+    ("mcmc", ["--m", "0"]),
+    ("mcmc", ["--init", "mcmc-volume", "--steps", "0"]),
+    ("adaptive", ["--t", "0"]),
+    ("adaptive", ["--l", "0"]),
+    ("fkv", ["--t", "0"]),
+    ("fkv", ["--l", "-1"]),
+    ("volume-mcmc", ["--steps", "0"]),
+    ("svd-oracle", ["--m", "0"]),
+], ids=lambda v: v if isinstance(v, str) else "".join(v).replace("--", "-"))
+def test_run_refuses_overrides_below_one(tmp_path, capsys, alg, flags):
+    path = gen_dataset(tmp_path)
+    capsys.readouterr()
+    assert main(["run", "--input", str(path), "--alg", alg, "--k", "2", *flags]) == 2
+    assert f"error: {flags[-2]} must be >= 1" in capsys.readouterr().err
 
 
 def test_run_volume_algs(tmp_path):

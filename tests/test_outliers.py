@@ -118,6 +118,17 @@ def test_outlier_config_validation():
         nearest_inliers(PointSet(np.eye(2)), axis_basis(2, [0]), 1.0)
 
 
+@pytest.mark.parametrize("bad", [
+    dict(epsilon=1.5), dict(points_per_round=0), dict(chain_steps=0),
+    dict(init_walk_steps=0, init_mode="mcmc-volume")],
+    ids=["epsilon", "points_per_round", "chain_steps", "init_walk_steps"])
+def test_robust_select_checks_sampling_options_before_any_pass(bad):
+    src = open_source(PointSet(np.eye(3)))
+    with pytest.raises(ValueError):
+        robust_select(src, **(dict(k=1, epsilon=0.5, beta=0.1, lam=0.5) | bad))
+    assert src.pass_log.entries == []
+
+
 # ---------------------------------------------------------------------------
 # check_lambda
 # ---------------------------------------------------------------------------

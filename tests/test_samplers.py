@@ -24,7 +24,6 @@ from subsel.samplers import (
     SamplingConfig,
     SlotBudgetError,
     adaptive_sample,
-    adaptive_sample_round,
     certified_chain_steps,
     derive_params,
     error_ratio_bound,
@@ -149,45 +148,65 @@ def test_derive_params_validation():
         derive_params(2, 0.5, lam=0.0)
 
 
+@pytest.mark.parametrize("override", ["points_per_round", "rounds", "chain_steps"])
+def test_derive_params_refuses_overrides_below_one(override):
+    for value in (0, -1):
+        with pytest.raises(ValueError, match=f"{override} override must be >= 1"):
+            derive_params(5, 0.5, **{override: value})
+
+
 # ---------------------------------------------------------------------------
 # adaptive sampling; squared-length sampling is a round with an empty span
 # ---------------------------------------------------------------------------
 
+def one_round(pts, basis, count, p=2.0, seed=0):
+    """The single block of a one-round adaptive_sample."""
+    (block,) = adaptive_sample(pts, basis, count, 1, p, seed).blocks
+    return block
+
+
+def assert_stops_on_exact_fit(result):
+    assert result.blocks == ()
+    assert result.warnings == ("exact fit after 0 rounds; stopped early",)
+    result.passes.assert_passes(1)
+
+
 def test_squared_length_zero_weight_excluded():
     pts = PointSet(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    ids, coords = adaptive_sample_round(pts, OrthonormalBasis.empty(pts.d), 50, seed=1)
-    assert set(ids) == {0}
-    assert np.array_equal(coords, np.tile([1.0, 0.0], (50, 1)))
+    result = adaptive_sample(pts, OrthonormalBasis.empty(pts.d), 50, 1, seed=1)
+    assert set(result.blocks[0]) == {0}
+    assert len(result.blocks[0]) == 50
+    assert np.array_equal(result.basis.vectors, [[1.0, 0.0]])
 
 
 def test_squared_length_frequency():
     pts = PointSet(np.array([[1.0, 0.0], [2.0, 0.0]]))
-    draws, _ = adaptive_sample_round(pts, OrthonormalBasis.empty(2), 50_000, p=2.0, seed=2)
+    draws = one_round(pts, OrthonormalBasis.empty(2), 50_000, p=2.0, seed=2)
     freq1 = np.mean(np.asarray(draws) == 1)
     assert abs(freq1 - 0.8) <= 3 * math.sqrt(0.8 * 0.2 / 50_000)
 
 
 def test_squared_length_symmetry():
     pts = PointSet(np.array([[1.0, 0.0], [1.0, 0.0]]))
-    draws, _ = adaptive_sample_round(pts, OrthonormalBasis.empty(pts.d), 50_000, seed=3)
+    draws = one_round(pts, OrthonormalBasis.empty(pts.d), 50_000, seed=3)
     freq0 = np.mean(np.asarray(draws) == 0)
     assert abs(freq0 - 0.5) <= 3 * math.sqrt(0.25 / 50_000)
 
 
-def test_squared_length_all_zero_errors():
-    with pytest.raises(ExactFitReached):
-        adaptive_sample_round(PointSet(np.zeros((3, 2))), OrthonormalBasis.empty(2), 1)
+def test_squared_length_all_zero_stops_early():
+    assert_stops_on_exact_fit(
+        adaptive_sample(PointSet(np.zeros((3, 2))), OrthonormalBasis.empty(2), 1, 1))
 
 
 def test_adaptive_round_unique_nonzero_residual():
     pts = PointSet(np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]]))
-    draws, _ = adaptive_sample_round(pts, orthonormal_basis(pts, [0]), 20, seed=4)
+    draws = one_round(pts, orthonormal_basis(pts, [0]), 20, seed=4)
     assert set(draws) == {1}
 
 
 def test_adaptive_round_empty_current_is_squared_length():
     pts = instance(5, 3, seed=6)
-    a, _ = adaptive_sample_round(pts, OrthonormalBasis.empty(pts.d), 30_000, seed=7)
+    a = one_round(pts, OrthonormalBasis.empty(pts.d), 30_000, seed=7)
     w = np.linalg.norm(pts.data, axis=1) ** 2
     probs = w / w.sum()
     assert empirical_tv(a, probs, 5) <= 0.02
@@ -195,7 +214,7 @@ def test_adaptive_round_empty_current_is_squared_length():
 
 def test_adaptive_round_residual_weights():
     pts = PointSet(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 2.0]]))
-    draws, _ = adaptive_sample_round(pts, orthonormal_basis(pts, [0]), 50_000, seed=8)
+    draws = one_round(pts, orthonormal_basis(pts, [0]), 50_000, seed=8)
     freq2 = np.mean(np.asarray(draws) == 2)
     assert abs(freq2 - 0.8) <= 3 * math.sqrt(0.8 * 0.2 / 50_000)
     assert 0 not in set(draws)
@@ -203,15 +222,14 @@ def test_adaptive_round_residual_weights():
 
 def test_adaptive_round_exact_fit_signal():
     pts = PointSet(np.array([[1.0, 0.0], [2.0, 0.0]]))
-    with pytest.raises(ExactFitReached):
-        adaptive_sample_round(pts, orthonormal_basis(pts, [0]), 5, seed=9)
+    assert_stops_on_exact_fit(adaptive_sample(pts, orthonormal_basis(pts, [0]), 5, 1, seed=9))
 
 
 def test_adaptive_round_source_and_points_agree_in_distribution():
     pts = instance(6, 3, seed=10)
     src = open_source(pts)
     basis = orthonormal_basis(pts, [0])
-    via_source, _ = adaptive_sample_round(src, basis, 30_000, seed=11)
+    via_source = one_round(src, basis, 30_000, seed=11)
     w = residual_distances(pts.data, basis) ** 2
     probs = w / w.sum()
     assert empirical_tv(via_source, probs, 6) <= 0.02
@@ -495,12 +513,18 @@ def test_adaptive_volume_init_early_stop():
 
 
 @pytest.mark.parametrize("init_mode", ["exact-volume", "mcmc-volume", "adaptive-k-pass"])
-def test_rank_below_k_is_one_typed_error(init_mode):
-    pts = PointSet(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [-1.0, -2.0, 0.0],
-                             [3.0, 6.0, 0.0]]))
+def test_rank_below_k_is_one_typed_error(init_mode, rank_two_rows):
+    flat = PointSet(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [-1.0, -2.0, 0.0],
+                              [3.0, 6.0, 0.0]]))
     with pytest.raises(RankDeficientError, match="rank-deficient"):
-        select_subset(pts, SamplingConfig(k=2, epsilon=0.5, seed=39, init_mode=init_mode,
-                                          chain_steps=4, init_walk_steps=10))
+        select_subset(flat, SamplingConfig(k=2, epsilon=0.5, seed=39, init_mode=init_mode,
+                                           chain_steps=4, init_walk_steps=10))
+    # rank 2 with k = 3: after two picks the residuals are rounding error,
+    # not zero, so the adaptive init's third pick adds no dimension
+    pts = PointSet(rank_two_rows)
+    with pytest.raises(RankDeficientError, match="rank-deficient"):
+        select_subset(pts, SamplingConfig(k=3, epsilon=0.5, seed=1, init_mode=init_mode,
+                                          chain_steps=8, init_walk_steps=10))
 
 
 def test_adaptive_volume_init_expectation_bound():
