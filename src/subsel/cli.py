@@ -27,10 +27,12 @@ from .linalg import (
     err_p,
     is_exact_fit,
     optimal_subspace,
+    orthonormal_basis,
 )
 from .outliers import check_lambda, robust_select
-from .rng import derive_seed_sequence
+from .rng import derive_rng, derive_seed_sequence
 from .samplers import (
+    ExactFitReached,
     SamplingConfig,
     adaptive_sample,
     derive_params,
@@ -38,6 +40,7 @@ from .samplers import (
     init_pivot,
     select_subset,
     tv_distance_diag,
+    volume_sample_mcmc,
     volume_walk_distribution,
 )
 from .stream import (
@@ -220,8 +223,7 @@ def run_experiment(spec: ExperimentSpec, input_path: str,
 
 def _trial_mcmc(spec, source, seed, truth):
     init = dict(init_mode=spec.init_mode, points_per_round=spec.points_per_round,
-                rounds=spec.rounds, chain_steps=spec.chain_steps,
-                init_walk_steps=spec.walk_steps)
+                rounds=spec.rounds, chain_steps=spec.chain_steps)
     extras = {}
     if spec.beta > 0.0:
         truth_basis = truth_inliers = None
@@ -271,11 +273,17 @@ def _trial_svd_oracle(spec, source, seed, truth):
                                     "subset_size": spec.k}
 
 
-def _trial_volume(spec, source, seed, truth):
-    init_mode = "exact-volume" if spec.algorithm == "volume-exact" else "mcmc-volume"
-    steps = 1000 if spec.walk_steps is None else spec.walk_steps
-    basis, _ = init_pivot(source, spec.k, spec.p, seed, init_mode, steps)
+def _trial_volume_exact(spec, source, seed, truth):
+    basis, _ = init_pivot(source, spec.k, spec.p, seed, "exact-volume")
     return basis, source.pass_log, {}
+
+
+def _trial_volume_mcmc(spec, source, seed, truth):
+    # the stream label seeds every volume-mcmc report: a new label moves them
+    pts = source.collect("volume-mcmc")
+    steps = 1000 if spec.walk_steps is None else spec.walk_steps
+    ids = volume_sample_mcmc(pts, spec.k, steps, rng=derive_rng(seed, "init", "mcmc-volume"))
+    return orthonormal_basis(pts, ids), source.pass_log, {}
 
 
 TRIALS = {
@@ -283,8 +291,8 @@ TRIALS = {
     "adaptive": _trial_adaptive,
     "fkv": _trial_fkv,
     "svd-oracle": _trial_svd_oracle,
-    "volume-exact": _trial_volume,
-    "volume-mcmc": _trial_volume,
+    "volume-exact": _trial_volume_exact,
+    "volume-mcmc": _trial_volume_mcmc,
 }
 
 
@@ -414,9 +422,13 @@ def cmd_diag_tv(args) -> int:
         return 2
     pts, _ = generate_synthetic(n=args.n, d=args.d, rank=min(args.d, args.k + 1),
                                 noise_sigma=0.3, seed=args.seed)
-    pivot = greedy_max_volume_init(pts, args.k)
-    diag = tv_distance_diag(pts, pivot, pivot, args.m, p=args.p,
-                            trials=args.trials, seed=args.seed)
+    try:
+        pivot = greedy_max_volume_init(pts, args.k)
+        diag = tv_distance_diag(pts, pivot, pivot, args.m, p=args.p,
+                                trials=args.trials, seed=args.seed)
+    except (ValueError, ExactFitReached) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"tv={diag.tv_distance:.6f} gamma={diag.gamma:.6f} m={args.m} "
           f"trials={args.trials} n={args.n}")
     if args.tv_bound is not None and diag.tv_distance > args.tv_bound:
@@ -433,8 +445,12 @@ def cmd_diag_volume(args) -> int:
         return 2
     pts, _ = generate_synthetic(n=args.n, d=args.d, rank=min(args.d, args.k + 1),
                                 noise_sigma=0.3, seed=args.seed)
-    diag = volume_walk_distribution(pts, args.k, args.steps, args.walks,
-                                    seed=args.seed)
+    try:
+        diag = volume_walk_distribution(pts, args.k, args.steps, args.walks,
+                                        seed=args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"tv={diag.tv_distance:.6f} steps={args.steps} walks={args.walks} "
           f"subsets={len(diag.subsets)}")
     if diag.tv_distance > args.tv_bound:
@@ -479,13 +495,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--t", type=int, default=None, help="points per round override")
     run.add_argument("--l", type=int, default=None, help="rounds override")
     run.add_argument("--m", type=int, default=None, help="chain steps override")
-    run.add_argument("--init", choices=("exact-volume", "mcmc-volume",
-                                        "adaptive-k-pass"), default="exact-volume")
+    run.add_argument("--init", choices=("exact-volume", "adaptive-k-pass"),
+                     default="exact-volume")
     run.add_argument("--mode", choices=("memory", "streaming"), default="memory")
     run.add_argument("--timing", choices=("real", "zero"), default="real",
                      help="zero writes wall_time_s=0.0 for byte-reproducible reports")
     run.add_argument("--steps", type=int, default=None,
-                     help="walk steps for volume-mcmc and the mcmc-volume init")
+                     help="walk steps for volume-mcmc (default 1000)")
     run.set_defaults(func=cmd_run)
 
     diag = sub.add_parser("diag", help="distributional diagnostics")

@@ -94,7 +94,7 @@ def fit_trimmed_subspace(points: PointSet, span: OrthonormalBasis, k: int,
 def robust_select(source_or_points, k: int, epsilon: float, beta: float,
                   lam: float, seed: int = 0, *, init_mode: str = "exact-volume",
                   points_per_round: int | None = None, rounds: int | None = None,
-                  chain_steps: int | None = None, init_walk_steps: int | None = None,
+                  chain_steps: int | None = None,
                   ground_truth_basis: OrthonormalBasis | None = None,
                   ground_truth_inliers=None,
                   ) -> tuple[SelectionResult, InlierSet]:
@@ -118,7 +118,7 @@ def robust_select(source_or_points, k: int, epsilon: float, beta: float,
         raise ValueError("lambda must lie in (0, 1]")
     config = SamplingConfig(k=k, epsilon=epsilon, seed=seed, init_mode=init_mode,
                             points_per_round=points_per_round, rounds=rounds,
-                            chain_steps=chain_steps, init_walk_steps=init_walk_steps)
+                            chain_steps=chain_steps)
     source = as_source(source_or_points)
     result = _select(source, config, lam)
 

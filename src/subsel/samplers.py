@@ -1,7 +1,8 @@
 """Sampling algorithms for subset selection.
 
 Adaptive sampling (squared-length sampling is its round with an empty
-span), volume sampling (enumeration, determinantal, lazy random walk), the
+span), volume sampling (determinantal, lazy random walk, and the enumerated
+law the diagnostics and tests compare them with), the
 pivot-proposal Metropolis selection that compresses the adaptive rounds into
 a single pass, closed-form parameter derivation, and distributional
 diagnostics.
@@ -93,9 +94,9 @@ class SamplingConfig:
     """User-facing knobs for the selection pipeline.
 
     init_mode picks how the pivot subset is drawn: exact-volume (one
-    materializing pass), mcmc-volume (one pass plus an in-memory lazy walk),
-    or adaptive-k-pass (k single-point passes, the one init for p != 2).
-    Overrides replace the derived t / l / m.
+    materializing pass and a DPP draw, p = 2 only) or adaptive-k-pass (k
+    single-point passes, the one init for p != 2). Overrides replace the
+    derived t / l / m.
     """
 
     k: int
@@ -106,7 +107,6 @@ class SamplingConfig:
     points_per_round: int | None = None
     rounds: int | None = None
     chain_steps: int | None = None
-    init_walk_steps: int | None = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -115,10 +115,10 @@ class SamplingConfig:
             raise ValueError("epsilon must lie in (0, 1)")
         if self.p < 2.0:
             raise ValueError("p must be >= 2")
-        if self.init_mode not in ("exact-volume", "mcmc-volume", "adaptive-k-pass"):
+        if self.init_mode not in ("exact-volume", "adaptive-k-pass"):
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
         _check_overrides(points_per_round=self.points_per_round, rounds=self.rounds,
-                         chain_steps=self.chain_steps, init_walk_steps=self.init_walk_steps)
+                         chain_steps=self.chain_steps)
 
 
 def _check_overrides(**overrides: int | None) -> None:
@@ -353,7 +353,8 @@ def adaptive_sample(source_or_points, initial: OrthonormalBasis, count: int,
 # volume sampling
 # ---------------------------------------------------------------------------
 
-def _enumerate_volumes(points: PointSet, k: int, p: float, guard: int,
+def _enumerate_volumes(points: PointSet, k: int, p: float = 2.0,
+                       guard: int = ENUMERATION_GUARD,
                        ) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
     """All k-subsets (brute force, at most `guard` of them), their
     `gram_dets` at the data's power of two and their normalized vol^p
@@ -376,26 +377,6 @@ def _enumerate_volumes(points: PointSet, k: int, p: float, guard: int,
     if total <= 0.0:
         raise RankDeficientError("rank-deficient dataset: every k-subset has zero volume")
     return subsets, dets, weights / total
-
-
-def enumerate_volume_distribution(points: PointSet, k: int, p: float = 2.0,
-                                  guard: int = ENUMERATION_GUARD,
-                                  ) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """All k-subsets with their normalized vol^p probabilities (brute force)."""
-    subsets, _, probs = _enumerate_volumes(points, k, p, guard)
-    return subsets, probs
-
-
-def volume_sample_exact(points: PointSet, k: int, p: float = 2.0, seed: int = 0, *,
-                        rng: np.random.Generator | None = None) -> list[int]:
-    """One k-subset with probability vol^p / sum vol^p by full enumeration.
-
-    Guarded at C(n,k) <= 10^6; use volume_sample_dpp for large p=2 instances.
-    """
-    subsets, probs = enumerate_volume_distribution(points, k, p)
-    rng = rng if rng is not None else derive_rng(seed, "volume-exact")
-    idx = int(rng.choice(len(subsets), p=probs))
-    return list(subsets[idx])
 
 
 def volume_sample_dpp(points: PointSet, k: int, seed: int = 0, *,
@@ -826,29 +807,16 @@ def _certify_round(rnd: int, d_cur: np.ndarray, d_piv: np.ndarray, held: np.ndar
 # full pipelines
 # ---------------------------------------------------------------------------
 
-def _default_walk_steps(points: PointSet, k: int) -> int:
-    """Condition-number-driven walk length for the volume init (heuristic);
-    a values-only SVD, as kappa needs singular values down to 1e-12 of the
-    largest, below the Gram kernel's reach (no benchmark workload runs it)."""
-    s = np.linalg.svd(points.data, compute_uv=False)
-    if s[0] <= 0.0:
-        return points.n * k
-    smin = float(s[s > s[0] * 1e-12][-1])
-    kappa = float(s[0]) / smin
-    return int(math.ceil(points.n * k * (k * math.log(max(kappa, math.e))
-                                         + math.log(points.n))))
-
-
-def init_pivot(source: DatasetSource, k: int, p: float, seed: int, init_mode: str,
-               init_walk_steps: int | None = None,
-               ) -> tuple[OrthonormalBasis, float]:
+def init_pivot(source: DatasetSource, k: int, p: float, seed: int,
+               init_mode: str) -> tuple[OrthonormalBasis, float]:
     """Draw the pivot span per init_mode; returns (basis, alpha), the basis's
     source ids being the pivot subset.
 
     alpha is the approximate-volume-sampling quality factor the parameter
-    derivation should assume for this pivot. Volume inits (p = 2 only) take
-    one materializing pass. The adaptive init is adaptive_sample with k
-    single-point rounds from the empty span, in k passes. Every init raises
+    derivation should assume for this pivot. The exact-volume init (p = 2
+    only) takes one materializing pass and draws volume_sample_dpp's exact
+    law, alpha = 1. The adaptive init is adaptive_sample with k single-point
+    rounds from the empty span, in k passes. Both inits raise
     RankDeficientError when the data has rank below k; the adaptive init
     finds that when its picks span fewer than k dimensions (extend_basis
     drops a pick whose residual is rounding error).
@@ -863,25 +831,18 @@ def init_pivot(source: DatasetSource, k: int, p: float, seed: int, init_mode: st
                 f"rank-deficient dataset: the adaptive init rows span rank {pivot.basis.r} "
                 f"< k = {k}")
         return pivot.basis, (float(math.factorial(k)) if p == 2.0 else 1.0)
-    if init_mode not in ("exact-volume", "mcmc-volume"):
+    if init_mode != "exact-volume":
         raise ValueError(f"unknown init_mode {init_mode!r}")
     pts = source.collect(f"init:{init_mode}")
-    rng = derive_rng(seed, "init", init_mode)
-    if init_mode == "exact-volume":
-        ids = volume_sample_dpp(pts, k, rng=rng)
-        alpha = 1.0
-    else:
-        steps = (init_walk_steps if init_walk_steps is not None
-                 else _default_walk_steps(pts, k))
-        ids = volume_sample_mcmc(pts, k, steps, rng=rng)
-        alpha = (k + 2.0) / (k + 1.0)
-    return orthonormal_basis(pts, ids), alpha
+    ids = volume_sample_dpp(pts, k, rng=derive_rng(seed, "init", init_mode))
+    return orthonormal_basis(pts, ids), 1.0
 
 
 def select_subset(source_or_points, config: SamplingConfig) -> SelectionResult:
     """The full pipeline: pivot initialization plus the Metropolis pass.
 
-    A volume init (p = 2 only) runs in 2 passes, the adaptive init in k+1.
+    The exact-volume init (p = 2 only) runs in 2 passes, the adaptive init
+    in k+1.
     All pass counts are auditable from the result's PassLog.
     """
     return _select(as_source(source_or_points), config)
@@ -894,8 +855,7 @@ def _select(source: DatasetSource, config: SamplingConfig,
     if config.k > source.d:
         raise ValueError(f"k={config.k} exceeds data dimension d={source.d}")
     k, p, seed = config.k, config.p, config.seed
-    pivot, alpha = init_pivot(source, k, p, seed, config.init_mode,
-                              config.init_walk_steps)
+    pivot, alpha = init_pivot(source, k, p, seed, config.init_mode)
     params = derive_params(k, config.epsilon, alpha, p=p, lam=lam,
                            points_per_round=config.points_per_round,
                            rounds=config.rounds, chain_steps=config.chain_steps)
@@ -927,7 +887,11 @@ def tv_distance_diag(points: PointSet, pivot_ids: Sequence[int],
     stepper, _walk on r = target / q, with each step's proposals and then
     uniforms drawn as (1, trials) arrays. Also reports gamma, the worst-case
     target/proposal ratio that controls the (1 - 1/gamma)^(m-1) decay.
-    Enumeration-based: n must be at most 4096.
+    Enumeration-based: n must be at most 4096. Raises ExactFitReached when
+    either span fits every point up to rounding, each residual at most
+    RANK_TOL times its row norm (mcmc_select's saturation test): the target
+    would be rounding noise. Residuals are weighed at the row norms' power
+    of two, so extreme scales neither underflow nor overflow.
     """
     n = points.n
     if n > TV_DIAG_MAX_POINTS:
@@ -935,16 +899,15 @@ def tv_distance_diag(points: PointSet, pivot_ids: Sequence[int],
                          f"(limit {TV_DIAG_MAX_POINTS})")
     if chain_steps < 1:
         raise ValueError("chain_steps must be >= 1")
-    pivot_basis = orthonormal_basis(points, pivot_ids)
-    current_basis = orthonormal_basis(points, current_ids)
-    w0 = residual_distances(points.data, pivot_basis) ** p
-    err0 = float(w0.sum())
-    if err0 <= 0.0:
-        raise ExactFitReached("pivot span fits every point")
-    w = residual_distances(points.data, current_basis) ** p
-    err_cur = float(w.sum())
-    if err_cur <= 0.0:
-        raise ExactFitReached("current span fits every point")
+    norms = residual_distances(points.data, OrthonormalBasis.empty(points.d))
+    d0 = residual_distances(points.data, orthonormal_basis(points, pivot_ids))
+    d_cur = residual_distances(points.data, orthonormal_basis(points, current_ids))
+    for name, dist in (("pivot", d0), ("current", d_cur)):
+        if np.all(dist <= RANK_TOL * norms):
+            raise ExactFitReached(f"{name} span fits every point up to rounding")
+    e = _pow2_exponent(norms)
+    w0, w = np.ldexp(d0, -e) ** p, np.ldexp(d_cur, -e) ** p
+    err0, err_cur = float(w0.sum()), float(w.sum())
     q = np.asarray(proposal_q(w0, err0, n))
     target = w / err_cur
     r = target / q

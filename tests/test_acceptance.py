@@ -24,12 +24,11 @@ from subsel.outliers import check_lambda, robust_select
 from subsel.rng import derive_rng
 from subsel.samplers import (
     SamplingConfig,
+    _enumerate_volumes,
     adaptive_sample,
-    enumerate_volume_distribution,
     select_subset,
     tv_distance_diag,
     volume_sample_dpp,
-    volume_sample_exact,
     volume_walk_distribution,
 )
 from subsel.stream import generate_synthetic, inlier_count
@@ -142,7 +141,7 @@ def test_criterion_3_chain_tv():
 def test_criterion_4_volume_sampling():
     pts, _ = generate_synthetic(n=50, d=8, rank=8, noise_sigma=0.5, seed=4)
     _, opt = optimal_subspace(pts, 2)
-    subsets, probs = enumerate_volume_distribution(pts, 2)
+    subsets, _, probs = _enumerate_volumes(pts, 2)
     errs = np.array([err_p(pts, orthonormal_basis(pts, list(s)), 2.0)
                      for s in subsets])
     exact_mean = float(probs @ errs)
@@ -263,10 +262,10 @@ def test_criterion_7_distributional_oracles():
     assert tv_ad <= 0.05
     details.append(f"adaptive-round tv={tv_ad:.4f}")
 
-    subsets, probs = enumerate_volume_distribution(pts, 2)
+    subsets, _, probs = _enumerate_volumes(pts, 2)
     idx = {s: i for i, s in enumerate(subsets)}
     rng = derive_rng(703, "criterion-7")
-    samples = [idx[tuple(sorted(volume_sample_exact(pts, 2, rng=rng)))]
+    samples = [idx[tuple(sorted(volume_sample_dpp(pts, 2, rng=rng)))]
                for _ in range(trials)]
     tv_vol = empirical_tv(samples, probs, len(subsets))
     assert tv_vol <= 0.05

@@ -186,7 +186,6 @@ def test_run_adaptive_counts_the_pass_that_stops_it(tmp_path, capsys, rank_two_r
 @pytest.mark.parametrize("alg, flags", [
     ("mcmc", ["--beta", "0.05", "--t", "0"]),
     ("mcmc", ["--m", "0"]),
-    ("mcmc", ["--init", "mcmc-volume", "--steps", "0"]),
     ("adaptive", ["--t", "0"]),
     ("adaptive", ["--l", "0"]),
     ("fkv", ["--t", "0"]),
@@ -210,16 +209,6 @@ def test_run_volume_algs(tmp_path):
         rows = parse_report(out.read_text())
         assert rows[0].subset_size == 2
         assert rows[0].ratio >= 1.0 - 1e-9
-
-
-def test_run_mcmc_volume_init_with_steps(tmp_path):
-    path = gen_dataset(tmp_path, n=60, d=6, rank=3)
-    out = tmp_path / "walkinit.csv"
-    assert main(["run", "--input", str(path), "--alg", "mcmc", "--k", "3",
-                 "--init", "mcmc-volume", "--steps", "150", "--m", "12",
-                 "--out", str(out)]) == 0
-    rows = parse_report(out.read_text())
-    assert rows[0].passes == 2
 
 
 def test_run_robust_uses_truth(tmp_path):
@@ -273,17 +262,19 @@ def test_run_rejects_incompatible_flags(tmp_path):
                  "--p", "3"]) == 2
     assert main(["run", "--input", str(path), "--alg", "fkv", "--k", "3",
                  "--beta", "0.2"]) == 2
+    # the p = 2 pivot is the exact DPP draw; the lazy walk is only volume-mcmc
+    assert main(["run", "--input", str(path), "--alg", "mcmc", "--k", "3",
+                 "--init", "mcmc-volume"]) == 2
 
 
 def test_run_p3_needs_adaptive_init(tmp_path, capsys):
-    # volume inits sample p = 2 volumes; p != 2 is refused before any pass
-    # and runs in k + 1 passes with the adaptive init
+    # the exact-volume init samples p = 2 volumes; p != 2 is refused before
+    # any pass and runs in k + 1 passes with the adaptive init
     path = gen_dataset(tmp_path, n=40)
     capsys.readouterr()
-    for init in ([], ["--init", "mcmc-volume"]):
-        assert main(["run", "--input", str(path), "--alg", "mcmc", "--k", "2",
-                     "--p", "3", *init]) == 2
-        assert "adaptive-k-pass" in capsys.readouterr().err
+    assert main(["run", "--input", str(path), "--alg", "mcmc", "--k", "2",
+                 "--p", "3"]) == 2
+    assert "adaptive-k-pass" in capsys.readouterr().err
     for alg in ("volume-exact", "volume-mcmc"):
         assert main(["run", "--input", str(path), "--alg", alg, "--k", "2",
                      "--p", "3"]) == 2
@@ -382,6 +373,20 @@ def test_diag_tv_bound_failure():
     # one step cannot be within TV 1e-6 of the target
     assert main(["diag", "tv", "--n", "8", "--m", "1", "--trials", "5000",
                  "--tv-bound", "1e-6"]) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tv", "--d", "3", "--k", "4", "--trials", "2000"], "rank-deficient dataset"),
+    (["tv", "--d", "3", "--k", "3", "--trials", "2000"], "fits every point up to rounding"),
+    (["volume", "--n", "6", "--d", "3", "--k", "4"], "rank-deficient dataset"),
+], ids=["tv-rank-below-k", "tv-exact-fit", "volume-rank-below-k"])
+def test_diag_refuses_degenerate_instances(capsys, argv, message):
+    # rank 3 < k = 4 has no k-subset of nonzero volume, and k = d = 3 rows
+    # fit every point up to rounding: usage errors, not a guarantee verdict
+    assert main(["diag", *argv]) == 2
+    captured = capsys.readouterr()
+    assert "tv=" not in captured.out
+    assert captured.err.startswith("error: ") and message in captured.err
 
 
 def test_diag_volume_converges(capsys):

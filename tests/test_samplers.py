@@ -23,11 +23,11 @@ from subsel.samplers import (
     RoundStats,
     SamplingConfig,
     SlotBudgetError,
+    _enumerate_volumes,
     adaptive_sample,
     certified_chain_steps,
     derive_params,
     error_ratio_bound,
-    enumerate_volume_distribution,
     greedy_max_volume_init,
     init_pivot,
     mcmc_select,
@@ -36,7 +36,6 @@ from subsel.samplers import (
     select_subset,
     tv_distance_diag,
     volume_sample_dpp,
-    volume_sample_exact,
     volume_sample_mcmc,
     volume_walk_distribution,
 )
@@ -297,51 +296,51 @@ def _best_k_err(pts, result, k):
 # ---------------------------------------------------------------------------
 
 def test_volume_exact_k1_matches_squared_length():
+    # a 1-subset's squared volume is its squared length
     pts = instance(5, 3, seed=19)
-    rng = derive_rng(20, "volume-test")
-    draws = [volume_sample_exact(pts, 1, rng=rng)[0] for _ in range(20_000)]
+    subsets, _, probs = _enumerate_volumes(pts, 1)
+    assert subsets == [(i,) for i in range(5)]
     w = np.linalg.norm(pts.data, axis=1) ** 2
-    assert empirical_tv(draws, w / w.sum(), 5) <= 0.02
+    assert np.allclose(probs, w / w.sum(), rtol=1e-12, atol=1e-15)
 
 
 def test_volume_exact_three_pair_uniform():
     pts = PointSet(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
-    subsets, probs = enumerate_volume_distribution(pts, 2)
+    subsets, _, probs = _enumerate_volumes(pts, 2)
     assert subsets == [(0, 1), (0, 2), (1, 2)]
     assert np.allclose(probs, 1.0 / 3)
 
 
 def test_volume_exact_duplicate_pair_never_sampled():
     pts = PointSet(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    subsets, probs = enumerate_volume_distribution(pts, 2)
+    subsets, _, probs = _enumerate_volumes(pts, 2)
     assert probs[subsets.index((0, 1))] == 0.0
     rng = derive_rng(21, "volume-test")
     for _ in range(300):
-        assert tuple(sorted(volume_sample_exact(pts, 2, rng=rng))) != (0, 1)
+        assert tuple(sorted(volume_sample_dpp(pts, 2, rng=rng))) != (0, 1)
 
 
 def test_volume_exact_guard_and_rank_errors():
     pts = instance(40, 4, seed=22)
     with pytest.raises(ValueError, match="guard"):
-        enumerate_volume_distribution(pts, 10, guard=1000)
+        _enumerate_volumes(pts, 10, guard=1000)
     flat = PointSet(np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
-    with pytest.raises(ValueError, match="rank-deficient"):
-        volume_sample_exact(flat, 2)
+    with pytest.raises(RankDeficientError, match="rank-deficient"):
+        _enumerate_volumes(flat, 2)
 
 
 def test_volume_exact_distribution_p3():
+    # the p = 3 law weighs a subset by vol^3 = det(Gram)^(3/2)
     pts = instance(5, 3, seed=23)
-    subsets, probs = enumerate_volume_distribution(pts, 2, p=3.0)
-    rng = derive_rng(24, "volume-test")
-    draws = [tuple(sorted(volume_sample_exact(pts, 2, p=3.0, rng=rng))) for _ in range(20_000)]
-    idx = {s: i for i, s in enumerate(subsets)}
-    samples = [idx[d] for d in draws]
-    assert empirical_tv(samples, probs, len(subsets)) <= 0.03
+    subsets, _, probs = _enumerate_volumes(pts, 2, p=3.0)
+    w = np.array([np.linalg.det(pts.data[list(s)] @ pts.data[list(s)].T) ** 1.5
+                  for s in subsets])
+    assert np.allclose(probs, w / w.sum(), rtol=1e-9, atol=1e-12)
 
 
 def test_volume_dpp_matches_enumeration():
     pts = instance(6, 4, seed=25)
-    subsets, probs = enumerate_volume_distribution(pts, 2)
+    subsets, _, probs = _enumerate_volumes(pts, 2)
     idx = {s: i for i, s in enumerate(subsets)}
     rng = derive_rng(26, "volume-test")
     samples = [idx[tuple(sorted(volume_sample_dpp(pts, 2, rng=rng)))] for _ in range(20_000)]
@@ -350,7 +349,7 @@ def test_volume_dpp_matches_enumeration():
 
 def test_volume_dpp_k3_matches_enumeration():
     pts = instance(7, 5, seed=27)
-    subsets, probs = enumerate_volume_distribution(pts, 3)
+    subsets, _, probs = _enumerate_volumes(pts, 3)
     idx = {s: i for i, s in enumerate(subsets)}
     rng = derive_rng(28, "volume-test")
     samples = [idx[tuple(sorted(volume_sample_dpp(pts, 3, rng=rng)))] for _ in range(20_000)]
@@ -403,7 +402,7 @@ def test_volume_dpp_ill_conditioned_samples():
     # cut: the DPP still samples, with the enumeration's law; an exactly
     # rank-deficient spectrum raises (test_volume_dpp_rank_deficient)
     pts = spectrum_instance(6, [1.0, 1e-2, 1e-4], seed=32)
-    subsets, probs = enumerate_volume_distribution(pts, 3)
+    subsets, _, probs = _enumerate_volumes(pts, 3)
     idx = {s: i for i, s in enumerate(subsets)}
     rng = derive_rng(33, "volume-test")
     samples = [idx[tuple(sorted(volume_sample_dpp(pts, 3, rng=rng)))] for _ in range(10_000)]
@@ -467,7 +466,7 @@ def test_volume_walk_exact_transition_matrix_oracle():
     # independent oracle: power the walk's transition matrix and compare the
     # exact chain law with the brute-force volume distribution
     pts = instance(6, 3, seed=35)
-    subsets, probs = enumerate_volume_distribution(pts, 2)
+    subsets, _, probs = _enumerate_volumes(pts, 2)
     vols = gram_dets(pts, np.array(subsets), 0)
     count, n, k = len(subsets), 6, 2
     index = {s: i for i, s in enumerate(subsets)}
@@ -512,19 +511,29 @@ def test_adaptive_volume_init_early_stop():
         init_pivot(open_source(pts), 2, 2.0, 38, "adaptive-k-pass")
 
 
-@pytest.mark.parametrize("init_mode", ["exact-volume", "mcmc-volume", "adaptive-k-pass"])
+RANK_ONE_ROWS = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [-1.0, -2.0, 0.0],
+                          [3.0, 6.0, 0.0]])
+
+
+@pytest.mark.parametrize("init_mode", ["exact-volume", "adaptive-k-pass"])
 def test_rank_below_k_is_one_typed_error(init_mode, rank_two_rows):
-    flat = PointSet(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [-1.0, -2.0, 0.0],
-                              [3.0, 6.0, 0.0]]))
     with pytest.raises(RankDeficientError, match="rank-deficient"):
-        select_subset(flat, SamplingConfig(k=2, epsilon=0.5, seed=39, init_mode=init_mode,
-                                           chain_steps=4, init_walk_steps=10))
+        select_subset(PointSet(RANK_ONE_ROWS), SamplingConfig(
+            k=2, epsilon=0.5, seed=39, init_mode=init_mode, chain_steps=4))
     # rank 2 with k = 3: after two picks the residuals are rounding error,
     # not zero, so the adaptive init's third pick adds no dimension
     pts = PointSet(rank_two_rows)
     with pytest.raises(RankDeficientError, match="rank-deficient"):
         select_subset(pts, SamplingConfig(k=3, epsilon=0.5, seed=1, init_mode=init_mode,
-                                          chain_steps=8, init_walk_steps=10))
+                                          chain_steps=8))
+
+
+def test_volume_walk_rank_below_k_is_the_typed_error(rank_two_rows):
+    # the lazy walk starts from greedy_max_volume_init, which finds no
+    # full-rank start below rank k
+    for rows, k in ((RANK_ONE_ROWS, 2), (rank_two_rows, 3)):
+        with pytest.raises(RankDeficientError, match="rank-deficient"):
+            volume_sample_mcmc(PointSet(rows), k, 10, seed=39)
 
 
 def test_adaptive_volume_init_expectation_bound():
@@ -977,6 +986,30 @@ def test_tv_diag_guards():
         tv_distance_diag(big, [0], [0], 2, trials=10, seed=61)
 
 
+def test_tv_diag_refuses_a_span_that_fits_up_to_rounding():
+    # three rows span R^3: every residual is rounding error, not zero, and
+    # a TV measured against it would be noise
+    pts = instance(8, 3, seed=62)
+    assert residual_distances(pts.data, orthonormal_basis(pts, [0, 1, 2])).max() > 0.0
+    with pytest.raises(ExactFitReached, match="pivot span fits every point up to rounding"):
+        tv_distance_diag(pts, [0, 1, 2], [0, 1, 2], 4, trials=10, seed=63)
+    with pytest.raises(ExactFitReached, match="current span fits every point up to rounding"):
+        tv_distance_diag(pts, [0], [0, 1, 2], 4, trials=10, seed=63)
+
+
+def test_tv_diag_repeats_under_power_of_two_scaling():
+    # residuals are weighed at the row norms' power of two: at 2**-600 their
+    # squares would underflow to zero
+    pts = instance(8, 3, seed=64)
+    want = tv_distance_diag(pts, [0], [0, 1], 4, trials=2_000, seed=65)
+    for scale in (2.0 ** 600, 2.0 ** -600):
+        with np.errstate(all="raise"):
+            got = tv_distance_diag(PointSet(pts.data * scale), [0], [0, 1], 4,
+                                   trials=2_000, seed=65)
+        assert (got.tv_distance, got.gamma) == (want.tv_distance, want.gamma)
+        assert np.array_equal(got.exact, want.exact)
+
+
 # ---------------------------------------------------------------------------
 # full pipeline
 # ---------------------------------------------------------------------------
@@ -989,14 +1022,6 @@ def test_pipeline_two_passes_exact_volume():
     assert result.size == 3 + result.params.total_points
     pivot_error = err_p(pts, orthonormal_basis(pts, result.initial_ids), 2.0)
     assert err_p(pts, result.basis, 2.0) <= pivot_error + 1e-9
-
-
-def test_pipeline_two_passes_mcmc_volume():
-    pts, _ = _planted(n=100, d=6, rank=2, noise=0.1, seed=64)
-    cfg = SamplingConfig(k=2, epsilon=0.5, seed=65, init_mode="mcmc-volume",
-                         chain_steps=16, init_walk_steps=200)
-    result = select_subset(pts, cfg)
-    result.passes.assert_passes(2)
 
 
 def test_pipeline_lp_mode_k_plus_one_passes():
@@ -1156,8 +1181,9 @@ def test_sampling_config_validation():
         SamplingConfig(k=2, epsilon=0.0)
     with pytest.raises(ValueError):
         SamplingConfig(k=2, epsilon=0.5, p=1.5)
-    with pytest.raises(ValueError):
-        SamplingConfig(k=2, epsilon=0.5, init_mode="nope")
+    for init_mode in ("nope", "mcmc-volume"):
+        with pytest.raises(ValueError, match=f"unknown init_mode '{init_mode}'"):
+            SamplingConfig(k=2, epsilon=0.5, init_mode=init_mode)
     with pytest.raises(ValueError):
         SamplingConfig(k=2, epsilon=0.5, rounds=0)
 
