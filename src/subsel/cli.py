@@ -23,6 +23,7 @@ import numpy as np
 from .linalg import (
     OrthonormalBasis,
     PointSet,
+    _check_p,
     best_rank_k_in_span,
     err_p,
     is_exact_fit,
@@ -46,6 +47,7 @@ from .samplers import (
 from .stream import (
     PassCountError,
     PassLog,
+    _check_beta_lambda,
     generate_synthetic,
     open_source,
     write_binary,
@@ -141,30 +143,38 @@ class ExperimentSpec:
     walk_steps: int | None = None
 
     def validate(self) -> None:
+        """The CLI's rules, then the library checks its trials reach."""
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.algorithm in ("svd-oracle", "volume-exact", "volume-mcmc") and self.p != 2.0:
-            raise ValueError(f"{self.algorithm} supports p = 2 only")
-        if self.algorithm == "mcmc" and not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
-        if self.beta > 0.0 and self.algorithm != "mcmc":
-            raise ValueError("outlier evaluation (beta > 0) is wired to the mcmc pipeline")
-        if not 0.0 <= self.beta < 1.0:
-            raise ValueError("beta must lie in [0, 1)")
-        if not 0.0 < self.lam <= 1.0:
-            raise ValueError("lambda must lie in (0, 1]")
         if self.mode not in ("memory", "streaming"):
             raise ValueError("mode must be memory or streaming")
         if self.timing not in ("real", "zero"):
             raise ValueError("timing must be real or zero")
+        if self.algorithm in ("svd-oracle", "volume-exact", "volume-mcmc") and self.p != 2.0:
+            raise ValueError(f"{self.algorithm} supports p = 2 only")
+        if self.beta > 0.0 and self.algorithm != "mcmc":
+            raise ValueError("outlier evaluation (beta > 0) is wired to the mcmc pipeline")
+        if self.lam != 1.0 and not self.beta > 0.0:
+            raise ValueError("--lambda needs --beta > 0")
+        # every algorithm refuses these, also those that do not read them
         for flag, value in (("--t", self.points_per_round), ("--l", self.rounds),
                             ("--m", self.chain_steps), ("--steps", self.walk_steps)):
             if value is not None and value < 1:
                 raise ValueError(f"{flag} must be >= 1")
+        if self.algorithm == "mcmc":
+            SamplingConfig(k=self.k, epsilon=self.epsilon, p=self.p, init_mode=self.init_mode,
+                           points_per_round=self.points_per_round, rounds=self.rounds,
+                           chain_steps=self.chain_steps)
+        elif self.algorithm in ("adaptive", "fkv"):
+            derive_params(self.k, self.epsilon, points_per_round=self.points_per_round,
+                          rounds=self.rounds)
+            _check_p(self.p)
+        elif self.k < 1:  # the other trials check k only against the data
+            raise ValueError("k must be >= 1")
+        if self.beta != 0.0:
+            _check_beta_lambda(self.beta, self.lam)
 
 
 def run_experiment(spec: ExperimentSpec, input_path: str,
@@ -244,9 +254,9 @@ def _trial_mcmc(spec, source, seed, truth):
 
 
 def _trial_adaptive(spec, source, seed, truth):
-    t = _points_per_round(spec)
-    l = spec.rounds if spec.rounds is not None else derive_params(
-        spec.k, spec.epsilon).rounds
+    params = derive_params(spec.k, spec.epsilon, points_per_round=spec.points_per_round,
+                           rounds=spec.rounds)
+    t, l = params.points_per_round, params.rounds
     result = adaptive_sample(source, OrthonormalBasis.empty(source.d), t, l, spec.p, seed)
     # the round that finds the exact fit makes its pass too
     return result.basis, result.passes, {
@@ -255,16 +265,11 @@ def _trial_adaptive(spec, source, seed, truth):
 
 def _trial_fkv(spec, source, seed, truth):
     # length-squared sampling: one adaptive round of t*l draws from the empty span
+    params = derive_params(spec.k, spec.epsilon, points_per_round=spec.points_per_round)
     l = spec.rounds if spec.rounds is not None else 1
     result = adaptive_sample(source, OrthonormalBasis.empty(source.d),
-                             _points_per_round(spec) * l, 1, spec.p, seed)
+                             params.points_per_round * l, 1, spec.p, seed)
     return result.basis, result.passes, {"warnings": result.warnings}
-
-
-def _points_per_round(spec) -> int:
-    if spec.points_per_round is not None:
-        return spec.points_per_round
-    return derive_params(spec.k, spec.epsilon).points_per_round
 
 
 def _trial_svd_oracle(spec, source, seed, truth):
@@ -337,16 +342,14 @@ def _ratio(err: float, optimum: float | None) -> float | None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
-    if args.rank > args.d:
-        print(f"error: --rank {args.rank} exceeds --d {args.d}", file=sys.stderr)
+    try:
+        pts, truth = generate_synthetic(
+            n=args.n, d=args.d, rank=args.rank, noise_sigma=args.noise,
+            outlier_frac=args.outlier_frac, outlier_scale=args.outlier_scale,
+            seed=args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not 0.0 <= args.outlier_frac < 1.0:
-        print("error: --outlier-frac must lie in [0, 1)", file=sys.stderr)
-        return 2
-    pts, truth = generate_synthetic(
-        n=args.n, d=args.d, rank=args.rank, noise_sigma=args.noise,
-        outlier_frac=args.outlier_frac, outlier_scale=args.outlier_scale,
-        seed=args.seed)
     if args.format == "csv":
         write_csv(args.out, pts.data)
     else:
@@ -378,11 +381,6 @@ def cmd_run(args) -> int:
         mode=args.mode, init_mode=args.init, timing=args.timing,
         points_per_round=args.t, rounds=args.l, chain_steps=args.m,
         walk_steps=args.steps)
-    try:
-        spec.validate()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     truth = None
     truth_path = args.truth or (str(args.input) + ".truth.json")
     try:

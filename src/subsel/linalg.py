@@ -306,10 +306,15 @@ def residual_distances(rows: np.ndarray, basis: OrthonormalBasis) -> np.ndarray:
     return out
 
 
+def _check_p(p: float, least: float = 1.0) -> None:
+    """p is finite and at least `least`: 1 for errors and sampling, 2 for the closed forms."""
+    if not (math.isfinite(p) and p >= least):
+        raise ValueError(f"p must be finite and >= {least:g}")
+
+
 def err_p(points: PointSet, basis: OrthonormalBasis, p: float) -> float:
     """Sum of p-th powers of residual distances, in one sequential scan."""
-    if not np.isfinite(p) or p < 1:
-        raise ValueError("p must be finite and >= 1")
+    _check_p(p)
     res = residual_distances(points.data, basis)
     return float(np.sum(res ** p))
 

@@ -23,7 +23,7 @@ from .linalg import (
     residual_distances,
 )
 from .samplers import SamplingConfig, SelectionResult, _select
-from .stream import as_source, inlier_count
+from .stream import _check_beta_lambda, as_source, inlier_count
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,8 +51,7 @@ def _trim(residuals: np.ndarray, beta: float) -> InlierSet:
 
 def nearest_inliers(points: PointSet, basis: OrthonormalBasis, beta: float) -> InlierSet:
     """The ceil((1-beta) n) points nearest to span(basis), one scan."""
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must lie in [0, 1)")
+    _check_beta_lambda(beta)
     return _trim(residual_distances(points.data, basis), beta)
 
 
@@ -104,7 +103,8 @@ def robust_select(source_or_points, k: int, epsilon: float, beta: float,
     beta bounds the outlier fraction; lam is the assumed lower bound on the
     inlier share of the total error under the optimal inlier subspace. They
     and the sampling options, as one SamplingConfig, are validated before
-    any pass; the selection is select_subset's pipeline with lam.
+    any pass; the selection is select_subset's pipeline with lam. The
+    result's passes include the report:outlier-evaluation pass.
 
     The returned InlierSet is evaluated against the best k-dimensional
     subspace inside the selected span (fitted on the span-trimmed points and
@@ -112,10 +112,7 @@ def robust_select(source_or_points, k: int, epsilon: float, beta: float,
     recorded as a warning on the result, not a failure: the guarantee is
     conditional on it.
     """
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must lie in [0, 1)")
-    if not 0.0 < lam <= 1.0:
-        raise ValueError("lambda must lie in (0, 1]")
+    _check_beta_lambda(beta, lam)
     config = SamplingConfig(k=k, epsilon=epsilon, seed=seed, init_mode=init_mode,
                             points_per_round=points_per_round, rounds=rounds,
                             chain_steps=chain_steps)
@@ -123,6 +120,7 @@ def robust_select(source_or_points, k: int, epsilon: float, beta: float,
     result = _select(source, config, lam)
 
     pts = source.collect("report:outlier-evaluation", reporting=True)
+    result.passes.entries.append(source.pass_log.entries[-1])
     fitted = fit_trimmed_subspace(pts, result.basis, k, beta)
     inliers = nearest_inliers(pts, fitted, beta)
     if ground_truth_basis is not None:

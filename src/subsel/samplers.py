@@ -30,6 +30,7 @@ from .linalg import (
     OrthonormalBasis,
     PointSet,
     _cgs2_extend,
+    _check_p,
     _eigh_desc,
     _pow2_exponent,
     _scaled_blocks,
@@ -43,6 +44,7 @@ from .stream import (
     DatasetSource,
     DegenerateWeightsError,
     PassLog,
+    _check_beta_lambda,
     as_source,
     proposal_prefetch_pass,
     weighted_reservoir_sample,
@@ -96,7 +98,8 @@ class SamplingConfig:
     init_mode picks how the pivot subset is drawn: exact-volume (one
     materializing pass and a DPP draw, p = 2 only) or adaptive-k-pass (k
     single-point passes, the one init for p != 2). Overrides replace the
-    derived t / l / m.
+    derived t / l / m. Construction checks every option, through
+    derive_params and the init_mode rules, before any pass.
     """
 
     k: int
@@ -109,22 +112,18 @@ class SamplingConfig:
     chain_steps: int | None = None
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
-        if self.p < 2.0:
-            raise ValueError("p must be >= 2")
-        if self.init_mode not in ("exact-volume", "adaptive-k-pass"):
-            raise ValueError(f"unknown init_mode {self.init_mode!r}")
-        _check_overrides(points_per_round=self.points_per_round, rounds=self.rounds,
-                         chain_steps=self.chain_steps)
+        derive_params(self.k, self.epsilon, p=self.p, points_per_round=self.points_per_round,
+                      rounds=self.rounds, chain_steps=self.chain_steps)
+        _check_init(self.init_mode, self.p)
 
 
-def _check_overrides(**overrides: int | None) -> None:
-    for name, value in overrides.items():
-        if value is not None and value < 1:
-            raise ValueError(f"{name} override must be >= 1")
+def _check_init(init_mode: str, p: float) -> None:
+    """init_mode names a pivot init, the adaptive one when p != 2."""
+    if init_mode not in ("exact-volume", "adaptive-k-pass"):
+        raise ValueError(f"unknown init_mode {init_mode!r}")
+    if p != 2.0 and init_mode != "adaptive-k-pass":
+        raise ValueError(f"p = {p:g} needs init_mode 'adaptive-k-pass'; "
+                         f"{init_mode} samples p = 2 volumes")
 
 
 @dataclass(frozen=True)
@@ -156,8 +155,10 @@ class DerivedParams:
         return self.points_per_round * self.rounds
 
 
-def _ceil_at_least_1(x: float) -> int:
+def _ceil_at_least_1(x: float, name: str) -> int:
     # 1e-9 slack so exact integers never round up from float noise
+    if not math.isfinite(x):
+        raise ValueError(f"the closed-form {name} does not fit in a float")
     return max(1, math.ceil(x - 1e-9))
 
 
@@ -181,30 +182,39 @@ def derive_params(k: int, epsilon: float, alpha: float = 1.0, *,
     certified_chain_steps its error ratio needs, at most m. The t, l and m
     overrides replace individual outputs (e2 follows the t and l used) and
     must be >= 1, and an explicit chain_steps is run exactly (explicit_m).
+    It is the one check of these options (p must be finite); a pivot
+    constant or closed form past the largest float raises ValueError.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    if alpha < 1.0:
+    if not alpha >= 1.0:
         raise ValueError("alpha must be >= 1")
-    if not 0.0 < lam <= 1.0:
-        raise ValueError("lambda must lie in (0, 1]")
-    if p < 2.0:
-        raise ValueError("p must be >= 2")
-    _check_overrides(points_per_round=points_per_round, rounds=rounds,
-                     chain_steps=chain_steps)
+    _check_beta_lambda(0.0, lam)
+    _check_p(p, 2.0)
+    for name, value in (("points_per_round", points_per_round), ("rounds", rounds),
+                        ("chain_steps", chain_steps)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} override must be >= 1")
     a = alpha / lam
     if p != 2.0:
+        # in logs (709.78 ~ ln of the largest float): math.factorial is slow for a large k
+        if math.lgamma(k + 1.0) + (p - 1.0) * math.log(k + 1.0) >= 709.78:
+            raise ValueError(f"the pivot constant k! (k+1)^(p-1) at k = {k}, p = {p:g} "
+                             "does not fit in a float")
         a = a * math.factorial(k) * (k + 1.0) ** (p - 1.0)
 
-    t = points_per_round if points_per_round is not None else _ceil_at_least_1(8.0 * k / epsilon)
+    t = (points_per_round if points_per_round is not None
+         else _ceil_at_least_1(8.0 * k / epsilon, "t"))
     l = rounds if rounds is not None else _ceil_at_least_1(
-        math.log(2.0 * a * (k + 1) / epsilon) / math.log(8.0 / epsilon))
+        math.log(2.0 * a * (k + 1) / epsilon) / math.log(8.0 / epsilon), "l")
     e1 = epsilon / (8.0 * a * (k + 1))
     e2 = epsilon / (8.0 * t * l * a * (k + 1))
+    if not e2 > 0.0:
+        raise ValueError("the closed-form tolerance e2 underflows to 0")
     m = chain_steps if chain_steps is not None else _ceil_at_least_1(
-        1.0 + max((2.0 / e1) * math.log(1.0 / e2), (2.0 / e2) * math.log(1.0 / e1)))
+        1.0 + max((2.0 / e1) * math.log(1.0 / e2), (2.0 / e2) * math.log(1.0 / e1)), "m")
     return DerivedParams(points_per_round=int(t), rounds=int(l), chain_steps=int(m),
                          eps_err=float(e1), eps_tv=float(e2), alpha=float(a),
                          explicit_m=chain_steps is not None)
@@ -221,7 +231,7 @@ def certified_chain_steps(rho: float, eps_tv: float, cap: int) -> int:
     bound on the ratio; rho = 1 for a round whose span is the pivot's.
     """
     steps = 1.0 + (2.0 / rho) * math.log(1.0 / eps_tv) if rho > 0.0 else math.inf
-    return cap if steps >= cap else _ceil_at_least_1(steps)
+    return cap if steps >= cap else _ceil_at_least_1(steps, "m_r")
 
 
 def error_ratio_bound(ratios: np.ndarray, counts: np.ndarray,
@@ -279,6 +289,8 @@ class SelectionResult:
 
     basis spans the selected rows. A selection makes no grading scan: the
     caller grades basis on its own points (err_p, best_rank_k_in_span).
+    passes holds only the passes of the call that returned the result; the
+    source's pass_log keeps every pass.
     Selection size = len(initial_ids) + t*l except on exact-fit early stops,
     which are recorded in warnings.
     """
@@ -330,7 +342,9 @@ def adaptive_sample(source_or_points, initial: OrthonormalBasis, count: int,
     residual zero, and no reporting pass. Exact fit stops early, with a
     warning.
     """
+    _check_p(p)
     source = as_source(source_or_points)
+    start = len(source.pass_log.entries)
     basis = initial
     blocks: list[tuple[int, ...]] = []
     warnings: list[str] = []
@@ -346,25 +360,38 @@ def adaptive_sample(source_or_points, initial: OrthonormalBasis, count: int,
         basis = extend_basis(basis, bank.points_for(bank.ids), blocks[-1])
     return SelectionResult(
         initial_ids=initial.source_ids, blocks=tuple(blocks), p=p,
-        passes=source.pass_log, warnings=tuple(warnings), basis=basis)
+        passes=PassLog(source.pass_log.entries[start:]), warnings=tuple(warnings), basis=basis)
 
 
 # ---------------------------------------------------------------------------
 # volume sampling
 # ---------------------------------------------------------------------------
 
+def _gram_spectrum(points: PointSet, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram's eigenvalues above 1e-12 of the largest, descending, and all
+    its eigenvectors; RankDeficientError when fewer than k remain."""
+    if not 1 <= k <= points.n:
+        raise ValueError("k must satisfy 1 <= k <= n")
+    lam, vecs = _eigh_desc(points._full_gram()[1])
+    r = int(np.count_nonzero(lam > lam[0] * 1e-12))
+    if r < k:
+        raise RankDeficientError(f"rank-deficient dataset: numerical rank {r} < k = {k} "
+                                 "(Gram eigenvalues <= 1e-12 of the largest are zero)")
+    return lam[:r], vecs
+
+
 def _enumerate_volumes(points: PointSet, k: int, p: float = 2.0,
                        guard: int = ENUMERATION_GUARD,
                        ) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
     """All k-subsets (brute force, at most `guard` of them), their
     `gram_dets` at the data's power of two and their normalized vol^p
-    probabilities."""
+    probabilities. Data of numerical rank below k raises
+    RankDeficientError: its dets would be rounding noise."""
     n = points.n
-    if not 1 <= k <= n:
-        raise ValueError("k must satisfy 1 <= k <= n")
     count = math.comb(n, k)
     if count > guard:
         raise ValueError(f"C({n},{k}) = {count} exceeds the enumeration guard {guard}")
+    _gram_spectrum(points, k)
     subsets = list(itertools.combinations(range(n), k))
     dets = np.empty(count)
     batch = 8192
@@ -397,15 +424,8 @@ def volume_sample_dpp(points: PointSet, k: int, seed: int = 0, *,
     """
     rng = rng if rng is not None else derive_rng(seed, "volume-dpp")
     n = points.n
-    if not 1 <= k <= n:
-        raise ValueError("k must satisfy 1 <= k <= n")
-    e_x, gram = points._full_gram()
-    lam, vecs = _eigh_desc(gram)
-    r = int(np.count_nonzero(lam > lam[0] * 1e-12))
-    if r < k:
-        raise RankDeficientError(f"rank-deficient dataset: numerical rank {r} < k = {k} "
-                                 "(Gram eigenvalues <= 1e-12 of the largest are zero)")
-    lam = lam[:r] / lam[0]
+    lam, vecs = _gram_spectrum(points, k)
+    e_x, r, lam = points._full_gram()[0], len(lam), lam / lam[0]
 
     # e[j, i] = elementary symmetric polynomial of degree j over lam[:i]
     e = np.zeros((k + 1, r + 1))
@@ -676,7 +696,9 @@ def mcmc_select(source_or_points, pivot: OrthonormalBasis, params: DerivedParams
     round select t uniform draws that no chain was dealt, with a warning.
     The result's basis spans the selection; grading it is the caller's scan.
     """
+    _check_p(p)
     source = as_source(source_or_points)
+    start = len(source.pass_log.entries)
     n = source.n
     t, l, m = params.points_per_round, params.rounds, params.chain_steps
     certify = not params.explicit_m
@@ -782,8 +804,8 @@ def mcmc_select(source_or_points, pivot: OrthonormalBasis, params: DerivedParams
         basis = extend_basis(basis, pool_coords[x], block)
 
     return SelectionResult(
-        initial_ids=pivot.source_ids, blocks=tuple(blocks), p=p,
-        passes=source.pass_log, final_states=tuple(states), params=params,
+        initial_ids=pivot.source_ids, blocks=tuple(blocks), p=p, params=params,
+        passes=PassLog(source.pass_log.entries[start:]), final_states=tuple(states),
         warnings=tuple(warnings), basis=basis, round_stats=tuple(stats))
 
 
@@ -821,9 +843,7 @@ def init_pivot(source: DatasetSource, k: int, p: float, seed: int,
     finds that when its picks span fewer than k dimensions (extend_basis
     drops a pick whose residual is rounding error).
     """
-    if p != 2.0 and init_mode != "adaptive-k-pass":
-        raise ValueError(f"p = {p:g} needs init_mode 'adaptive-k-pass'; "
-                         f"{init_mode} samples p = 2 volumes")
+    _check_init(init_mode, p)
     if init_mode == "adaptive-k-pass":
         pivot = adaptive_sample(source, OrthonormalBasis.empty(source.d), 1, k, p, seed)
         if pivot.basis.r < k:
@@ -831,8 +851,6 @@ def init_pivot(source: DatasetSource, k: int, p: float, seed: int,
                 f"rank-deficient dataset: the adaptive init rows span rank {pivot.basis.r} "
                 f"< k = {k}")
         return pivot.basis, (float(math.factorial(k)) if p == 2.0 else 1.0)
-    if init_mode != "exact-volume":
-        raise ValueError(f"unknown init_mode {init_mode!r}")
     pts = source.collect(f"init:{init_mode}")
     ids = volume_sample_dpp(pts, k, rng=derive_rng(seed, "init", init_mode))
     return orthonormal_basis(pts, ids), 1.0
@@ -855,11 +873,14 @@ def _select(source: DatasetSource, config: SamplingConfig,
     if config.k > source.d:
         raise ValueError(f"k={config.k} exceeds data dimension d={source.d}")
     k, p, seed = config.k, config.p, config.seed
+    start = len(source.pass_log.entries)
     pivot, alpha = init_pivot(source, k, p, seed, config.init_mode)
     params = derive_params(k, config.epsilon, alpha, p=p, lam=lam,
                            points_per_round=config.points_per_round,
                            rounds=config.rounds, chain_steps=config.chain_steps)
-    return mcmc_select(source, pivot, params, p, seed)
+    result = mcmc_select(source, pivot, params, p, seed)
+    result.passes = PassLog(source.pass_log.entries[start:])
+    return result
 
 
 # ---------------------------------------------------------------------------

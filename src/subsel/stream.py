@@ -534,6 +534,14 @@ class SyntheticGroundTruth:
     outlier_ids: tuple[int, ...]
 
 
+def _check_beta_lambda(beta: float, lam: float = 1.0) -> None:
+    """The outlier fraction beta lies in [0, 1), the inlier error share lam in (0, 1]."""
+    if not 0.0 <= beta < 1.0:
+        raise ValueError("beta must lie in [0, 1)")
+    if not 0.0 < lam <= 1.0:
+        raise ValueError("lambda must lie in (0, 1]")
+
+
 def inlier_count(n: int, beta: float) -> int:
     """ceil((1 - beta) n), never discarding more than beta*n points."""
     return max(1, math.ceil((1.0 - beta) * n - 1e-9))

@@ -246,6 +246,39 @@ def test_run_opens_input_once(tmp_path, monkeypatch):
         assert counts[0] == counts[1] == 1
 
 
+USAGE_ERRORS = [
+    (["--alg", "mcmc", "--p", "3"], "adaptive-k-pass"),
+    (["--alg", "mcmc", "--p", "nan", "--init", "adaptive-k-pass"], "p must be finite"),
+    (["--alg", "mcmc", "--p", "inf", "--init", "adaptive-k-pass"], "p must be finite"),
+    (["--alg", "adaptive", "--p", "inf"], "p must be finite"),
+    (["--alg", "adaptive", "--epsilon", "1.5"], "epsilon"),
+    (["--alg", "fkv", "--p", "0.5", "--t", "4"], "p must be finite and >= 1"),
+    (["--alg", "mcmc", "--lambda", "0.5"], "--lambda needs --beta"),
+]
+
+
+@pytest.mark.parametrize("flags, message", USAGE_ERRORS,
+                         ids=["".join(f[1:]).replace("--", "-") for f, _ in USAGE_ERRORS])
+def test_run_usage_errors_exit_before_opening_the_input(tmp_path, monkeypatch, capsys,
+                                                        flags, message):
+    import subsel.cli
+
+    path = gen_dataset(tmp_path)
+    opened = []
+
+    def counting_open(path_or_points, mode="memory"):
+        opened.append(mode)
+        return open_source(path_or_points, mode)
+
+    monkeypatch.setattr(subsel.cli, "open_source", counting_open)
+    capsys.readouterr()
+    assert main(["run", "--input", str(path), "--k", "2", "--mode", "streaming",
+                 *flags]) == 2
+    out, err = capsys.readouterr()
+    assert opened == [] and out == ""  # no source, so no pass and no report
+    assert message in err
+
+
 def test_run_prints_warnings(tmp_path, capsys):
     path = gen_dataset(tmp_path, n=150, d=8, rank=2, outlier_frac=0.05,
                        outlier_scale=4.0)

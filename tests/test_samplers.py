@@ -39,7 +39,7 @@ from subsel.samplers import (
     volume_sample_mcmc,
     volume_walk_distribution,
 )
-from subsel.stream import CHUNK_ROWS, open_source, write_binary, write_csv
+from subsel.stream import CHUNK_ROWS, generate_synthetic, open_source, write_binary, write_csv
 
 
 def instance(n, d, seed, scale=None):
@@ -145,6 +145,23 @@ def test_derive_params_validation():
         derive_params(2, 0.5, 0.5)
     with pytest.raises(ValueError):
         derive_params(2, 0.5, lam=0.0)
+
+
+def test_p_and_closed_forms_that_do_not_fit_are_value_errors():
+    # NaN and inf p, and pivot constants k! (k+1)^(p-1) past the largest
+    # float, are refused as ValueError, never OverflowError
+    for p in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="p must be finite"):
+            SamplingConfig(k=2, epsilon=0.5, p=p, init_mode="adaptive-k-pass")
+    for k, p in ((5, 1e6), (200, 3.0)):
+        with pytest.raises(ValueError, match="pivot constant"):
+            derive_params(k, 0.5, p=p)
+    with pytest.raises(ValueError, match="closed-form l"):
+        derive_params(2, 0.5, alpha=1e308, lam=1e-10)
+    with pytest.raises(ValueError, match="closed-form m"):
+        derive_params(2, 0.5, lam=1e-300)
+    with pytest.raises(ValueError, match="tolerance e2"):
+        derive_params(2, 0.5, lam=1e-303)
 
 
 @pytest.mark.parametrize("override", ["points_per_round", "rounds", "chain_steps"])
@@ -279,8 +296,6 @@ def test_adaptive_sample_error_bound_light():
 
 
 def _planted(n, d, rank, noise, seed, **kw):
-    from subsel.stream import generate_synthetic
-
     return generate_synthetic(n=n, d=d, rank=rank, noise_sigma=noise, seed=seed, **kw)
 
 
@@ -327,6 +342,16 @@ def test_volume_exact_guard_and_rank_errors():
     flat = PointSet(np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
     with pytest.raises(RankDeficientError, match="rank-deficient"):
         _enumerate_volumes(flat, 2)
+
+
+@pytest.mark.parametrize("rank, noise, k", [(3, 0.3, 4), (2, 0.0, 3)],
+                         ids=["noisy-k-above-d", "noiseless-rank-2"])
+def test_enumerate_volumes_refuses_rank_below_k(rank, noise, k):
+    # every k-subset is dependent, so the dets are rounding noise (up to
+    # 1.6e-16 in the first case), not volumes to normalize
+    pts, _ = generate_synthetic(n=6, d=3, rank=rank, noise_sigma=noise, seed=0)
+    with pytest.raises(RankDeficientError, match="numerical rank"):
+        _enumerate_volumes(pts, k)
 
 
 def test_volume_exact_distribution_p3():
@@ -536,7 +561,7 @@ def test_volume_walk_rank_below_k_is_the_typed_error(rank_two_rows):
             volume_sample_mcmc(PointSet(rows), k, 10, seed=39)
 
 
-def test_adaptive_volume_init_expectation_bound():
+def test_adaptive_k_pass_init_expectation_bound():
     # Monte-Carlo check of the k! (k+1) pivot guarantee at k=2
     from subsel.linalg import optimal_subspace
 
@@ -1105,7 +1130,8 @@ def test_adaptive_sample_continues_a_streamed_selection(tmp_path):
         more = adaptive_sample(src, first.basis, 5, 2, seed=88)
         assert more.initial_ids == first.selected_ids
         assert more.size == first.size + 5 * 2 and not more.warnings
-        more.passes.assert_passes(2 + 2)
+        more.passes.assert_passes(2)  # the result logs its own passes
+        src.pass_log.assert_passes(2 + 2)
         runs.append((more.selected_ids, more.basis.source_ids,
                      more.basis.vectors.tobytes()))
     assert runs[0] == runs[1]
@@ -1130,6 +1156,23 @@ def test_selections_make_no_reporting_pass(tmp_path):
     robust.passes.assert_passes(2)
     assert [e.label for e in robust.passes.entries if e.reporting] == \
         ["report:outlier-evaluation"]
+
+
+def test_each_result_holds_its_own_passes():
+    # selections on one source: each result logs the passes its call made,
+    # the source logs them all
+    pts, _ = _planted(n=120, d=6, rank=2, noise=0.1, seed=95, outlier_frac=0.05)
+    src = open_source(pts)
+    cfg = SamplingConfig(k=2, epsilon=0.5, seed=96, chain_steps=8)
+    first, second = select_subset(src, cfg), select_subset(src, cfg)
+    robust, _ = robust_select(src, 2, 0.5, 0.05, 1.0, seed=97, chain_steps=8)
+    more = adaptive_sample(src, second.basis, 3, 2, seed=98)
+    for result in (first, second, robust, more):
+        result.passes.assert_passes(2)
+    assert [e.label for e in first.passes.entries] == ["init:exact-volume", "mcmc:select"]
+    assert robust.passes.entries[-1].label == "report:outlier-evaluation"
+    src.pass_log.assert_passes(8)
+    assert src.pass_log.reporting_passes == 1
 
 
 def test_mcmc_select_refuses_oversized_slot_budget(monkeypatch):
