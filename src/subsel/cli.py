@@ -154,8 +154,8 @@ class ExperimentSpec:
             raise ValueError("timing must be real or zero")
         if self.algorithm in ("svd-oracle", "volume-exact", "volume-mcmc") and self.p != 2.0:
             raise ValueError(f"{self.algorithm} supports p = 2 only")
-        if self.beta > 0.0 and self.algorithm != "mcmc":
-            raise ValueError("outlier evaluation (beta > 0) is wired to the mcmc pipeline")
+        if self.beta > 0.0 and (self.algorithm != "mcmc" or self.p != 2.0):
+            raise ValueError("outlier evaluation (beta > 0) needs the mcmc pipeline and p = 2")
         if self.lam != 1.0 and not self.beta > 0.0:
             raise ValueError("--lambda needs --beta > 0")
         # every algorithm refuses these, also those that do not read them
@@ -163,10 +163,10 @@ class ExperimentSpec:
                             ("--m", self.chain_steps), ("--steps", self.walk_steps)):
             if value is not None and value < 1:
                 raise ValueError(f"{flag} must be >= 1")
-        if self.algorithm == "mcmc":
+        if self.algorithm == "mcmc":  # lam != 1 scales robust_select's closed forms
             SamplingConfig(k=self.k, epsilon=self.epsilon, p=self.p, init_mode=self.init_mode,
                            points_per_round=self.points_per_round, rounds=self.rounds,
-                           chain_steps=self.chain_steps)
+                           chain_steps=self.chain_steps)._params(self.lam)
         elif self.algorithm in ("adaptive", "fkv"):
             derive_params(self.k, self.epsilon, points_per_round=self.points_per_round,
                           rounds=self.rounds)
@@ -279,8 +279,7 @@ def _trial_svd_oracle(spec, source, seed, truth):
 
 
 def _trial_volume_exact(spec, source, seed, truth):
-    basis, _ = init_pivot(source, spec.k, spec.p, seed, "exact-volume")
-    return basis, source.pass_log, {}
+    return init_pivot(source, spec.k, spec.p, seed, "exact-volume"), source.pass_log, {}
 
 
 def _trial_volume_mcmc(spec, source, seed, truth):
@@ -418,9 +417,9 @@ def cmd_diag_tv(args) -> int:
         print(f"error: n={args.n} exceeds the enumeration guard (4096)",
               file=sys.stderr)
         return 2
-    pts, _ = generate_synthetic(n=args.n, d=args.d, rank=min(args.d, args.k + 1),
-                                noise_sigma=0.3, seed=args.seed)
     try:
+        pts, _ = generate_synthetic(n=args.n, d=args.d, rank=min(args.d, args.k + 1),
+                                    noise_sigma=0.3, seed=args.seed)
         pivot = greedy_max_volume_init(pts, args.k)
         diag = tv_distance_diag(pts, pivot, pivot, args.m, p=args.p,
                                 trials=args.trials, seed=args.seed)
@@ -441,9 +440,9 @@ def cmd_diag_volume(args) -> int:
         print(f"error: C({args.n},{args.k}) exceeds the enumeration guard (20000)",
               file=sys.stderr)
         return 2
-    pts, _ = generate_synthetic(n=args.n, d=args.d, rank=min(args.d, args.k + 1),
-                                noise_sigma=0.3, seed=args.seed)
     try:
+        pts, _ = generate_synthetic(n=args.n, d=args.d, rank=min(args.d, args.k + 1),
+                                    noise_sigma=0.3, seed=args.seed)
         diag = volume_walk_distribution(pts, args.k, args.steps, args.walks,
                                         seed=args.seed)
     except ValueError as exc:

@@ -97,14 +97,15 @@ def robust_select(source_or_points, k: int, epsilon: float, beta: float,
                   ground_truth_basis: OrthonormalBasis | None = None,
                   ground_truth_inliers=None,
                   ) -> tuple[SelectionResult, InlierSet]:
-    """Two-pass robust pipeline: lambda-scaled constants, sampling over all
-    points, beta used only for evaluation.
+    """Two-pass robust pipeline at p = 2 (trimming ranks squared distances):
+    lambda-scaled constants, sampling over all points, beta used only for
+    evaluation.
 
     beta bounds the outlier fraction; lam is the assumed lower bound on the
-    inlier share of the total error under the optimal inlier subspace. They
-    and the sampling options, as one SamplingConfig, are validated before
-    any pass; the selection is select_subset's pipeline with lam. The
-    result's passes include the report:outlier-evaluation pass.
+    inlier share of the total error under the optimal inlier subspace. They,
+    the sampling options and the closed forms at lam are checked before any
+    pass; the selection is select_subset's pipeline with lam. The result's
+    passes include the report:outlier-evaluation pass.
 
     The returned InlierSet is evaluated against the best k-dimensional
     subspace inside the selected span (fitted on the span-trimmed points and

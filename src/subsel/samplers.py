@@ -61,8 +61,8 @@ BLOCK_PROPOSALS = 2 ** 18
 
 # Bytes per proposal of one block in mcmc_select: its int64 pool index, its
 # float64 ratio and its float64 chain uniform, 24 B, rounded up for headroom.
-# numpy's hypergeometric deal takes under 1e9 draws, so a derived-m
-# selection draws at most MAX_DERIVED_DRAWS.
+# numpy's hypergeometric deal takes under 1e9 draws, so a selection draws
+# at most MAX_DERIVED_DRAWS, and an explicit m must keep t*l*m below 1e9.
 SLOT_BYTES = 32
 MAX_DERIVED_DRAWS = 10 ** 9 - 1
 
@@ -98,8 +98,8 @@ class SamplingConfig:
     init_mode picks how the pivot subset is drawn: exact-volume (one
     materializing pass and a DPP draw, p = 2 only) or adaptive-k-pass (k
     single-point passes, the one init for p != 2). Overrides replace the
-    derived t / l / m. Construction checks every option, through
-    derive_params and the init_mode rules, before any pass.
+    derived t / l / m. Construction checks every option before any pass,
+    through the init_mode rules and the closed forms _params derives.
     """
 
     k: int
@@ -112,9 +112,17 @@ class SamplingConfig:
     chain_steps: int | None = None
 
     def __post_init__(self):
-        derive_params(self.k, self.epsilon, p=self.p, points_per_round=self.points_per_round,
-                      rounds=self.rounds, chain_steps=self.chain_steps)
+        self._params()
         _check_init(self.init_mode, self.p)
+
+    def _params(self, lam: float = 1.0) -> DerivedParams:
+        """derive_params at the init's alpha: k! for the adaptive init at p = 2,
+        else 1. A k below 1 takes no factorial; derive_params refuses it."""
+        adaptive_p2 = self.init_mode == "adaptive-k-pass" and self.p == 2.0 and self.k >= 1
+        return derive_params(self.k, self.epsilon,
+                             _pivot_constant(self.k, 2.0) if adaptive_p2 else 1.0,
+                             p=self.p, lam=lam, points_per_round=self.points_per_round,
+                             rounds=self.rounds, chain_steps=self.chain_steps)
 
 
 def _check_init(init_mode: str, p: float) -> None:
@@ -132,8 +140,8 @@ class DerivedParams:
     walks, and the error-ratio / total-variation tolerance split.
 
     explicit_m says whether chain_steps was given. An explicit m is run as
-    is; a derived m is the closed form, which mcmc_select uses as the cap of
-    each round's certified chain length.
+    is, with t*l*m below 1e9; a derived m is the closed form, which
+    mcmc_select uses as the cap of each round's certified chain length.
     """
 
     points_per_round: int
@@ -149,10 +157,26 @@ class DerivedParams:
             raise ValueError("t, l, m must all be >= 1")
         if not (0.0 < self.eps_err < 1.0 and 0.0 < self.eps_tv < 1.0):
             raise ValueError("tolerances must lie in (0, 1)")
+        slots = self.total_points * self.chain_steps
+        if self.explicit_m and slots >= 10 ** 9:
+            raise SlotBudgetError(
+                f"t*l*m = {slots} proposal slots reaches the limit of 1e9; an explicit m "
+                "must keep t*l*m below it, so lower the chain_steps override or leave m derived")
 
     @property
     def total_points(self) -> int:
         return self.points_per_round * self.rounds
+
+
+def _pivot_constant(k: int, p: float, a: float = 1.0) -> float:
+    """a times the adaptive init's pivot constant, k! at p = 2 and
+    k! (k+1)^(p-1) otherwise. It is checked in logs (709.78 ~ ln of the
+    largest float), as math.factorial is slow for a large k."""
+    power = 0.0 if p == 2.0 else p - 1.0
+    if math.lgamma(k + 1.0) + power * math.log(k + 1.0) >= 709.78:
+        raise ValueError(f"the pivot constant {'k!' if p == 2.0 else 'k! (k+1)^(p-1)'} at "
+                         f"k = {k}, p = {p:g} does not fit in a float")
+    return a * math.factorial(k) * (k + 1.0) ** power
 
 
 def _ceil_at_least_1(x: float, name: str) -> int:
@@ -181,9 +205,9 @@ def derive_params(k: int, epsilon: float, alpha: float = 1.0, *,
     case over all inputs, and mcmc_select runs each round only the
     certified_chain_steps its error ratio needs, at most m. The t, l and m
     overrides replace individual outputs (e2 follows the t and l used) and
-    must be >= 1, and an explicit chain_steps is run exactly (explicit_m).
-    It is the one check of these options (p must be finite); a pivot
-    constant or closed form past the largest float raises ValueError.
+    must be >= 1; an explicit chain_steps is run exactly (explicit_m) and
+    needs t*l*m < 1e9. It is the one check of these options (p finite); a
+    pivot constant or closed form past the largest float raises ValueError.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -199,11 +223,7 @@ def derive_params(k: int, epsilon: float, alpha: float = 1.0, *,
             raise ValueError(f"{name} override must be >= 1")
     a = alpha / lam
     if p != 2.0:
-        # in logs (709.78 ~ ln of the largest float): math.factorial is slow for a large k
-        if math.lgamma(k + 1.0) + (p - 1.0) * math.log(k + 1.0) >= 709.78:
-            raise ValueError(f"the pivot constant k! (k+1)^(p-1) at k = {k}, p = {p:g} "
-                             "does not fit in a float")
-        a = a * math.factorial(k) * (k + 1.0) ** (p - 1.0)
+        a = _pivot_constant(k, p, a)
 
     t = (points_per_round if points_per_round is not None
          else _ceil_at_least_1(8.0 * k / epsilon, "t"))
@@ -539,8 +559,10 @@ def volume_walk_distribution(points: PointSet, k: int, steps: int, walks: int,
 
     Table-driven over enumerated subsets, with volume_sample_mcmc's
     gram_dets volumes and acceptance; with walks=1 it consumes random draws
-    exactly like volume_sample_mcmc, which the tests exploit.
+    exactly like volume_sample_mcmc. It needs walks >= 1 and steps >= 0.
     """
+    if walks < 1 or steps < 0:
+        raise ValueError("walks must be >= 1 and steps >= 0")
     subsets, dets, probs = _enumerate_volumes(points, k, 2.0, guard)
     n = points.n
     count = len(subsets)
@@ -659,11 +681,11 @@ def mcmc_select(source_or_points, pivot: OrthonormalBasis, params: DerivedParams
     pivot is the span the proposals are anchored at, usually init_pivot's
     basis; its source ids head the selection. The pass accumulates err_p
     against it, q's normaliser, and fills a residual and a uniform bank of
-    t*l*m draws each (at most MAX_DERIVED_DRAWS under a derived m), kept as
-    per-row counts. Binomial(draws, 1/2) residual draws and the rest uniform
-    ones, each a uniform subset of its bank, are i.i.d. draws from the
-    mixture q. Chains within a round are independent and their target is the
-    span of everything selected before the round.
+    min(t*l*m, MAX_DERIVED_DRAWS) draws each, kept as per-row counts.
+    Binomial(draws, 1/2) residual draws and the rest uniform ones, each a
+    uniform subset of its bank, are i.i.d. draws from the mixture q. Chains
+    within a round are independent and their target is the span of
+    everything selected before the round.
 
     Round r runs m_r - 1 steps per chain. Under an explicit m (see
     DerivedParams.explicit_m), m_r = m. Under a derived m, m_r is
@@ -689,12 +711,12 @@ def mcmc_select(source_or_points, pivot: OrthonormalBasis, params: DerivedParams
     steps all t chains at once, one step after another.
 
     SlotBudgetError is also raised before the pass when the captured rows
-    plus one dealt block would not fit in physical memory, or an explicit m
-    makes t*l*m reach 1e9. A round in which every pool row that still holds
-    proposals has a residual at most RANK_TOL times its norm (the rows
-    extend_basis would drop as dependent) is saturated: it and every later
-    round select t uniform draws that no chain was dealt, with a warning.
-    The result's basis spans the selection; grading it is the caller's scan.
+    plus one dealt block would not fit in physical memory. A round in which
+    every pool row that still holds proposals has a residual at most
+    RANK_TOL times its norm (the rows extend_basis would drop as dependent)
+    is saturated: it and every later round select t uniform draws that no
+    chain was dealt, with a warning. The result's basis spans the
+    selection; grading it is the caller's scan.
     """
     _check_p(p)
     source = as_source(source_or_points)
@@ -703,18 +725,15 @@ def mcmc_select(source_or_points, pivot: OrthonormalBasis, params: DerivedParams
     t, l, m = params.points_per_round, params.rounds, params.chain_steps
     certify = not params.explicit_m
 
-    slots = min(t * l * m, MAX_DERIVED_DRAWS) if certify else t * l * m
+    slots = min(t * l * m, MAX_DERIVED_DRAWS)
     per_deal = min(t * m, max(BLOCK_PROPOSALS, t))
     need = per_deal * SLOT_BYTES + 2 * min(n, slots) * (source.d + 2) * 8
     have = physical_memory_bytes()
-    if slots >= 10 ** 9 or need > have:
-        raise SlotBudgetError((
-            f"t*l*m = {slots} proposal slots reaches the limit of 1e9; an explicit m "
-            "must keep t*l*m below it, so lower the chain_steps override or leave m "
-            "derived" if slots >= 10 ** 9
-            else f"the captured rows and a deal of {per_deal} proposals need about "
+    if need > have:
+        raise SlotBudgetError(
+            f"the captured rows and a deal of {per_deal} proposals need about "
             f"{need / 2**30:.3g} GiB, over the limit of {have / 2**30:.3g} GiB of physical "
-            "memory; derived chain lengths at this size need a chain_steps override"))
+            "memory; derived chain lengths at this size need a chain_steps override")
     err_pivot, bank_w, bank_u = proposal_prefetch_pass(
         source, pivot, p, slots, seed, label="mcmc:select")
 
@@ -830,18 +849,16 @@ def _certify_round(rnd: int, d_cur: np.ndarray, d_piv: np.ndarray, held: np.ndar
 # ---------------------------------------------------------------------------
 
 def init_pivot(source: DatasetSource, k: int, p: float, seed: int,
-               init_mode: str) -> tuple[OrthonormalBasis, float]:
-    """Draw the pivot span per init_mode; returns (basis, alpha), the basis's
-    source ids being the pivot subset.
+               init_mode: str) -> OrthonormalBasis:
+    """Draw the pivot span per init_mode; its source ids are the pivot
+    subset, and SamplingConfig fixes the alpha it is derived for.
 
-    alpha is the approximate-volume-sampling quality factor the parameter
-    derivation should assume for this pivot. The exact-volume init (p = 2
-    only) takes one materializing pass and draws volume_sample_dpp's exact
-    law, alpha = 1. The adaptive init is adaptive_sample with k single-point
-    rounds from the empty span, in k passes. Both inits raise
-    RankDeficientError when the data has rank below k; the adaptive init
-    finds that when its picks span fewer than k dimensions (extend_basis
-    drops a pick whose residual is rounding error).
+    The exact-volume init (p = 2 only) takes one materializing pass and
+    draws volume_sample_dpp's exact law. The adaptive init is
+    adaptive_sample with k single-point rounds from the empty span, in k
+    passes. Both inits raise RankDeficientError when the data has rank
+    below k; the adaptive init finds that when its picks span fewer than k
+    dimensions (extend_basis drops a pick whose residual is rounding error).
     """
     _check_init(init_mode, p)
     if init_mode == "adaptive-k-pass":
@@ -850,10 +867,10 @@ def init_pivot(source: DatasetSource, k: int, p: float, seed: int,
             raise RankDeficientError(
                 f"rank-deficient dataset: the adaptive init rows span rank {pivot.basis.r} "
                 f"< k = {k}")
-        return pivot.basis, (float(math.factorial(k)) if p == 2.0 else 1.0)
+        return pivot.basis
     pts = source.collect(f"init:{init_mode}")
     ids = volume_sample_dpp(pts, k, rng=derive_rng(seed, "init", init_mode))
-    return orthonormal_basis(pts, ids), 1.0
+    return orthonormal_basis(pts, ids)
 
 
 def select_subset(source_or_points, config: SamplingConfig) -> SelectionResult:
@@ -869,16 +886,13 @@ def select_subset(source_or_points, config: SamplingConfig) -> SelectionResult:
 def _select(source: DatasetSource, config: SamplingConfig,
             lam: float = 1.0) -> SelectionResult:
     """select_subset's pipeline with constants scaled by 1/lam, which
-    robust_select shares; config was validated when it was built."""
+    robust_select shares; its closed forms are derived before any pass."""
     if config.k > source.d:
         raise ValueError(f"k={config.k} exceeds data dimension d={source.d}")
-    k, p, seed = config.k, config.p, config.seed
+    params = config._params(lam)
     start = len(source.pass_log.entries)
-    pivot, alpha = init_pivot(source, k, p, seed, config.init_mode)
-    params = derive_params(k, config.epsilon, alpha, p=p, lam=lam,
-                           points_per_round=config.points_per_round,
-                           rounds=config.rounds, chain_steps=config.chain_steps)
-    result = mcmc_select(source, pivot, params, p, seed)
+    pivot = init_pivot(source, config.k, config.p, config.seed, config.init_mode)
+    result = mcmc_select(source, pivot, params, config.p, config.seed)
     result.passes = PassLog(source.pass_log.entries[start:])
     return result
 
@@ -908,8 +922,8 @@ def tv_distance_diag(points: PointSet, pivot_ids: Sequence[int],
     stepper, _walk on r = target / q, with each step's proposals and then
     uniforms drawn as (1, trials) arrays. Also reports gamma, the worst-case
     target/proposal ratio that controls the (1 - 1/gamma)^(m-1) decay.
-    Enumeration-based: n must be at most 4096. Raises ExactFitReached when
-    either span fits every point up to rounding, each residual at most
+    Enumeration-based: n <= 4096, trials >= 1. Raises ExactFitReached
+    when either span fits every point up to rounding, each residual at most
     RANK_TOL times its row norm (mcmc_select's saturation test): the target
     would be rounding noise. Residuals are weighed at the row norms' power
     of two, so extreme scales neither underflow nor overflow.
@@ -920,6 +934,8 @@ def tv_distance_diag(points: PointSet, pivot_ids: Sequence[int],
                          f"(limit {TV_DIAG_MAX_POINTS})")
     if chain_steps < 1:
         raise ValueError("chain_steps must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     norms = residual_distances(points.data, OrthonormalBasis.empty(points.d))
     d0 = residual_distances(points.data, orthonormal_basis(points, pivot_ids))
     d_cur = residual_distances(points.data, orthonormal_basis(points, current_ids))

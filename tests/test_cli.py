@@ -254,6 +254,10 @@ USAGE_ERRORS = [
     (["--alg", "adaptive", "--epsilon", "1.5"], "epsilon"),
     (["--alg", "fkv", "--p", "0.5", "--t", "4"], "p must be finite and >= 1"),
     (["--alg", "mcmc", "--lambda", "0.5"], "--lambda needs --beta"),
+    (["--alg", "mcmc", "--m", "100000000"], "reaches the limit of 1e9"),
+    (["--alg", "mcmc", "--beta", "0.05", "--lambda", "1e-300"], "closed-form m"),
+    (["--alg", "mcmc", "--p", "3", "--init", "adaptive-k-pass", "--beta", "0.05", "--m", "8"],
+     "needs the mcmc pipeline and p = 2"),
 ]
 
 
@@ -412,10 +416,17 @@ def test_diag_tv_bound_failure():
     (["tv", "--d", "3", "--k", "4", "--trials", "2000"], "rank-deficient dataset"),
     (["tv", "--d", "3", "--k", "3", "--trials", "2000"], "fits every point up to rounding"),
     (["volume", "--n", "6", "--d", "3", "--k", "4"], "rank-deficient dataset"),
-], ids=["tv-rank-below-k", "tv-exact-fit", "volume-rank-below-k"])
+    (["tv", "--trials", "0", "--tv-bound", "0.01"], "trials must be >= 1"),
+    (["volume", "--walks", "0"], "walks must be >= 1"),
+    (["volume", "--steps", "-1"], "steps >= 0"),
+    (["tv", "--d", "0"], "rank must satisfy"),
+], ids=["tv-rank-below-k", "tv-exact-fit", "volume-rank-below-k", "tv-no-trials",
+        "volume-no-walks", "volume-negative-steps", "tv-no-dimension"])
 def test_diag_refuses_degenerate_instances(capsys, argv, message):
-    # rank 3 < k = 4 has no k-subset of nonzero volume, and k = d = 3 rows
-    # fit every point up to rounding: usage errors, not a guarantee verdict
+    # rank 3 < k = 4 has no k-subset of nonzero volume, k = d = 3 rows fit
+    # every point up to rounding, no trial or walk and a negative step count
+    # measure nothing, and d = 0 plants no instance: usage errors, not a
+    # guarantee verdict
     assert main(["diag", *argv]) == 2
     captured = capsys.readouterr()
     assert "tv=" not in captured.out

@@ -120,8 +120,8 @@ def test_outlier_config_validation():
 
 @pytest.mark.parametrize("bad", [
     dict(epsilon=1.5), dict(points_per_round=0), dict(chain_steps=0),
-    dict(init_mode="mcmc-volume")],
-    ids=["epsilon", "points_per_round", "chain_steps", "init_mode"])
+    dict(init_mode="mcmc-volume"), dict(lam=1e-303)],
+    ids=["epsilon", "points_per_round", "chain_steps", "init_mode", "lam"])
 def test_robust_select_checks_sampling_options_before_any_pass(bad):
     src = open_source(PointSet(np.eye(3)))
     with pytest.raises(ValueError):

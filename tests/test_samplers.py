@@ -156,6 +156,8 @@ def test_p_and_closed_forms_that_do_not_fit_are_value_errors():
     for k, p in ((5, 1e6), (200, 3.0)):
         with pytest.raises(ValueError, match="pivot constant"):
             derive_params(k, 0.5, p=p)
+    with pytest.raises(ValueError, match="pivot constant"):
+        SamplingConfig(k=171, epsilon=0.5, init_mode="adaptive-k-pass")
     with pytest.raises(ValueError, match="closed-form l"):
         derive_params(2, 0.5, alpha=1e308, lam=1e-10)
     with pytest.raises(ValueError, match="closed-form m"):
@@ -520,7 +522,7 @@ def test_volume_walk_exact_transition_matrix_oracle():
 def test_adaptive_volume_init_exact_directions():
     pts = PointSet(np.array([[3.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0],
                              [2.0, 0.0, 0.0]]))
-    pivot, _ = init_pivot(open_source(pts), 3, 2.0, 37, "adaptive-k-pass")
+    pivot = init_pivot(open_source(pts), 3, 2.0, 37, "adaptive-k-pass")
     ids = pivot.source_ids
     assert np.array_equal(pivot.vectors, orthonormal_basis(pts, ids).vectors)
     basis = orthonormal_basis(pts, ids)
@@ -569,7 +571,7 @@ def test_adaptive_k_pass_init_expectation_bound():
     _, opt = optimal_subspace(pts, 2)
     errs = np.empty(20_000)
     for trial in range(len(errs)):
-        pivot, _ = init_pivot(open_source(pts), 2, 2.0, trial, "adaptive-k-pass")
+        pivot = init_pivot(open_source(pts), 2, 2.0, trial, "adaptive-k-pass")
         errs[trial] = err_p(pts, pivot, 2.0)
     mean = float(errs.mean())
     sem = float(errs.std(ddof=1) / math.sqrt(len(errs)))
@@ -1180,9 +1182,9 @@ def test_mcmc_select_refuses_oversized_slot_budget(monkeypatch):
     monkeypatch.setattr(samplers, "physical_memory_bytes", lambda: 8 * 2 ** 30)
     pts = instance(20, 6, seed=75)
     theory_m = derive_params(3, 0.5, p=3.0).chain_steps  # ~1.5e7
-    params = derive_params(3, 0.5, p=3.0, chain_steps=theory_m)
-    assert params.total_points * params.chain_steps > 10 ** 8
     with pytest.raises(ValueError, match="reaches the limit of 1e9; .* chain_steps override"):
+        params = derive_params(3, 0.5, p=3.0, chain_steps=theory_m)
+        assert params.total_points * params.chain_steps > 10 ** 8
         mcmc_select(pts, orthonormal_basis(pts, [0, 1, 2]), params, p=3.0, seed=76)
 
 
