@@ -19,6 +19,7 @@ from .outliers import InlierSet, check_lambda, nearest_inliers, robust_select
 from .samplers import (
     ChainState,
     DerivedParams,
+    DrawBudgetError,
     ExactFitReached,
     RankDeficientError,
     RoundStats,
@@ -54,6 +55,7 @@ __all__ = [
     "DatasetFormatError",
     "DatasetSource",
     "DerivedParams",
+    "DrawBudgetError",
     "ExactFitReached",
     "InlierSet",
     "OrthonormalBasis",

@@ -436,11 +436,10 @@ def cmd_diag_tv(args) -> int:
 
 
 def cmd_diag_volume(args) -> int:
-    if math.comb(args.n, args.k) > 20000:
-        print(f"error: C({args.n},{args.k}) exceeds the enumeration guard (20000)",
-              file=sys.stderr)
-        return 2
     try:
+        # math.comb refuses a negative n or k with a ValueError
+        if math.comb(args.n, args.k) > 20000:
+            raise ValueError(f"C({args.n},{args.k}) exceeds the enumeration guard (20000)")
         pts, _ = generate_synthetic(n=args.n, d=args.d, rank=min(args.d, args.k + 1),
                                     noise_sigma=0.3, seed=args.seed)
         diag = volume_walk_distribution(pts, args.k, args.steps, args.walks,

@@ -7,11 +7,12 @@ operations are pure functions of immutable inputs and safe to call from
 many threads.
 
 Every spectral step starts from one d x d Gram, `_gram` (X^T X in O(n d^2),
-summed over blocks of rows each rescaled by one exact power of two), and
-takes `eigh` of it or of its in-span form B G B^T; no thin SVD of an n-row
-matrix is run. A PointSet sums the Gram of all its rows once, on first use,
-and keeps it: the optimum, best-k-in-span, the exact-fit test and the DPP
-pivot all read that one Gram, while the trimmed fit sums its own over the
+summed by `_GramSum` over blocks of rows, each rescaled by its own exact
+power of two, so a streamed pass sums the same bits), and takes `eigh` of
+it or of its in-span form B G B^T; no thin SVD of an n-row matrix is run. A
+PointSet sums the Gram of all its rows once, on first use, and keeps it:
+the optimum, best-k-in-span, the exact-fit test and the DPP pivot all read
+that one Gram, while the trimmed fit sums its own over the
 rows it keeps, which change with every span. The block kernels
 (`_scaled_blocks`, `residual_distances`) work in one reused scratch block
 per call: they form no rescaled copy of X, no n-row product and no
@@ -201,20 +202,56 @@ def is_exact_fit(points: PointSet, err: float) -> bool:
     return math.ldexp(err, -2 * e) <= EXACT_FIT_REL * max(float(np.trace(gram)), 1e-300)
 
 
-def _gram(x: np.ndarray, rows: np.ndarray | None = None) -> tuple[int, np.ndarray]:
-    """The Gram kernel: (e, g) with g = y^T y for y = x[rows] * 2**-e, rows
-    defaulting to every row.
+class _GramSum:
+    """A running Gram of row blocks, each handed in at its own power of two.
 
-    One exponent e, from x, rescales every block of RESIDUAL_BLOCK_ROWS rows,
-    and g is summed block by block in place, so the rescaled y is never
-    formed. Scaling x by 2**k moves e by k and leaves g bit for bit the same.
+    add(e, y) takes y = block * 2**-e, e being the block's `_pow2_exponent`,
+    so the data's maximum need not be known before the first block. The sum
+    g is kept in units of 4**E, E the largest e so far: a block at a larger
+    e shifts g down with ldexp, one at a smaller e is shifted down itself.
+    The shifts are exact powers of two, so the sum equals that of one global
+    exponent unless a term falls below the normal range, and scaling every
+    block by 2**k moves E by k and leaves g bit for bit the same. An
+    all-zero block adds nothing and sets no exponent.
     """
-    e = _pow2_exponent(x)
-    gram = np.zeros((x.shape[1], x.shape[1]))
-    part = np.empty_like(gram)
-    for _, y in _scaled_blocks(x, e, rows):
-        gram += np.matmul(y.T, y, out=part)
-    return e, gram
+
+    def __init__(self, d: int):
+        self.e: int | None = None
+        self.g = np.zeros((d, d))
+        self._part = np.empty((d, d))
+
+    def add(self, e: int, y: np.ndarray) -> None:
+        part = np.matmul(y.T, y, out=self._part)
+        # a nonzero block has an entry in [0.5, 1), so its trace is >= 1/4
+        if not np.trace(part) > 0.0:
+            return
+        if self.e is None or e > self.e:
+            if self.e is not None:
+                np.ldexp(self.g, 2 * (self.e - e), out=self.g)
+            self.e = e
+        elif e < self.e:
+            np.ldexp(part, 2 * (e - self.e), out=part)
+        self.g += part
+
+    def result(self) -> tuple[int, np.ndarray]:
+        """(E, g): the Gram is g * 4**E; E = 0 when every block was zero."""
+        return (0 if self.e is None else self.e), self.g
+
+
+def _gram(x: np.ndarray, rows: np.ndarray | None = None) -> tuple[int, np.ndarray]:
+    """The Gram kernel: (e, g) with the Gram of x[rows] equal to g * 4**e,
+    rows defaulting to every row.
+
+    Each block of RESIDUAL_BLOCK_ROWS rows (CHUNK_ROWS, so a streamed pass
+    sums the same blocks) is rescaled by its own power of two in one scratch
+    block and added to a _GramSum, so the rescaled rows are never formed and
+    a pass that meets the blocks one at a time sums the same bits.
+    """
+    acc = _GramSum(x.shape[1])
+    for _, block in _scaled_blocks(x, 0, rows):
+        e = _pow2_exponent(block)
+        acc.add(e, np.ldexp(block, -e, out=block))
+    return acc.result()
 
 
 def _eigh_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,7 +288,7 @@ def _cgs2_extend(base: np.ndarray, rows: np.ndarray) -> np.ndarray:
     for v in rows:
         for _ in range(2):
             v = v - (out[:r] @ v) @ out[:r]
-        norm = float(np.linalg.norm(v))
+        norm = math.sqrt(v @ v)  # np.linalg.norm's arithmetic, without its overhead
         if norm > tol:
             out[r] = v / norm
             r += 1

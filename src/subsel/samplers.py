@@ -21,7 +21,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,8 +44,10 @@ from .stream import (
     DatasetSource,
     DegenerateWeightsError,
     PassLog,
+    ReservoirBank,
     _check_beta_lambda,
     as_source,
+    length_squared_pass,
     proposal_prefetch_pass,
     weighted_reservoir_sample,
 )
@@ -66,6 +68,13 @@ BLOCK_PROPOSALS = 2 ** 18
 SLOT_BYTES = 32
 MAX_DERIVED_DRAWS = 10 ** 9 - 1
 
+# The exact-volume pivot sizes its length-squared draws (pivot_draws) so that
+# they run out with probability at most PIVOT_MISS on a spectrum whose k
+# eigenvalues in S are each at least a seventh of the mean; it tests them
+# PIVOT_WINDOW at a time at most, a chunk's worth of rows.
+PIVOT_MISS = 1e-9
+PIVOT_WINDOW = 1024
+
 
 class ExactFitReached(RuntimeError):
     """The selected span already fits every point; residual weights vanish."""
@@ -75,11 +84,17 @@ class RankDeficientError(ValueError):
     """The data has rank below k, so no k rows span a k-dimensional pivot."""
 
 
+class DrawBudgetError(ValueError):
+    """The exact-volume pivot's length-squared draws ran out before it
+    accepted k rows, on a streaming source, which has no rows in memory to
+    draw more from."""
+
+
 class SlotBudgetError(ValueError):
-    """The proposals a selection needs do not fit: the captured rows and one
-    block of proposals would not fit in memory, an explicit m makes t*l*m
-    reach 1e9, or a derived-m round certifies more steps than its bank has
-    draws left."""
+    """The proposals a selection needs do not fit: the stored rows and one
+    block of proposals (or the exact-volume pivot's stored draws) would not
+    fit in memory, an explicit m makes t*l*m reach 1e9, or a derived-m round
+    certifies more steps than its bank has draws left."""
 
 
 def physical_memory_bytes() -> int:
@@ -387,12 +402,13 @@ def adaptive_sample(source_or_points, initial: OrthonormalBasis, count: int,
 # volume sampling
 # ---------------------------------------------------------------------------
 
-def _gram_spectrum(points: PointSet, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Gram's eigenvalues above 1e-12 of the largest, descending, and all
-    its eigenvectors; RankDeficientError when fewer than k remain."""
-    if not 1 <= k <= points.n:
+def _gram_spectrum(gram: np.ndarray, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of the Gram of n rows above 1e-12 of the largest,
+    descending, and all its eigenvectors; RankDeficientError when fewer than
+    k remain."""
+    if not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= n")
-    lam, vecs = _eigh_desc(points._full_gram()[1])
+    lam, vecs = _eigh_desc(gram)
     r = int(np.count_nonzero(lam > lam[0] * 1e-12))
     if r < k:
         raise RankDeficientError(f"rank-deficient dataset: numerical rank {r} < k = {k} "
@@ -411,7 +427,7 @@ def _enumerate_volumes(points: PointSet, k: int, p: float = 2.0,
     count = math.comb(n, k)
     if count > guard:
         raise ValueError(f"C({n},{k}) = {count} exceeds the enumeration guard {guard}")
-    _gram_spectrum(points, k)
+    _gram_spectrum(points._full_gram()[1], k, n)
     subsets = list(itertools.combinations(range(n), k))
     dets = np.empty(count)
     batch = 8192
@@ -426,65 +442,173 @@ def _enumerate_volumes(points: PointSet, k: int, p: float = 2.0,
     return subsets, dets, weights / total
 
 
-def volume_sample_dpp(points: PointSet, k: int, seed: int = 0, *,
+def pivot_draws(k: int, d: int) -> int:
+    """s = ceil(7 d ln(k / PIVOT_MISS)), the exact-volume pivot's number of
+    length-squared draws.
+
+    The k picks use N draws, a sum of geometric counts with success
+    probabilities (k - j) a, a = lambda_min(S) / ||X||_F^2, so
+    P(N > s) <= k (1 - a)^s <= k exp(-a s), which is at most PIVOT_MISS
+    whenever a >= 1/(7 d): when each eigenvalue in S is at least a seventh
+    of the mean eigenvalue ||X||_F^2 / d. It depends on k and d only.
+    """
+    return math.ceil(7.0 * d * math.log(k / PIVOT_MISS))
+
+
+@dataclass(frozen=True)
+class PivotDraws:
+    """What volume_sample_dpp reads in place of a PointSet: the Gram (e, g)
+    of all n rows (g * 4**e); `size` i.i.d. rows drawn with probability
+    ||x||^2 / ||X||_F^2, which window(at, stop) hands out in the order they
+    are consumed, as (ids, a new array of their coordinates); and `points`,
+    the loaded rows of a memory source, which finish the draw when the
+    draws run out (None when streaming)."""
+
+    n: int
+    gram: tuple[int, np.ndarray]
+    size: int
+    window: Callable[[int, int], tuple[np.ndarray, np.ndarray]]
+    points: PointSet | None
+
+    @classmethod
+    def of_bank(cls, n: int, gram: tuple[int, np.ndarray], bank: ReservoirBank,
+                points: PointSet | None) -> PivotDraws:
+        """The draws of a finished ReservoirBank, in its ids' random order."""
+        def window(at: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+            return bank.ids[at:stop], bank.points_for(bank.ids[at:stop])
+
+        return cls(n, gram, len(bank.ids), window, points)
+
+
+def _inverse_cdf(cdf: np.ndarray, u):
+    """The rows a cumulative weight array assigns to uniforms u: u * total
+    can round up to the total, and then takes the last row of weight."""
+    return np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"),
+                      np.searchsorted(cdf, cdf[-1]))
+
+
+def _length_squared_draws(points: PointSet, count: int,
+                          rng: np.random.Generator) -> PivotDraws:
+    """`count` i.i.d. rows of points with probability ||x||^2 / ||X||_F^2,
+    each window drawn when asked for, by inverse CDF over the squared norms
+    taken at the Gram's power of two, which one n-length array holds."""
+    e, g = points._full_gram()
+    cdf = np.empty(points.n)
+    for lo, y in _scaled_blocks(points.data, e):
+        np.einsum("ij,ij->i", y, y, out=cdf[lo:lo + len(y)])
+    np.cumsum(cdf, out=cdf)
+
+    def window(at: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        ids = _inverse_cdf(cdf, rng.random(stop - at))
+        return ids, points.data[ids]
+
+    return PivotDraws(points.n, (e, g), count, window, points)
+
+
+def volume_sample_dpp(points: PointSet | PivotDraws, k: int, seed: int = 0, *,
                       rng: np.random.Generator | None = None) -> list[int]:
     """Exact squared-volume sampling without enumeration (p = 2 only).
 
     P(S) ~ det(Gram_S) is a fixed-size DPP with kernel X X^T, sampled in
     dual form (Kulesza & Taskar 2012, 3.3): eigenpairs of the power-of-two-
-    rescaled Gram X^T X (the one the points keep), an eigenvector subset S
-    by the elementary-symmetric recursion, then the projection chain on the
-    rows v_i of the one n x k array v = X V_S Lambda_S^(-1/2), made
-    orthonormal in place. The chain
-    runs in R^k: a row's mass is its squared norm off the span of the picks,
-    which _cgs2_extend grows, so a pick q takes (v_i . q)^2 off each mass.
-    Eigenvalues <= 1e-12 of the largest (singular values 1e-6) are zero:
-    the Gram resolves about d * 2**-52. Seeded ids are the same for data
-    scaled by a power of two.
+    rescaled Gram X^T X, an eigenvector subset S by the elementary-symmetric
+    recursion, then the k projection-DPP rows by rejection from i.i.d.
+    length-squared draws (as in Derezinski, Calandriello & Valko 2019). With
+    v_i = x_i V_S Lambda_S^(-1/2) and P_j the span of the v of the picks so
+    far, draw i, taken in order with its own uniform u_i, is accepted at
+    step j iff u_i ||x_i||^2 < lambda_min(S) ||(I - P_j) v_i||^2. The
+    envelope ||v_i||^2 <= ||x_i||^2 / lambda_min(S) makes each accepted draw
+    exact, and the draws needed, N, have E[N | S] = H_k ||X||_F^2 /
+    lambda_min(S). Draws are tested a window of at most PIVOT_WINDOW at a
+    time; the rows after a pick serve the next step, their mass less their
+    square on the new direction. The span grows in R^k by _cgs2_extend, so
+    no n-row array is formed.
+
+    `points` is a PointSet, from which pivot_draws(k, d) draws are taken by
+    inverse CDF, or the PivotDraws of init_pivot's pass. When the draws run
+    out before k picks, a memory source finishes exactly: the row that
+    further draws would accept at step j has law ~ ||(I - P_j) v_i||^2, which
+    it samples from its rows, one residual pass per pick. A streaming source
+    raises DrawBudgetError instead. Eigenvalues <= 1e-12 of the largest
+    (singular values 1e-6) are zero: the Gram resolves about d * 2**-52.
+    Seeded ids are the same for data scaled by a power of two.
     """
     rng = rng if rng is not None else derive_rng(seed, "volume-dpp")
-    n = points.n
-    lam, vecs = _gram_spectrum(points, k)
-    e_x, r, lam = points._full_gram()[0], len(lam), lam / lam[0]
+    draws = (points if isinstance(points, PivotDraws)
+             else _length_squared_draws(points, pivot_draws(k, points.d), rng))
+    e_x, gram = draws.gram
+    lam, vecs = _gram_spectrum(gram, k, draws.n)
+    r, top, lam = len(lam), lam[0], lam / lam[0]
 
-    # e[j, i] = elementary symmetric polynomial of degree j over lam[:i]
-    e = np.zeros((k + 1, r + 1))
-    e[0, :] = 1.0
+    # e[j][i] = elementary symmetric polynomial of degree j over lam[:i],
+    # in Python floats (the same double arithmetic, without numpy scalars)
+    ls = lam.tolist()
+    e = [[1.0] * (r + 1)] + [[0.0] * (r + 1) for _ in range(k)]
     for j in range(1, k + 1):
         for i in range(1, r + 1):
-            e[j, i] = e[j, i - 1] + lam[i - 1] * e[j - 1, i - 1]
+            e[j][i] = e[j][i - 1] + ls[i - 1] * e[j - 1][i - 1]
 
     chosen = []
     j = k
     for i in range(r, 0, -1):
         if j == 0:
             break
-        if rng.random() < lam[i - 1] * e[j - 1, i - 1] / e[j, i]:
+        if rng.random() < ls[i - 1] * e[j - 1][i - 1] / e[j][i]:
             chosen.append(i - 1)
             j -= 1
-    # X V_S Lambda_S^(-1/2), one rescaled block of rows at a time
     right = vecs[:, chosen] / np.sqrt(lam[chosen])
-    v = np.empty((n, k))
-    for lo, block in _scaled_blocks(points.data, e_x):
-        np.matmul(block, right, out=v[lo:lo + len(block)])
-    # whitened in place: v U, U = L^-T upper triangular for L L^T = v^T v;
-    # column j of v U needs only columns <= j, so columns go right to left
-    white = np.linalg.inv(np.linalg.cholesky(v.T @ v)).T
-    probs = np.empty(n)
-    for j in range(k - 1, -1, -1):
-        v[:, j] = np.matmul(v[:, :j + 1], white[:j + 1, j], out=probs)
-
-    mass = np.einsum("ij,ij->i", v, v)
+    floor = float(lam[chosen].min())
+    # ||X||_F^2 / lambda_min(S): the draws a pick needs, over k - j
+    spread = float(np.trace(gram)) / (floor * top)
     span = np.empty((0, k))
-    ids: list[int] = []
-    while True:
+    picks: list[int] = []
+    at = 0
+    while len(picks) < k and at < draws.size:
+        # a window of twice the draws the picks left expect to need; its
+        # rows after a pick serve the next one, with their mass updated
+        left = sum(1.0 / i for i in range(1, k - len(picks) + 1))
+        stop = min(draws.size, at + min(PIVOT_WINDOW, max(16, math.ceil(2.0 * left * spread))))
+        ids, y = draws.window(at, stop)
+        np.ldexp(y, -e_x, out=y)
+        v = y @ right
+        mass = np.einsum("ij,ij->i", v, v)
+        if len(span):
+            mass -= np.square(v @ span.T).sum(axis=1)
+        # u_i ||x_i||^2 / lambda_min(S), the mass draw i needs to be accepted
+        bar = rng.random(len(ids)) * np.einsum("ij,ij->i", y, y) / floor
+        base = 0
+        while len(picks) < k:
+            hit = np.flatnonzero(bar[base:] < mass[base:])
+            if not len(hit):
+                break
+            base += int(hit[0])
+            picks.append(int(ids[base]))
+            base += 1
+            if len(picks) < k:
+                grown = _cgs2_extend(span, v[base - 1:base])
+                if len(grown) > len(span):
+                    span = grown
+                    mass[base:] -= np.square(v[base:] @ span[-1])
+        at = stop if len(picks) < k else at + base
+    if len(picks) < k and draws.points is None:
+        harmonic = sum(1.0 / i for i in range(1, k + 1))
+        raise DrawBudgetError(
+            f"the exact-volume pivot used all {draws.size} of its length-squared draws with "
+            f"{len(picks)} of k = {k} rows accepted; this spectrum expects about "
+            f"{harmonic * spread:.4g} draws (H_k ||X||_F^2 / lambda_min(S)); run it in "
+            "memory mode, which draws the rest from the loaded rows")
+    while len(picks) < k:
+        mass = np.empty(draws.n)
+        for lo, y in _scaled_blocks(draws.points.data, e_x):
+            v = y @ right
+            mass[lo:lo + len(y)] = (np.einsum("ij,ij->i", v, v)
+                                    - np.square(v @ span.T).sum(axis=1))
         np.maximum(mass, 0.0, out=mass)
-        i = int(rng.choice(n, p=np.divide(mass, mass.sum(), out=probs)))
-        ids.append(i)
-        if len(ids) == k:
-            return ids
-        span = _cgs2_extend(span, v[i:i + 1])
-        mass -= np.square(np.matmul(v, span[-1], out=probs), out=probs)
+        i = int(_inverse_cdf(np.cumsum(mass, out=mass), rng.random()))
+        picks.append(i)
+        if len(picks) < k:
+            span = _cgs2_extend(span, np.ldexp(draws.points.data[i:i + 1], -e_x) @ right)
+    return picks
 
 
 def greedy_max_volume_init(points: PointSet, k: int) -> list[int]:
@@ -710,8 +834,11 @@ def mcmc_select(source_or_points, pivot: OrthonormalBasis, params: DerivedParams
     once per round for the pool entries that still hold proposals; _walk
     steps all t chains at once, one step after another.
 
-    SlotBudgetError is also raised before the pass when the captured rows
-    plus one dealt block would not fit in physical memory. A round in which
+    The pass writes each drawn row's coordinates once, into the banks'
+    RowStore of at most 2 min(n, slots) rows, and that store is the pool:
+    no row is copied again. SlotBudgetError is also raised before the pass
+    when that store plus one dealt block would not fit in physical memory
+    (_check_memory). A round in which
     every pool row that still holds proposals has a residual at most
     RANK_TOL times its norm (the rows extend_basis would drop as dependent)
     is saturated: it and every later round select t uniform draws that no
@@ -724,47 +851,41 @@ def mcmc_select(source_or_points, pivot: OrthonormalBasis, params: DerivedParams
     n = source.n
     t, l, m = params.points_per_round, params.rounds, params.chain_steps
     certify = not params.explicit_m
-
-    slots = min(t * l * m, MAX_DERIVED_DRAWS)
-    per_deal = min(t * m, max(BLOCK_PROPOSALS, t))
-    need = per_deal * SLOT_BYTES + 2 * min(n, slots) * (source.d + 2) * 8
-    have = physical_memory_bytes()
-    if need > have:
-        raise SlotBudgetError(
-            f"the captured rows and a deal of {per_deal} proposals need about "
-            f"{need / 2**30:.3g} GiB, over the limit of {have / 2**30:.3g} GiB of physical "
-            "memory; derived chain lengths at this size need a chain_steps override")
+    slots = _check_memory(n, source.d, params)
     err_pivot, bank_w, bank_u = proposal_prefetch_pass(
         source, pivot, p, slots, seed, label="mcmc:select")
 
+    # the pool is the banks' store: entry c is the row in cell c, a row in
+    # both banks has a cell in each, and a cell a residual row left holds
+    # no draws
     rng = derive_rng(seed, "deal")
+    store = bank_u.store
+    pool_ids = np.full(store.top, -1, dtype=np.int64)
+    stock = np.zeros(store.top, dtype=np.int64)
+    # the residual draws no chain can be dealt: rho's sample
+    held = np.zeros(store.top, dtype=np.int64)
+    uni = bank_u.cells
+    pool_ids[uni] = bank_u.rows
     if bank_w is None:
-        pool_ids, pool_coords, stock = bank_u.rows, bank_u.coords, bank_u.counts.copy()
-        uni = slice(0, len(stock))
-        held = np.zeros(len(stock), dtype=np.int64)
+        stock[uni] = bank_u.counts
     else:
-        # the pool: residual rows in the mixture, all uniform rows (a row may
-        # repeat), then, to certify m_r, the residual rows the mixture left out
+        # Binomial(slots, 1/2) residual draws in the mixture, the rest uniform
         s_w = int(rng.binomial(slots, 0.5))
         mixed = rng.multivariate_hypergeometric(bank_w.counts, s_w)
-        picks = np.flatnonzero(mixed)
-        rest = np.flatnonzero(mixed == 0) if certify else picks[:0]
-        uni = slice(len(picks), len(picks) + len(bank_u.rows))
-        pool_ids = np.concatenate([bank_w.rows[picks], bank_u.rows, bank_w.rows[rest]])
-        pool_coords = np.concatenate([bank_w.coords[picks], bank_u.coords,
-                                      bank_w.coords[rest]])
-        stock = np.concatenate([mixed[picks], rng.multivariate_hypergeometric(
-            bank_u.counts, slots - s_w), np.zeros(len(rest), dtype=np.int64)])
-        # the residual draws no chain can be dealt: rho's sample
-        held = np.zeros(len(stock), dtype=np.int64)
+        pool_ids[bank_w.cells] = bank_w.rows
+        stock[bank_w.cells] = mixed
+        stock[uni] = rng.multivariate_hypergeometric(bank_u.counts, slots - s_w)
         if certify:
-            held[:uni.start] = bank_w.counts[picks] - mixed[picks]
-            held[uni.stop:] = bank_w.counts[rest]
+            held[bank_w.cells] = bank_w.counts - mixed
     spare = bank_u.counts - stock[uni]
-    del bank_w, bank_u  # free their coordinates; the pool holds those it needs
-    d_piv = residual_distances(pool_coords, pivot)
+    del bank_w, bank_u  # the pool keeps the store
+
+    def pool_residuals(span: OrthonormalBasis) -> np.ndarray:
+        return np.concatenate([residual_distances(rows, span) for rows in store.blocks()])
+
+    d_piv = pool_residuals(pivot)
     d_cur = d_piv.copy()
-    fit_tol = RANK_TOL * residual_distances(pool_coords, OrthonormalBasis.empty(source.d))
+    fit_tol = RANK_TOL * pool_residuals(OrthonormalBasis.empty(source.d))
     w_pool = d_piv ** p
     q_pool = (proposal_q(w_pool, err_pivot, n) if err_pivot > 0.0
               else np.full(len(pool_ids), 1.0 / n))
@@ -783,7 +904,7 @@ def mcmc_select(source_or_points, pivot: OrthonormalBasis, params: DerivedParams
             live = stock > 0
             if rnd > 0:
                 seen = live | (held > 0)
-                d_cur[seen] = residual_distances(pool_coords[seen], basis)
+                d_cur[seen] = residual_distances(store.take(np.flatnonzero(seen)), basis)
                 w_pool[seen] = d_cur[seen] ** p
             if np.all(d_cur[live] <= fit_tol[live]):
                 floor_fill = True
@@ -794,7 +915,7 @@ def mcmc_select(source_or_points, pivot: OrthonormalBasis, params: DerivedParams
             # t i.i.d. uniform rows, taken from the uniform draws no chain was dealt
             spare += stock[uni]
             stock[uni] = 0
-            x = uni.start + _deal(rng, spare, t)
+            x = uni[_deal(rng, spare, t)]
             p_x, accepted, steps = np.zeros(t), np.zeros(t, dtype=int), 0
             stats.append(RoundStats(0))
         else:
@@ -820,12 +941,40 @@ def mcmc_select(source_or_points, pivot: OrthonormalBasis, params: DerivedParams
         states.extend(ChainState(i, float(w), float(q), steps, int(a))
                       for i, w, q, a in zip(block, p_x, q_pool[x], accepted))
         blocks.append(block)
-        basis = extend_basis(basis, pool_coords[x], block)
+        basis = extend_basis(basis, store.take(x), block)
 
     return SelectionResult(
         initial_ids=pivot.source_ids, blocks=tuple(blocks), p=p, params=params,
         passes=PassLog(source.pass_log.entries[start:]), final_states=tuple(states),
         warnings=tuple(warnings), basis=basis, round_stats=tuple(stats))
+
+
+def _check_memory(n: int, d: int, params: DerivedParams, pivot_store: int = 0) -> int:
+    """A selection's proposal slots, min(t*l*m, MAX_DERIVED_DRAWS), once its
+    largest holding is known to fit in physical memory: the Metropolis
+    pass's store of 2 min(n, slots) rows, with its per-entry arrays, plus
+    one dealt block, or the exact-volume pivot's store of min(n,
+    pivot_store) rows (pivot_store its draws, 0 for another init), which it
+    frees before the Metropolis pass. Raises SlotBudgetError otherwise, from
+    n, d and the options alone, so before any pass."""
+    t, m = params.points_per_round, params.chain_steps
+    slots = min(params.total_points * m, MAX_DERIVED_DRAWS)
+    per_deal = min(t * m, max(BLOCK_PROPOSALS, t))
+    row_bytes = (d + 2) * 8
+    need = per_deal * SLOT_BYTES + 2 * min(n, slots) * row_bytes
+    have = physical_memory_bytes()
+    if need > have:
+        raise SlotBudgetError(
+            f"the stored rows and a deal of {per_deal} proposals need about "
+            f"{need / 2**30:.3g} GiB, over the limit of {have / 2**30:.3g} GiB of physical "
+            "memory; derived chain lengths at this size need a chain_steps override")
+    need = min(n, pivot_store) * row_bytes
+    if need > have:
+        raise SlotBudgetError(
+            f"the exact-volume pivot's {pivot_store} length-squared draws store up to "
+            f"{min(n, pivot_store)} rows, about {need / 2**30:.3g} GiB, over the limit of "
+            f"{have / 2**30:.3g} GiB of physical memory; the adaptive-k-pass init stores none")
+    return slots
 
 
 def _certify_round(rnd: int, d_cur: np.ndarray, d_piv: np.ndarray, held: np.ndarray,
@@ -853,10 +1002,15 @@ def init_pivot(source: DatasetSource, k: int, p: float, seed: int,
     """Draw the pivot span per init_mode; its source ids are the pivot
     subset, and SamplingConfig fixes the alpha it is derived for.
 
-    The exact-volume init (p = 2 only) takes one materializing pass and
-    draws volume_sample_dpp's exact law. The adaptive init is
-    adaptive_sample with k single-point rounds from the empty span, in k
-    passes. Both inits raise RankDeficientError when the data has rank
+    The exact-volume init (p = 2 only) is one pass, init:exact-volume
+    (length_squared_pass): it sums the d x d Gram and keeps a bank of
+    pivot_draws(k, d) length-squared draws, whose rows it stores, at most
+    min(n, s) of them. volume_sample_dpp then draws its exact law from the
+    Gram and those draws. A streaming source raises DrawBudgetError when
+    the draws run out; a memory source draws the rest from its rows, so the
+    two modes pick the same rows whenever streaming succeeds. The adaptive
+    init is adaptive_sample with k single-point rounds from the empty span,
+    in k passes. Both inits raise RankDeficientError when the data has rank
     below k; the adaptive init finds that when its picks span fewer than k
     dimensions (extend_basis drops a pick whose residual is rounding error).
     """
@@ -868,9 +1022,15 @@ def init_pivot(source: DatasetSource, k: int, p: float, seed: int,
                 f"rank-deficient dataset: the adaptive init rows span rank {pivot.basis.r} "
                 f"< k = {k}")
         return pivot.basis
-    pts = source.collect(f"init:{init_mode}")
-    ids = volume_sample_dpp(pts, k, rng=derive_rng(seed, "init", init_mode))
-    return orthonormal_basis(pts, ids)
+    gram, bank = length_squared_pass(source, pivot_draws(k, source.d),
+                                     derive_rng(seed, "init", init_mode, "draws"),
+                                     label=f"init:{init_mode}")
+    pts = source._points
+    ids = volume_sample_dpp(PivotDraws.of_bank(source.n, gram, bank, pts), k,
+                            rng=derive_rng(seed, "init", init_mode))
+    # a memory source reads its own rows: picks past the draws are not stored
+    rows = bank.points_for(ids) if pts is None else pts.data[ids]
+    return extend_basis(OrthonormalBasis.empty(source.d), rows, ids)
 
 
 def select_subset(source_or_points, config: SamplingConfig) -> SelectionResult:
@@ -890,6 +1050,8 @@ def _select(source: DatasetSource, config: SamplingConfig,
     if config.k > source.d:
         raise ValueError(f"k={config.k} exceeds data dimension d={source.d}")
     params = config._params(lam)
+    _check_memory(source.n, source.d, params, pivot_draws(config.k, source.d)
+                  if config.init_mode == "exact-volume" else 0)
     start = len(source.pass_log.entries)
     pivot = init_pivot(source, config.k, config.p, config.seed, config.init_mode)
     result = mcmc_select(source, pivot, params, config.p, config.seed)

@@ -17,9 +17,11 @@ spill.
 Also provides weighted reservoir sampling (many independent single draws in
 one pass, kept as per-row counts: a chunk thins each row's count by a
 binomial and refills the freed draws with one multinomial, at a cost that
-does not grow with the number of draws), the proposal prefetch pass used by
-the Metropolis selection, the CSV and binary file formats, and synthetic
-instance generation.
+does not grow with the number of draws, and the drawn rows' coordinates
+written once each into a RowStore), the exact-volume pivot's
+length-squared pass, the proposal prefetch pass used by the Metropolis
+selection, the CSV and binary file formats, and synthetic instance
+generation.
 """
 
 from __future__ import annotations
@@ -36,11 +38,18 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .linalg import OrthonormalBasis, PointSet, residual_distances
+from .linalg import (
+    OrthonormalBasis,
+    PointSet,
+    _GramSum,
+    _pow2_exponent,
+    residual_distances,
+)
 from .rng import derive_rng
 
 # Fixed chunk size: part of the sampling contract, not a tuning knob. Both
-# source modes must consume randomness identically.
+# source modes must consume randomness identically. It equals the Gram
+# kernel's RESIDUAL_BLOCK_ROWS, so a streamed Gram sums the kernel's blocks.
 CHUNK_ROWS = 1024
 
 BINARY_MAGIC = b"SSEL1\x00"
@@ -143,6 +152,7 @@ class DatasetSource:
         for start, chunk in self._chunks():
             visitor(start, chunk)
             entry.rows_visited += len(chunk)
+            del chunk  # a streamed chunk is freed before the next is read
         return entry
 
     def collect(self, label: str, *, reporting: bool = False) -> PointSet:
@@ -328,6 +338,7 @@ def _binary_rows(path: str, shape: tuple[int, int] | None = None,
             raise DatasetFormatError(f"{path}: changed since it was opened")
         for start, chunk in _payload_chunks(fh, len(header), n, d, path):
             yield start, _finite(chunk, path, "row", range(start, start + len(chunk)))
+            del chunk  # freed before the next chunk is read
 
 
 def _payload_chunks(fh, offset: int, n: int, d: int, name: str,
@@ -343,6 +354,7 @@ def _payload_chunks(fh, offset: int, n: int, d: int, name: str,
             raise DatasetFormatError(
                 f"{name}: payload ends inside rows {start}..{start + count - 1}")
         yield start, np.frombuffer(raw, dtype="<f8").reshape(count, d)
+        del raw  # freed before the next chunk is read
 
 
 def _finite(chunk: np.ndarray, path: str, unit: str, labels) -> np.ndarray:
@@ -382,40 +394,89 @@ class DegenerateWeightsError(ValueError):
     """Every row a reservoir pass offered has weight zero."""
 
 
+class RowStore:
+    """The coordinates of the rows one or more banks hold, one row per cell,
+    so a bank never copies them again.
+
+    A row is written into a free cell as it enters a bank, and a row that
+    leaves frees its cell, which the next row to enter reuses; cells below
+    `top` have been written. Cells live in pages of min(CHUNK_ROWS,
+    capacity) rows, allocated as `top` first reaches them, so the store
+    holds about the rows its banks held at once, and never more than
+    `capacity`: a bank of `slots` draws over n rows holds at most
+    min(n, slots) rows, and frees before it writes.
+    """
+
+    def __init__(self, capacity: int, d: int):
+        self.capacity, self.d = capacity, d
+        self.top = 0
+        self._page_rows = max(1, min(CHUNK_ROWS, capacity))
+        self._pages: list[np.ndarray] = []
+        self._free = np.zeros(0, dtype=np.int64)
+
+    def put(self, chunk: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Write chunk[rows] into free cells, reused ones first; returns the
+        cells."""
+        reuse = min(len(rows), len(self._free))
+        cells = np.arange(self.top - reuse, self.top + len(rows) - reuse)
+        if reuse:
+            cells[:reuse] = self._free[:reuse]
+            self._free = self._free[reuse:]
+        self.top += len(rows) - reuse
+        if self.top > self.capacity:
+            raise ValueError(f"a row store of {self.capacity} rows is full")
+        while len(self._pages) * self._page_rows < self.top:
+            self._pages.append(np.empty((self._page_rows, self.d)))
+        for page, hit, at in self._by_page(cells):
+            page[at] = chunk[rows[hit]]
+        return cells
+
+    def release(self, cells: np.ndarray) -> None:
+        if len(cells):
+            self._free = np.concatenate([self._free, cells])
+
+    def take(self, cells: np.ndarray) -> np.ndarray:
+        """The rows in `cells`, gathered into a new array."""
+        out = np.empty((len(cells), self.d))
+        for page, hit, at in self._by_page(cells):
+            out[hit] = page[at]
+        return out
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The written rows, cells 0..top-1, one page (a view) at a time."""
+        for lo, page in zip(range(0, self.top, self._page_rows), self._pages):
+            yield page[:self.top - lo]
+
+    def _by_page(self, cells: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(page, positions of cells in it, their rows in the page) for each
+        page that holds one of `cells`."""
+        if len(self._pages) == 1:
+            yield self._pages[0], slice(None), cells
+            return
+        page_of, at = np.divmod(cells, self._page_rows)
+        for p in np.unique(page_of):
+            hit = page_of == p
+            yield self._pages[p], hit, at[hit]
+
+
 class CountBank:
     """A multiset of draws: increasing row ids `rows`, how many draws hit
-    each (`counts`) and their coordinates (`coords`), captured while the pass
-    visits each chunk so that the draws never re-access the source."""
+    each (`counts`) and the cell of `store` that holds each row's
+    coordinates (`cells`), written while the pass visits the row's chunk, so
+    that the draws never re-access the source. This base class holds rows
+    fixed before the pass, and `capture` writes each chunk's share of them.
+    """
 
-    def __init__(self, rows: np.ndarray, counts: np.ndarray):
-        self.rows, self.counts = rows, counts
-        self._kept: list[tuple[np.ndarray, np.ndarray]] = []
+    def __init__(self, rows: np.ndarray, counts: np.ndarray, store: RowStore):
+        self.rows, self.counts, self.store = rows, counts, store
+        self.cells = np.zeros(len(rows), dtype=np.int64)
 
-    def capture(self, start: int, chunk: np.ndarray, rows: np.ndarray) -> None:
-        """Keep the coordinates of `rows`, increasing ids inside this chunk.
-        Those of rows that left the bank go once they outnumber its rows."""
-        self._kept.append((rows, chunk[rows - start]))
-        if sum(len(r) for r, _ in self._kept) > 2 * len(self.rows):
-            self._compact()
-
-    def _compact(self) -> None:
-        # pieces hold increasing, disjoint id ranges, so each fills its own
-        # slice of the bank's rows straight into one array
-        out = np.empty((len(self.rows), self._kept[0][1].shape[1]))
-        for rows, coords in self._kept:
-            if len(rows):
-                lo, hi = np.searchsorted(self.rows, (rows[0], rows[-1] + 1))
-                out[lo:hi] = coords[np.searchsorted(rows, self.rows[lo:hi])]
-        self._kept = [(self.rows, out)]
-
-    @property
-    def coords(self) -> np.ndarray:
-        if len(self._kept) != 1 or self._kept[0][0] is not self.rows:
-            self._compact()
-        return self._kept[0][1]
+    def capture(self, start: int, chunk: np.ndarray) -> None:
+        lo, hi = np.searchsorted(self.rows, (start, start + len(chunk)))
+        self.cells[lo:hi] = self.store.put(chunk, self.rows[lo:hi] - start)
 
     def points_for(self, ids: np.ndarray) -> np.ndarray:
-        return self.coords[np.searchsorted(self.rows, ids)]
+        return self.store.take(self.cells[np.searchsorted(self.rows, ids)])
 
 
 class ReservoirBank(CountBank):
@@ -430,42 +491,60 @@ class ReservoirBank(CountBank):
     exactly that probability. The replaced slots are chosen without looking
     at their contents, so only the multiset matters: each row keeps
     Binomial(count, 1 - pi_c) of its slots and one multinomial over the chunk
-    fills the freed ones, in O(rows in the bank + chunk rows).
+    fills the freed ones, in O(rows in the bank + chunk rows). A row that
+    loses its last draw frees its store cell before the chunk's new rows are
+    written, so the store needs min(n, slots) rows.
+
+    A chunk's weights may come in units of 2**e (`offer`'s e): W_cum is kept
+    as a mantissa in units of 2**E, E the largest e of a chunk with weight,
+    so weights taken in each chunk's own units neither overflow nor
+    underflow, and scaling them all by 2**k draws the same rows.
     """
 
-    def __init__(self, slots: int, rng: np.random.Generator):
+    def __init__(self, slots: int, rng: np.random.Generator, store: RowStore):
         if slots < 1:
             raise ValueError("slots must be >= 1")
-        super().__init__(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        super().__init__(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), store)
         self.slots = slots
         self.rng = rng
-        self.total_weight = 0.0
+        self._total, self._e = 0.0, 0
 
-    def offer(self, start: int, chunk: np.ndarray, weights: np.ndarray) -> None:
+    @property
+    def total_weight(self) -> float:
+        """The weight offered so far, W_cum (in units of 2**0)."""
+        return math.ldexp(self._total, self._e)
+
+    def offer(self, start: int, chunk: np.ndarray, weights: np.ndarray, e: int = 0) -> None:
+        """Offer a chunk whose row weights are `weights` * 2**e."""
         if np.any(weights < 0) or not np.all(np.isfinite(weights)):
             raise ValueError("weights must be nonnegative and finite")
         total = float(weights.sum())
-        self.total_weight += total
-        if not math.isfinite(self.total_weight):
-            raise ValueError("weights overflow: their running sum is not finite")
         if total <= 0.0:
             return
+        if self._total == 0.0 or e > self._e:
+            self._total, self._e, share = math.ldexp(self._total, self._e - e), e, total
+        else:
+            share = math.ldexp(total, e - self._e)
+        self._total += share
+        if not math.isfinite(self._total):
+            raise ValueError("weights overflow: their running sum is not finite")
         # 1 - pi_c is exactly 0 when this chunk carries all the weight so far
-        kept = self.rng.binomial(self.counts, 1.0 - total / self.total_weight)
+        kept = self.rng.binomial(self.counts, 1.0 - share / self._total)
         # rows of zero weight stay out, so the multinomial's remainder
         # category is a row that can be drawn
         support = np.flatnonzero(weights > 0.0)
-        fill = self.rng.multinomial(self.slots - int(kept.sum()), weights[support] / total)
-        new = start + support[fill > 0]
-        self.rows = np.concatenate([self.rows[kept > 0], new])
-        self.counts = np.concatenate([kept[kept > 0], fill[fill > 0]])
-        self.capture(start, chunk, new)
+        fill = self.rng.multinomial(self.slots - int(kept.sum()),
+                                    weights[support] / total)
+        stay = kept > 0
+        self.store.release(self.cells[~stay])
+        new = support[fill > 0]
+        self.rows = np.concatenate([self.rows[stay], start + new])
+        self.counts = np.concatenate([kept[stay], fill[fill > 0]])
+        self.cells = np.concatenate([self.cells[stay], self.store.put(chunk, new)])
 
     def finish(self) -> None:
-        """End of the pass: reject all-zero weights, then lay the counts out
-        as `ids`, the slots' row ids in random order."""
-        if self.total_weight <= 0.0:
-            raise DegenerateWeightsError("degenerate weights: every row has weight zero")
+        """End of the pass: lay the counts out as `ids`, the slots' row ids
+        in random order."""
         self.ids = np.repeat(self.rows, self.counts)
         self.rng.shuffle(self.ids)
 
@@ -474,12 +553,14 @@ def weighted_reservoir_sample(source: DatasetSource, weight_fn, slots: int,
                               seed: int, *, label: str = "reservoir",
                               rng: np.random.Generator | None = None) -> ReservoirBank:
     """`slots` independent draws with probability proportional to weight_fn,
-    in exactly one sequential pass regardless of slots.
+    in exactly one sequential pass regardless of slots, the drawn rows kept
+    in a store of min(n, slots) rows.
 
     weight_fn maps a (rows, d) chunk to a (rows,) vector of nonnegative
     weights. Raises DegenerateWeightsError when every row has weight zero.
     """
-    bank = ReservoirBank(slots, rng or derive_rng(seed, "reservoir", label))
+    bank = ReservoirBank(slots, rng or derive_rng(seed, "reservoir", label),
+                         RowStore(min(source.n, slots), source.d))
 
     def visit(start: int, chunk: np.ndarray) -> None:
         w = np.asarray(weight_fn(chunk), dtype=np.float64)
@@ -489,8 +570,39 @@ def weighted_reservoir_sample(source: DatasetSource, weight_fn, slots: int,
         bank.offer(start, chunk, w)
 
     source.stream_pass_chunks(label, visit)
+    if not len(bank.rows):
+        raise DegenerateWeightsError("degenerate weights: every row has weight zero")
     bank.finish()
     return bank
+
+
+def _uniform_counts(rng: np.random.Generator, n: int, draws: int,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """`draws` uniform draws over rows 0..n-1 as (increasing rows, positive
+    counts), with the law of multinomial(draws, [1/n] * n).
+
+    Each range of rows splits its count between its two halves with one
+    binomial, and only halves that got draws are split again, so this takes
+    O(min(n, draws log n)) time and memory and no n-length array. When n is
+    at most the draws, one multinomial over the rows is that cheap already.
+    """
+    if n <= draws:
+        counts = rng.multinomial(draws, np.full(n, 1.0 / n))
+        rows = np.flatnonzero(counts)
+        return rows, counts[rows]
+    # rows (lo, size, count) of the ranges that hold draws, in row order
+    ranges = np.array([[0], [n], [draws]], dtype=np.int64)
+    while np.any(ranges[1] > 1):
+        lo, size, count = ranges
+        half = size // 2
+        left = rng.binomial(count, half / size)
+        # each range becomes its left half, then its right half
+        split = np.empty((3, 2 * len(lo)), dtype=np.int64)
+        split[0, 0::2], split[0, 1::2] = lo, lo + half
+        split[1, 0::2], split[1, 1::2] = half, size - half
+        split[2, 0::2], split[2, 1::2] = left, count - left
+        ranges = split[:, split[2] > 0]
+    return ranges[0], ranges[2]
 
 
 def proposal_prefetch_pass(source: DatasetSource, pivot_basis: OrthonormalBasis,
@@ -502,25 +614,55 @@ def proposal_prefetch_pass(source: DatasetSource, pivot_basis: OrthonormalBasis,
 
     The proposal mixture q(x) = (1/2) residual^p / err + 1/(2n) cannot be
     sampled directly mid-pass because its normalizer err is only known at the
-    end, so the caller mixes the banks afterwards. The uniform counts are one
-    multinomial drawn before the pass, which only captures their rows.
-    Returns (err_p_pivot, residual bank or None when the pivot span fits
-    everything, uniform bank).
+    end, so the caller mixes the banks afterwards. The uniform counts are
+    drawn before the pass by _uniform_counts, and the pass only writes their
+    rows. Both banks keep their rows in one RowStore of 2 min(n, slots) rows,
+    each row written once, as its chunk is visited. Returns (err_p_pivot,
+    residual bank or None when the pivot span fits everything, uniform
+    bank).
     """
-    bank_w = ReservoirBank(slots, derive_rng(seed, "bank-residual", label))
-    counts = derive_rng(seed, "bank-uniform", label).multinomial(
-        slots, np.full(source.n, 1.0 / source.n))
-    rows = np.flatnonzero(counts)
-    bank_u = CountBank(rows, counts[rows])
+    store = RowStore(2 * min(source.n, slots), source.d)
+    bank_w = ReservoirBank(slots, derive_rng(seed, "bank-residual", label), store)
+    rows, counts = _uniform_counts(derive_rng(seed, "bank-uniform", label), source.n, slots)
+    bank_u = CountBank(rows, counts, store)
 
     def visit(start: int, chunk: np.ndarray) -> None:
         bank_w.offer(start, chunk, residual_distances(chunk, pivot_basis) ** p)
-        lo, hi = np.searchsorted(rows, (start, start + len(chunk)))
-        bank_u.capture(start, chunk, rows[lo:hi])
+        bank_u.capture(start, chunk)
 
     source.stream_pass_chunks(label, visit)
     err = bank_w.total_weight
     return err, (bank_w if err > 0.0 else None), bank_u
+
+
+def length_squared_pass(source: DatasetSource, slots: int, rng: np.random.Generator, *,
+                        label: str) -> tuple[tuple[int, np.ndarray], ReservoirBank]:
+    """The exact-volume pivot's one pass: the Gram of every row and a bank of
+    `slots` independent draws with probability ||x||^2 / ||X||_F^2.
+
+    Each chunk is rescaled once, by its own power of two 2**e: its rows'
+    squared norms go to the bank in units of 4**e, so no weight overflows or
+    underflows, and a streamed pass adds the rescaled chunk to a _GramSum.
+    Chunks are the Gram kernel's blocks, so that sum has the bits of
+    PointSet._full_gram, which a memory source reads instead. Returns
+    ((e, g), bank), the Gram being g * 4**e, with the bank's `ids` in random
+    order (none when every row is zero). It holds the d x d Gram, one
+    rescaled chunk and the bank's store of at most min(n, slots) rows.
+    """
+    bank = ReservoirBank(slots, rng, RowStore(min(source.n, slots), source.d))
+    acc = _GramSum(source.d) if source.mode == "streaming" else None
+    buf = np.empty((min(source.n, CHUNK_ROWS), source.d))
+
+    def visit(start: int, chunk: np.ndarray) -> None:
+        e = _pow2_exponent(chunk)
+        y = np.ldexp(chunk, -e, out=buf[:len(chunk)])
+        if acc is not None:
+            acc.add(e, y)
+        bank.offer(start, chunk, np.einsum("ij,ij->i", y, y), 2 * e)
+
+    source.stream_pass_chunks(label, visit)
+    bank.finish()
+    return (source._points._full_gram() if acc is None else acc.result()), bank
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,25 @@ def test_run_fkv_single_pass(tmp_path):
     assert rows[0].subset_size == 20
 
 
+def test_run_streamed_pivot_out_of_draws_exits_2(tmp_path, capsys):
+    # eigenvalues 1, 1e-4 and 1e-8 at k = 3: the exact-volume pivot expects
+    # about 2e8 length-squared draws, past the 764 its pass keeps, so a
+    # streamed run refuses, naming memory mode, which completes the pivot
+    # from the rows it loaded
+    rng = np.random.default_rng(32)
+    u, _ = np.linalg.qr(rng.standard_normal((6, 3)))
+    v, _ = np.linalg.qr(rng.standard_normal((5, 3)))
+    path = tmp_path / "ill.csv"
+    np.savetxt(path, (u * [1.0, 1e-2, 1e-4]) @ v.T, delimiter=",")
+    for alg in ("volume-exact", "mcmc"):
+        argv = ["run", "--input", str(path), "--alg", alg, "--k", "3", "--m", "8",
+                "--timing", "zero"]
+        assert main(argv + ["--mode", "streaming"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the exact-volume pivot used all 764") and "memory mode" in err
+        assert main(argv) == 0
+
+
 @pytest.mark.parametrize("alg", ["fkv", "adaptive"])
 def test_run_all_zero_input_is_exact_fit(tmp_path, capsys, alg):
     # every residual is zero: the first round stops the sampling, after its
@@ -420,13 +439,16 @@ def test_diag_tv_bound_failure():
     (["volume", "--walks", "0"], "walks must be >= 1"),
     (["volume", "--steps", "-1"], "steps >= 0"),
     (["tv", "--d", "0"], "rank must satisfy"),
+    (["volume", "--n", "-1"], "must be a non-negative integer"),
+    (["volume", "--k", "-1"], "must be a non-negative integer"),
 ], ids=["tv-rank-below-k", "tv-exact-fit", "volume-rank-below-k", "tv-no-trials",
-        "volume-no-walks", "volume-negative-steps", "tv-no-dimension"])
+        "volume-no-walks", "volume-negative-steps", "tv-no-dimension",
+        "volume-negative-n", "volume-negative-k"])
 def test_diag_refuses_degenerate_instances(capsys, argv, message):
     # rank 3 < k = 4 has no k-subset of nonzero volume, k = d = 3 rows fit
     # every point up to rounding, no trial or walk and a negative step count
-    # measure nothing, and d = 0 plants no instance: usage errors, not a
-    # guarantee verdict
+    # measure nothing, d = 0 plants no instance, and a negative n or k has no
+    # subsets to enumerate: usage errors, not a guarantee verdict
     assert main(["diag", *argv]) == 2
     captured = capsys.readouterr()
     assert "tv=" not in captured.out

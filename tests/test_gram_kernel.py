@@ -30,7 +30,7 @@ from subsel.linalg import (
 )
 from subsel.outliers import fit_trimmed_subspace
 from subsel.samplers import volume_sample_dpp
-from subsel.stream import CHUNK_ROWS, inlier_count
+from subsel.stream import CHUNK_ROWS, inlier_count, length_squared_pass, open_source
 
 REL = 1e-9
 
@@ -255,6 +255,24 @@ def test_kept_gram_is_read_only_and_bitwise_fresh():
     e_fresh, g_fresh = _gram(pts.data)
     assert e == e_fresh
     assert np.array_equal(g.view(np.int64), g_fresh.view(np.int64))
+
+
+@pytest.mark.parametrize("scale", [0, 600, -600])
+def test_streamed_pass_sums_the_kept_gram_bitwise(tmp_path, scale):
+    # the exact-volume init's streamed pass adds each chunk at its own power
+    # of two, as the kernel adds its blocks, so its Gram has the bits of the
+    # one a PointSet keeps, here with one chunk 2**300 below the others
+    x = planted(3 * CHUNK_ROWS + 5, 9, 2, 0.1, seed=16)
+    x[CHUNK_ROWS:2 * CHUNK_ROWS] *= 2.0 ** -300
+    x *= 2.0 ** scale
+    path = tmp_path / "x.bin"
+    write_binary(path, x)
+    with np.errstate(all="raise"):
+        (e, g), _ = length_squared_pass(open_source(path, "streaming"), 64,
+                                        np.random.default_rng(17), label="gram")
+        e_kept, g_kept = PointSet(x)._full_gram()
+    assert e == e_kept
+    assert np.array_equal(g.view(np.int64), g_kept.view(np.int64))
 
 
 @pytest.mark.parametrize("warm_with", ["optimal_subspace", "best_rank_k_in_span",

@@ -18,6 +18,7 @@ from subsel.rng import derive_rng
 from subsel import samplers
 from subsel.outliers import robust_select
 from subsel.samplers import (
+    DrawBudgetError,
     ExactFitReached,
     RankDeficientError,
     RoundStats,
@@ -32,6 +33,7 @@ from subsel.samplers import (
     init_pivot,
     mcmc_select,
     mh_accept,
+    pivot_draws,
     proposal_q,
     select_subset,
     tv_distance_diag,
@@ -39,7 +41,14 @@ from subsel.samplers import (
     volume_sample_mcmc,
     volume_walk_distribution,
 )
-from subsel.stream import CHUNK_ROWS, generate_synthetic, open_source, write_binary, write_csv
+from subsel.stream import (
+    CHUNK_ROWS,
+    DatasetSource,
+    generate_synthetic,
+    open_source,
+    write_binary,
+    write_csv,
+)
 
 
 def instance(n, d, seed, scale=None):
@@ -436,6 +445,86 @@ def test_volume_dpp_ill_conditioned_samples():
     assert empirical_tv(samples, probs, len(subsets)) <= 0.05
     with pytest.raises(ValueError, match="rank-deficient"):
         volume_sample_dpp(spectrum_instance(6, [1.0, 1e-2, 0.0], seed=32), 3)
+
+
+def test_volume_pivot_draws_run_out_only_streaming_refuses(tmp_path):
+    # eigenvalues 1, 0.09, 0.0025 and k = r = 3: ||X||_F^2 / lambda_min(S) is
+    # 437, so the picks expect H_3 * 437 = 801 length-squared draws, past the
+    # pivot_draws(3, 5) = 764 the init pass keeps. A streaming source then
+    # refuses; a memory source picks the same rows whenever streaming
+    # succeeds, draws the rest from its rows otherwise, and keeps the
+    # enumerated law
+    pts = spectrum_instance(6, [1.0, 0.3, 0.05], seed=34)
+    assert pivot_draws(3, 5) == 764
+    path = tmp_path / "x.bin"
+    write_binary(path, pts.data)
+    mem, strm = open_source(path, "memory"), open_source(path, "streaming")
+    refused = 0
+    for seed in range(40):
+        pivot = init_pivot(mem, 3, 2.0, seed, "exact-volume")
+        try:
+            streamed = init_pivot(strm, 3, 2.0, seed, "exact-volume")
+        except DrawBudgetError as exc:
+            assert "memory mode" in str(exc) and "764 of its length-squared draws" in str(exc)
+            refused += 1
+            continue
+        assert streamed.source_ids == pivot.source_ids
+        assert np.array_equal(streamed.vectors, pivot.vectors)
+    assert 0 < refused < 40
+    subsets, _, probs = _enumerate_volumes(pts, 3)
+    idx = {s: i for i, s in enumerate(subsets)}
+    samples = [idx[tuple(sorted(init_pivot(mem, 3, 2.0, seed, "exact-volume").source_ids))]
+               for seed in range(100, 3100)]
+    assert empirical_tv(samples, probs, len(subsets)) <= 0.05
+
+
+def test_streamed_pivot_is_scale_free(tmp_path, monkeypatch):
+    # the pass weighs each chunk in its own power of two and the DPP reads
+    # the stored rows at the Gram's, so a streamed pivot at 2**600 or
+    # 2**-600, with one chunk 2**300 below the rest, has the unscaled ids and
+    # no rounding to infinity or below the normal range, and never collects
+    monkeypatch.setattr(DatasetSource, "collect", None)
+    x = instance(3 * CHUNK_ROWS + 5, 6, seed=36).data.copy()
+    x[CHUNK_ROWS:2 * CHUNK_ROWS] *= 2.0 ** -300
+    ids = None
+    for scale in (1.0, 2.0 ** 600, 2.0 ** -600):
+        path = tmp_path / f"x{scale!r}.bin"
+        write_binary(path, x * scale)
+        with np.errstate(all="raise"):
+            pivot = init_pivot(open_source(path, "streaming"), 3, 2.0, 37, "exact-volume")
+        ids = ids or pivot.source_ids
+        assert pivot.source_ids == ids
+
+
+def test_streamed_selection_holds_no_n_by_d_array(tmp_path, monkeypatch):
+    # the exact-volume init is one pass over the Gram and a store of the rows
+    # it drew, and the Metropolis pass writes its banks' rows once into the
+    # store that is its pool: a streamed selection never collects its source
+    # and traces under half the data's bytes (the pivot stores the rows of
+    # pivot_draws(5, 50) = 7817 draws, about 5900 distinct of the 20480)
+    n, d = 20 * CHUNK_ROWS, 50
+    rng = np.random.default_rng(80)
+    q, _ = np.linalg.qr(rng.standard_normal((d, 3)))
+    x = (rng.standard_normal((n, 3)) * [3.0, 2.0, 1.5]) @ q.T
+    path = tmp_path / "tall.bin"
+    write_binary(path, x + 0.1 * rng.standard_normal((n, d)))
+    del x
+
+    def no_collect(self, label, **kwargs):
+        raise AssertionError(f"a streamed selection collected its source ({label})")
+
+    monkeypatch.setattr(DatasetSource, "collect", no_collect)
+    config = SamplingConfig(k=5, epsilon=0.5, seed=81, chain_steps=8)
+    select_subset(open_source(path, "streaming"), config)  # imports stay out of the trace
+    src = open_source(path, "streaming")
+    tracemalloc.start()
+    try:
+        result = select_subset(src, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result.passes.assert_passes(2)
+    assert peak < 0.5 * n * d * 8
 
 
 def test_greedy_init_nonzero_volume():
@@ -1199,6 +1288,20 @@ def test_mcmc_select_slot_budget_checks_physical_memory(monkeypatch):
                                               ".* chain_steps override"):
         mcmc_select(src, pivot, params, seed=78)
     assert src.pass_log.entries == []
+    # a whole selection checks before its init passes, the adaptive init's k
+    # passes included
+    selected = open_source(instance(50, 6, seed=79))
+    config = SamplingConfig(k=3, epsilon=0.5, init_mode="adaptive-k-pass",
+                            points_per_round=4, rounds=2, chain_steps=20000)
+    with pytest.raises(SlotBudgetError, match="over the limit of .* physical memory"):
+        select_subset(selected, config)
+    assert selected.pass_log.entries == []
+    # so is the exact-volume pivot's store of min(n, s) rows, 2.5 MB here
+    selected = open_source(instance(5000, 60, seed=80))
+    with pytest.raises(SlotBudgetError, match="exact-volume pivot's .* the adaptive-k-pass "
+                                              "init stores none"):
+        select_subset(selected, SamplingConfig(k=3, epsilon=0.5, chain_steps=1))
+    assert selected.pass_log.entries == []
     monkeypatch.setattr(samplers, "physical_memory_bytes", lambda: 2 ** 30)
     assert mcmc_select(src, pivot, params, seed=78).size == 2 + 4 * 2
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import tracemalloc
@@ -14,6 +15,8 @@ from subsel.stream import (
     DatasetFormatError,
     PassCountError,
     ReservoirBank,
+    RowStore,
+    _uniform_counts,
     generate_synthetic,
     inlier_count,
     open_source,
@@ -576,9 +579,9 @@ def test_reservoir_mode_identity_property(tmp_path_factory, n, zero_chunks, slot
        seed=st.integers(0, 2 ** 32 - 1))
 def test_reservoir_counts_invariants_property(tmp_path_factory, n, zero_chunks, slots, seed):
     # after every offer the bank holds exactly `slots` draws as positive
-    # counts on increasing rows of positive weight already visited. Memory
-    # mode reads the coordinates after every offer, streaming mode only at
-    # the end, so both the eager and the amortised compaction are checked.
+    # counts on increasing rows of positive weight already visited, in at
+    # most min(n, slots) store rows. Memory mode reads the coordinates after
+    # every offer, streaming mode only at the end.
     data = np.random.default_rng(seed).standard_normal((n, 3))
     for c in zero_chunks:
         data[c * CHUNK_ROWS:(c + 1) * CHUNK_ROWS] = 0.0
@@ -586,7 +589,7 @@ def test_reservoir_counts_invariants_property(tmp_path_factory, n, zero_chunks, 
     write_binary(path, data)
     runs = []
     for mode in ("memory", "streaming"):
-        bank = ReservoirBank(slots, derive_rng(seed, "counts"))
+        bank = ReservoirBank(slots, derive_rng(seed, "counts"), RowStore(min(n, slots), 3))
         states = []
 
         def visit(start, chunk):
@@ -597,12 +600,12 @@ def test_reservoir_counts_invariants_property(tmp_path_factory, n, zero_chunks, 
             assert bank.rows.max(initial=-1) < start + len(chunk)
             assert np.all(sq_norms(data[bank.rows]) > 0.0)
             if mode == "memory" and bank.total_weight > 0.0:
-                assert np.array_equal(bank.coords, data[bank.rows])
+                assert np.array_equal(bank.points_for(bank.rows), data[bank.rows])
             states.append((bank.rows.copy(), bank.counts.copy()))
 
         open_source(path, mode=mode).stream_pass_chunks("counts", visit)
         if bank.total_weight > 0.0:
-            assert np.array_equal(bank.coords, data[bank.rows])
+            assert np.array_equal(bank.points_for(bank.rows), data[bank.rows])
         runs.append(states)
     mem, strm = runs
     assert len(mem) == len(strm)
@@ -664,7 +667,44 @@ def test_prefetch_exact_fit_pivot():
     assert bank_w is None
     assert bank_u.counts.sum() == 4
     assert all(i >= 0 for i in bank_u.rows)
-    assert np.array_equal(bank_u.coords, pts.data[bank_u.rows])
+    assert np.array_equal(bank_u.points_for(bank_u.rows), pts.data[bank_u.rows])
+
+
+def test_uniform_counts_sum_to_the_draws():
+    # increasing rows in range with positive counts summing to the draws,
+    # from one row to a million: split by binomials when n exceeds the draws
+    # (7 rows, a million), one multinomial otherwise
+    rng = derive_rng(90, "uniform-counts")
+    for n, draws in [(1, 5), (7, 1), (2, 64), (1_000_003, 4096), (3000, 10_000)]:
+        rows, counts = _uniform_counts(rng, n, draws)
+        assert counts.sum() == draws and np.all(counts > 0)
+        assert np.all(np.diff(rows) > 0) and 0 <= rows[0] and rows[-1] < n
+
+
+def test_uniform_counts_have_the_multinomial_law():
+    # 3 draws over 5 rows (halves of unequal size): the 35 count vectors
+    # against multinomial(3, [1/5] * 5), and each row's mean count 3/5
+    n, draws, trials = 5, 3, 8_000
+    rng = derive_rng(91, "uniform-counts")
+    seen = {}
+    totals = np.zeros(n)
+    for _ in range(trials):
+        rows, counts = _uniform_counts(rng, n, draws)
+        full = np.zeros(n, dtype=np.int64)
+        full[rows] = counts
+        totals += full
+        seen[tuple(full)] = seen.get(tuple(full), 0) + 1
+    outcomes = [c for c in itertools.product(range(draws + 1), repeat=n) if sum(c) == draws]
+    assert set(seen) <= set(outcomes) and len(outcomes) == 35
+    pmf = np.array([math.factorial(draws) / math.prod(math.factorial(c) for c in o)
+                    for o in outcomes]) / n ** draws
+    observed = np.array([seen.get(o, 0) for o in outcomes])
+    expected = trials * pmf
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    dof = len(outcomes) - 1
+    assert chi2 <= dof + 5 * math.sqrt(2 * dof)
+    sigma = math.sqrt(trials * draws * (1 / n) * (1 - 1 / n))
+    assert np.all(np.abs(totals - trials * draws / n) <= 4 * sigma)
 
 
 # ---------------------------------------------------------------------------
