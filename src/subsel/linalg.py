@@ -288,7 +288,7 @@ def _cgs2_extend(base: np.ndarray, rows: np.ndarray) -> np.ndarray:
     for v in rows:
         for _ in range(2):
             v = v - (out[:r] @ v) @ out[:r]
-        norm = math.sqrt(v @ v)  # np.linalg.norm's arithmetic, without its overhead
+        norm = float(np.linalg.norm(v))
         if norm > tol:
             out[r] = v / norm
             r += 1

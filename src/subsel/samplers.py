@@ -21,7 +21,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .stream import (
     DatasetSource,
     DegenerateWeightsError,
     PassLog,
-    ReservoirBank,
     _check_beta_lambda,
     as_source,
     length_squared_pass,
@@ -455,31 +454,6 @@ def pivot_draws(k: int, d: int) -> int:
     return math.ceil(7.0 * d * math.log(k / PIVOT_MISS))
 
 
-@dataclass(frozen=True)
-class PivotDraws:
-    """What volume_sample_dpp reads in place of a PointSet: the Gram (e, g)
-    of all n rows (g * 4**e); `size` i.i.d. rows drawn with probability
-    ||x||^2 / ||X||_F^2, which window(at, stop) hands out in the order they
-    are consumed, as (ids, a new array of their coordinates); and `points`,
-    the loaded rows of a memory source, which finish the draw when the
-    draws run out (None when streaming)."""
-
-    n: int
-    gram: tuple[int, np.ndarray]
-    size: int
-    window: Callable[[int, int], tuple[np.ndarray, np.ndarray]]
-    points: PointSet | None
-
-    @classmethod
-    def of_bank(cls, n: int, gram: tuple[int, np.ndarray], bank: ReservoirBank,
-                points: PointSet | None) -> PivotDraws:
-        """The draws of a finished ReservoirBank, in its ids' random order."""
-        def window(at: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-            return bank.ids[at:stop], bank.points_for(bank.ids[at:stop])
-
-        return cls(n, gram, len(bank.ids), window, points)
-
-
 def _inverse_cdf(cdf: np.ndarray, u):
     """The rows a cumulative weight array assigns to uniforms u: u * total
     can round up to the total, and then takes the last row of weight."""
@@ -487,33 +461,16 @@ def _inverse_cdf(cdf: np.ndarray, u):
                       np.searchsorted(cdf, cdf[-1]))
 
 
-def _length_squared_draws(points: PointSet, count: int,
-                          rng: np.random.Generator) -> PivotDraws:
-    """`count` i.i.d. rows of points with probability ||x||^2 / ||X||_F^2,
-    each window drawn when asked for, by inverse CDF over the squared norms
-    taken at the Gram's power of two, which one n-length array holds."""
-    e, g = points._full_gram()
-    cdf = np.empty(points.n)
-    for lo, y in _scaled_blocks(points.data, e):
-        np.einsum("ij,ij->i", y, y, out=cdf[lo:lo + len(y)])
-    np.cumsum(cdf, out=cdf)
-
-    def window(at: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        ids = _inverse_cdf(cdf, rng.random(stop - at))
-        return ids, points.data[ids]
-
-    return PivotDraws(points.n, (e, g), count, window, points)
-
-
-def volume_sample_dpp(points: PointSet | PivotDraws, k: int, seed: int = 0, *,
+def volume_sample_dpp(points: PointSet, k: int, seed: int = 0, *,
                       rng: np.random.Generator | None = None) -> list[int]:
     """Exact squared-volume sampling without enumeration (p = 2 only).
 
     P(S) ~ det(Gram_S) is a fixed-size DPP with kernel X X^T, sampled in
-    dual form (Kulesza & Taskar 2012, 3.3): eigenpairs of the power-of-two-
-    rescaled Gram X^T X, an eigenvector subset S by the elementary-symmetric
-    recursion, then the k projection-DPP rows by rejection from i.i.d.
-    length-squared draws (as in Derezinski, Calandriello & Valko 2019). With
+    dual form (Kulesza & Taskar 2012, 3.3) after one length_squared_pass:
+    eigenpairs of the power-of-two-rescaled Gram X^T X, an eigenvector
+    subset S by the elementary-symmetric recursion, then the k projection-
+    DPP rows by rejection from the pass's pivot_draws(k, d) i.i.d. length-
+    squared draws (as in Derezinski, Calandriello & Valko 2019). With
     v_i = x_i V_S Lambda_S^(-1/2) and P_j the span of the v of the picks so
     far, draw i, taken in order with its own uniform u_i, is accepted at
     step j iff u_i ||x_i||^2 < lambda_min(S) ||(I - P_j) v_i||^2. The
@@ -524,36 +481,45 @@ def volume_sample_dpp(points: PointSet | PivotDraws, k: int, seed: int = 0, *,
     square on the new direction. The span grows in R^k by _cgs2_extend, so
     no n-row array is formed.
 
-    `points` is a PointSet, from which pivot_draws(k, d) draws are taken by
-    inverse CDF, or the PivotDraws of init_pivot's pass. When the draws run
-    out before k picks, a memory source finishes exactly: the row that
-    further draws would accept at step j has law ~ ||(I - P_j) v_i||^2, which
-    it samples from its rows, one residual pass per pick. A streaming source
-    raises DrawBudgetError instead. Eigenvalues <= 1e-12 of the largest
-    (singular values 1e-6) are zero: the Gram resolves about d * 2**-52.
-    Seeded ids are the same for data scaled by a power of two.
+    When the draws run out before k picks and the pass returned every row
+    (a memory source, or n <= pivot_draws(k, d)), the draw finishes
+    exactly: the row that further draws would accept at step j has law
+    ~ ||(I - P_j) v_i||^2, which it samples from those rows, one residual
+    pass per pick. A streamed source of more rows raises DrawBudgetError
+    instead (init_pivot). Eigenvalues <= 1e-12 of the largest (singular
+    values 1e-6) are zero: the Gram resolves about d * 2**-52. Seeded ids
+    are the same for data scaled by a power of two.
     """
     rng = rng if rng is not None else derive_rng(seed, "volume-dpp")
-    draws = (points if isinstance(points, PivotDraws)
-             else _length_squared_draws(points, pivot_draws(k, points.d), rng))
-    e_x, gram = draws.gram
-    lam, vecs = _gram_spectrum(gram, k, draws.n)
+    return _volume_pivot(as_source(points), k, rng, rng, label="volume-dpp")[0]
+
+
+def _volume_pivot(source: DatasetSource, k: int, draws_rng: np.random.Generator,
+                  rng: np.random.Generator, *, label: str) -> tuple[list[int], np.ndarray]:
+    """volume_sample_dpp on a source, its pass's draws taken with
+    `draws_rng`: the picked ids and their rows."""
+    (e_x, gram), bank, points = length_squared_pass(source, pivot_draws(k, source.d),
+                                                    draws_rng, label=label)
+
+    def rows_of(ids: np.ndarray) -> np.ndarray:
+        return points.data[ids] if points is not None else bank.points_for(ids)
+
+    lam, vecs = _gram_spectrum(gram, k, source.n)
     r, top, lam = len(lam), lam[0], lam / lam[0]
 
-    # e[j][i] = elementary symmetric polynomial of degree j over lam[:i],
-    # in Python floats (the same double arithmetic, without numpy scalars)
-    ls = lam.tolist()
-    e = [[1.0] * (r + 1)] + [[0.0] * (r + 1) for _ in range(k)]
+    # e[j, i] = elementary symmetric polynomial of degree j over lam[:i]
+    e = np.zeros((k + 1, r + 1))
+    e[0, :] = 1.0
     for j in range(1, k + 1):
         for i in range(1, r + 1):
-            e[j][i] = e[j][i - 1] + ls[i - 1] * e[j - 1][i - 1]
+            e[j, i] = e[j, i - 1] + lam[i - 1] * e[j - 1, i - 1]
 
     chosen = []
     j = k
     for i in range(r, 0, -1):
         if j == 0:
             break
-        if rng.random() < ls[i - 1] * e[j - 1][i - 1] / e[j][i]:
+        if rng.random() < lam[i - 1] * e[j - 1, i - 1] / e[j, i]:
             chosen.append(i - 1)
             j -= 1
     right = vecs[:, chosen] / np.sqrt(lam[chosen])
@@ -563,13 +529,13 @@ def volume_sample_dpp(points: PointSet | PivotDraws, k: int, seed: int = 0, *,
     span = np.empty((0, k))
     picks: list[int] = []
     at = 0
-    while len(picks) < k and at < draws.size:
+    while len(picks) < k and at < len(bank.ids):
         # a window of twice the draws the picks left expect to need; its
         # rows after a pick serve the next one, with their mass updated
         left = sum(1.0 / i for i in range(1, k - len(picks) + 1))
-        stop = min(draws.size, at + min(PIVOT_WINDOW, max(16, math.ceil(2.0 * left * spread))))
-        ids, y = draws.window(at, stop)
-        np.ldexp(y, -e_x, out=y)
+        stop = min(len(bank.ids), at + min(PIVOT_WINDOW, max(16, math.ceil(2.0 * left * spread))))
+        ids = bank.ids[at:stop]
+        y = np.ldexp(rows_of(ids), -e_x)
         v = y @ right
         mass = np.einsum("ij,ij->i", v, v)
         if len(span):
@@ -590,16 +556,16 @@ def volume_sample_dpp(points: PointSet | PivotDraws, k: int, seed: int = 0, *,
                     span = grown
                     mass[base:] -= np.square(v[base:] @ span[-1])
         at = stop if len(picks) < k else at + base
-    if len(picks) < k and draws.points is None:
+    if len(picks) < k and points is None:
         harmonic = sum(1.0 / i for i in range(1, k + 1))
         raise DrawBudgetError(
-            f"the exact-volume pivot used all {draws.size} of its length-squared draws with "
-            f"{len(picks)} of k = {k} rows accepted; this spectrum expects about "
+            f"the exact-volume pivot used all {len(bank.ids)} of its length-squared draws "
+            f"with {len(picks)} of k = {k} rows accepted; this spectrum expects about "
             f"{harmonic * spread:.4g} draws (H_k ||X||_F^2 / lambda_min(S)); run it in "
             "memory mode, which draws the rest from the loaded rows")
     while len(picks) < k:
-        mass = np.empty(draws.n)
-        for lo, y in _scaled_blocks(draws.points.data, e_x):
+        mass = np.empty(source.n)
+        for lo, y in _scaled_blocks(points.data, e_x):
             v = y @ right
             mass[lo:lo + len(y)] = (np.einsum("ij,ij->i", v, v)
                                     - np.square(v @ span.T).sum(axis=1))
@@ -607,8 +573,8 @@ def volume_sample_dpp(points: PointSet | PivotDraws, k: int, seed: int = 0, *,
         i = int(_inverse_cdf(np.cumsum(mass, out=mass), rng.random()))
         picks.append(i)
         if len(picks) < k:
-            span = _cgs2_extend(span, np.ldexp(draws.points.data[i:i + 1], -e_x) @ right)
-    return picks
+            span = _cgs2_extend(span, np.ldexp(points.data[i:i + 1], -e_x) @ right)
+    return picks, rows_of(np.array(picks))
 
 
 def greedy_max_volume_init(points: PointSet, k: int) -> list[int]:
@@ -953,8 +919,8 @@ def _check_memory(n: int, d: int, params: DerivedParams, pivot_store: int = 0) -
     """A selection's proposal slots, min(t*l*m, MAX_DERIVED_DRAWS), once its
     largest holding is known to fit in physical memory: the Metropolis
     pass's store of 2 min(n, slots) rows, with its per-entry arrays, plus
-    one dealt block, or the exact-volume pivot's store of min(n,
-    pivot_store) rows (pivot_store its draws, 0 for another init), which it
+    one dealt block, or the min(n, pivot_store) rows a streamed exact-volume
+    pivot pass holds (pivot_store its draws, 0 for another init), which it
     frees before the Metropolis pass. Raises SlotBudgetError otherwise, from
     n, d and the options alone, so before any pass."""
     t, m = params.points_per_round, params.chain_steps
@@ -1004,11 +970,12 @@ def init_pivot(source: DatasetSource, k: int, p: float, seed: int,
 
     The exact-volume init (p = 2 only) is one pass, init:exact-volume
     (length_squared_pass): it sums the d x d Gram and keeps a bank of
-    pivot_draws(k, d) length-squared draws, whose rows it stores, at most
-    min(n, s) of them. volume_sample_dpp then draws its exact law from the
-    Gram and those draws. A streaming source raises DrawBudgetError when
-    the draws run out; a memory source draws the rest from its rows, so the
-    two modes pick the same rows whenever streaming succeeds. The adaptive
+    s = pivot_draws(k, d) length-squared draws and min(n, s) rows: every
+    row when n <= s, else the drawn ones. volume_sample_dpp's law is then
+    drawn from the Gram and those draws. When the draws run out, a source
+    whose rows were all kept (memory mode, or n <= s) draws the rest from
+    them, and a streamed source of more than s rows raises DrawBudgetError,
+    so the two modes pick the same rows whenever streaming succeeds. The adaptive
     init is adaptive_sample with k single-point rounds from the empty span,
     in k passes. Both inits raise RankDeficientError when the data has rank
     below k; the adaptive init finds that when its picks span fewer than k
@@ -1022,14 +989,8 @@ def init_pivot(source: DatasetSource, k: int, p: float, seed: int,
                 f"rank-deficient dataset: the adaptive init rows span rank {pivot.basis.r} "
                 f"< k = {k}")
         return pivot.basis
-    gram, bank = length_squared_pass(source, pivot_draws(k, source.d),
-                                     derive_rng(seed, "init", init_mode, "draws"),
-                                     label=f"init:{init_mode}")
-    pts = source._points
-    ids = volume_sample_dpp(PivotDraws.of_bank(source.n, gram, bank, pts), k,
-                            rng=derive_rng(seed, "init", init_mode))
-    # a memory source reads its own rows: picks past the draws are not stored
-    rows = bank.points_for(ids) if pts is None else pts.data[ids]
+    ids, rows = _volume_pivot(source, k, derive_rng(seed, "init", init_mode, "draws"),
+                              derive_rng(seed, "init", init_mode), label=f"init:{init_mode}")
     return extend_basis(OrthonormalBasis.empty(source.d), rows, ids)
 
 

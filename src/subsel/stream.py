@@ -493,7 +493,9 @@ class ReservoirBank(CountBank):
     Binomial(count, 1 - pi_c) of its slots and one multinomial over the chunk
     fills the freed ones, in O(rows in the bank + chunk rows). A row that
     loses its last draw frees its store cell before the chunk's new rows are
-    written, so the store needs min(n, slots) rows.
+    written, so the store needs min(n, slots) rows. A bank whose caller
+    holds every row already is given no store (None) and keeps only rows and
+    counts.
 
     A chunk's weights may come in units of 2**e (`offer`'s e): W_cum is kept
     as a mantissa in units of 2**E, E the largest e of a chunk with weight,
@@ -501,7 +503,7 @@ class ReservoirBank(CountBank):
     underflow, and scaling them all by 2**k draws the same rows.
     """
 
-    def __init__(self, slots: int, rng: np.random.Generator, store: RowStore):
+    def __init__(self, slots: int, rng: np.random.Generator, store: RowStore | None):
         if slots < 1:
             raise ValueError("slots must be >= 1")
         super().__init__(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), store)
@@ -516,7 +518,8 @@ class ReservoirBank(CountBank):
 
     def offer(self, start: int, chunk: np.ndarray, weights: np.ndarray, e: int = 0) -> None:
         """Offer a chunk whose row weights are `weights` * 2**e."""
-        if np.any(weights < 0) or not np.all(np.isfinite(weights)):
+        # min >= 0 fails for a negative or NaN weight, a finite max for +inf
+        if not (weights.min(initial=0.0) >= 0.0 and math.isfinite(weights.max(initial=0.0))):
             raise ValueError("weights must be nonnegative and finite")
         total = float(weights.sum())
         if total <= 0.0:
@@ -528,19 +531,22 @@ class ReservoirBank(CountBank):
         self._total += share
         if not math.isfinite(self._total):
             raise ValueError("weights overflow: their running sum is not finite")
-        # 1 - pi_c is exactly 0 when this chunk carries all the weight so far
-        kept = self.rng.binomial(self.counts, 1.0 - share / self._total)
+        # 1 - pi_c is exactly 0 when this chunk carries all the weight so
+        # far; an empty bank (before the first chunk of weight) draws nothing
+        kept = (self.rng.binomial(self.counts, 1.0 - share / self._total)
+                if len(self.counts) else self.counts)
         # rows of zero weight stay out, so the multinomial's remainder
         # category is a row that can be drawn
         support = np.flatnonzero(weights > 0.0)
         fill = self.rng.multinomial(self.slots - int(kept.sum()),
                                     weights[support] / total)
         stay = kept > 0
-        self.store.release(self.cells[~stay])
         new = support[fill > 0]
         self.rows = np.concatenate([self.rows[stay], start + new])
         self.counts = np.concatenate([kept[stay], fill[fill > 0]])
-        self.cells = np.concatenate([self.cells[stay], self.store.put(chunk, new)])
+        if self.store is not None:
+            self.store.release(self.cells[~stay])
+            self.cells = np.concatenate([self.cells[stay], self.store.put(chunk, new)])
 
     def finish(self) -> None:
         """End of the pass: lay the counts out as `ids`, the slots' row ids
@@ -636,24 +642,35 @@ def proposal_prefetch_pass(source: DatasetSource, pivot_basis: OrthonormalBasis,
 
 
 def length_squared_pass(source: DatasetSource, slots: int, rng: np.random.Generator, *,
-                        label: str) -> tuple[tuple[int, np.ndarray], ReservoirBank]:
-    """The exact-volume pivot's one pass: the Gram of every row and a bank of
-    `slots` independent draws with probability ||x||^2 / ||X||_F^2.
+                        label: str,
+                        ) -> tuple[tuple[int, np.ndarray], ReservoirBank, PointSet | None]:
+    """The exact-volume pivot's one pass: the Gram of every row, a bank of
+    `slots` independent draws with probability ||x||^2 / ||X||_F^2, and the
+    rows themselves whenever they fit in the bank's store.
 
     Each chunk is rescaled once, by its own power of two 2**e: its rows'
     squared norms go to the bank in units of 4**e, so no weight overflows or
     underflows, and a streamed pass adds the rescaled chunk to a _GramSum.
     Chunks are the Gram kernel's blocks, so that sum has the bits of
     PointSet._full_gram, which a memory source reads instead. Returns
-    ((e, g), bank), the Gram being g * 4**e, with the bank's `ids` in random
-    order (none when every row is zero). It holds the d x d Gram, one
-    rescaled chunk and the bank's store of at most min(n, slots) rows.
+    ((e, g), bank, points), the Gram being g * 4**e and the bank's `ids` in
+    random order (none when every row is zero). `points` holds every row: a
+    memory source's own, or, when n <= slots, the n rows a streamed pass
+    keeps in place of a store of min(n, slots) drawn rows; the bank then
+    stores none. Only a streamed pass over more than `slots` rows stores the
+    drawn rows, at most `slots` of them, in the bank's RowStore, and returns
+    points None. It also holds the d x d Gram and one rescaled chunk.
     """
-    bank = ReservoirBank(slots, rng, RowStore(min(source.n, slots), source.d))
+    points = source._points
+    keep = np.empty((source.n, source.d)) if points is None and source.n <= slots else None
+    store = RowStore(slots, source.d) if points is None and keep is None else None
+    bank = ReservoirBank(slots, rng, store)
     acc = _GramSum(source.d) if source.mode == "streaming" else None
     buf = np.empty((min(source.n, CHUNK_ROWS), source.d))
 
     def visit(start: int, chunk: np.ndarray) -> None:
+        if keep is not None:
+            keep[start:start + len(chunk)] = chunk
         e = _pow2_exponent(chunk)
         y = np.ldexp(chunk, -e, out=buf[:len(chunk)])
         if acc is not None:
@@ -662,7 +679,10 @@ def length_squared_pass(source: DatasetSource, slots: int, rng: np.random.Genera
 
     source.stream_pass_chunks(label, visit)
     bank.finish()
-    return (source._points._full_gram() if acc is None else acc.result()), bank
+    if keep is not None:
+        # the reader checked every chunk's shape and finiteness
+        points = PointSet._adopt(keep)
+    return (points._full_gram() if acc is None else acc.result()), bank, points
 
 
 # ---------------------------------------------------------------------------

@@ -158,14 +158,16 @@ def test_run_fkv_single_pass(tmp_path):
 
 def test_run_streamed_pivot_out_of_draws_exits_2(tmp_path, capsys):
     # eigenvalues 1, 1e-4 and 1e-8 at k = 3: the exact-volume pivot expects
-    # about 2e8 length-squared draws, past the 764 its pass keeps, so a
-    # streamed run refuses, naming memory mode, which completes the pivot
-    # from the rows it loaded
+    # about 2e8 length-squared draws, past the 764 its pass keeps. With 800
+    # zero rows beside the 6 that carry the volume, n is past 764 too, so a
+    # streamed pass keeps only its drawn rows and the run refuses, naming
+    # memory mode, which completes the pivot from the rows it loaded
     rng = np.random.default_rng(32)
     u, _ = np.linalg.qr(rng.standard_normal((6, 3)))
     v, _ = np.linalg.qr(rng.standard_normal((5, 3)))
     path = tmp_path / "ill.csv"
-    np.savetxt(path, (u * [1.0, 1e-2, 1e-4]) @ v.T, delimiter=",")
+    np.savetxt(path, np.vstack([(u * [1.0, 1e-2, 1e-4]) @ v.T, np.zeros((800, 5))]),
+               delimiter=",")
     for alg in ("volume-exact", "mcmc"):
         argv = ["run", "--input", str(path), "--alg", alg, "--k", "3", "--m", "8",
                 "--timing", "zero"]

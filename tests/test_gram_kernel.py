@@ -118,9 +118,10 @@ def test_fit_trimmed_subspace_matches_svd(n, d, k, sigma, scale, seed):
                                     "fit_trimmed_subspace", "volume_sample_dpp",
                                     "volume_sample_dpp_k5"])
 def test_kernel_callers_make_no_n_row_copy(caller):
-    # the Gram is summed block by block and the DPP holds one n x k array
-    # (k = 3 and the workloads' k = 5): no rescaled copy of the data and no
-    # n x r product
+    # the Gram is summed block by block, and the DPP (k = 3 and the
+    # workloads' k = 5) holds one rescaled chunk and the ids of its
+    # length-squared draws, reading their rows from the points: no rescaled
+    # copy of the data and no n x r product
     n, d, k = 20 * CHUNK_ROWS, 20, 3
     pts = PointSet(planted(n, d, k, 0.1, seed=9, outlier_rows=n // 20))
     span = orthonormal_basis(pts, range(n // 20, n // 20 + k + 5))
@@ -268,8 +269,8 @@ def test_streamed_pass_sums_the_kept_gram_bitwise(tmp_path, scale):
     path = tmp_path / "x.bin"
     write_binary(path, x)
     with np.errstate(all="raise"):
-        (e, g), _ = length_squared_pass(open_source(path, "streaming"), 64,
-                                        np.random.default_rng(17), label="gram")
+        (e, g), _, _ = length_squared_pass(open_source(path, "streaming"), 64,
+                                           np.random.default_rng(17), label="gram")
         e_kept, g_kept = PointSet(x)._full_gram()
     assert e == e_kept
     assert np.array_equal(g.view(np.int64), g_kept.view(np.int64))

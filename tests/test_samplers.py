@@ -450,26 +450,31 @@ def test_volume_dpp_ill_conditioned_samples():
 def test_volume_pivot_draws_run_out_only_streaming_refuses(tmp_path):
     # eigenvalues 1, 0.09, 0.0025 and k = r = 3: ||X||_F^2 / lambda_min(S) is
     # 437, so the picks expect H_3 * 437 = 801 length-squared draws, past the
-    # pivot_draws(3, 5) = 764 the init pass keeps. A streaming source then
-    # refuses; a memory source picks the same rows whenever streaming
-    # succeeds, draws the rest from its rows otherwise, and keeps the
-    # enumerated law
+    # pivot_draws(3, 5) = 764 the init pass keeps. On these 6 rows alone
+    # (n <= 764) a streamed pass keeps every row and finishes as memory mode
+    # does. 800 zero rows, which no draw and no subset of positive volume
+    # holds, put n past 764: a streamed pass then keeps only its drawn rows
+    # and refuses when they run out; a memory source picks the same rows
+    # whenever streaming succeeds, draws the rest from its rows otherwise,
+    # and keeps the enumerated law of the 6 rows
     pts = spectrum_instance(6, [1.0, 0.3, 0.05], seed=34)
     assert pivot_draws(3, 5) == 764
-    path = tmp_path / "x.bin"
-    write_binary(path, pts.data)
-    mem, strm = open_source(path, "memory"), open_source(path, "streaming")
     refused = 0
-    for seed in range(40):
-        pivot = init_pivot(mem, 3, 2.0, seed, "exact-volume")
-        try:
-            streamed = init_pivot(strm, 3, 2.0, seed, "exact-volume")
-        except DrawBudgetError as exc:
-            assert "memory mode" in str(exc) and "764 of its length-squared draws" in str(exc)
-            refused += 1
-            continue
-        assert streamed.source_ids == pivot.source_ids
-        assert np.array_equal(streamed.vectors, pivot.vectors)
+    for rows in (pts.data, np.vstack([pts.data, np.zeros((800, 5))])):
+        path = tmp_path / f"x{len(rows)}.bin"
+        write_binary(path, rows)
+        mem, strm = open_source(path, "memory"), open_source(path, "streaming")
+        for seed in range(40):
+            pivot = init_pivot(mem, 3, 2.0, seed, "exact-volume")
+            try:
+                streamed = init_pivot(strm, 3, 2.0, seed, "exact-volume")
+            except DrawBudgetError as exc:
+                assert len(rows) > 764
+                assert "memory mode" in str(exc) and "764 of its length-squared draws" in str(exc)
+                refused += 1
+                continue
+            assert streamed.source_ids == pivot.source_ids
+            assert np.array_equal(streamed.vectors, pivot.vectors)
     assert 0 < refused < 40
     subsets, _, probs = _enumerate_volumes(pts, 3)
     idx = {s: i for i, s in enumerate(subsets)}
