@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -349,10 +350,6 @@ def cmd_gen(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "csv":
-        write_csv(args.out, pts.data)
-    else:
-        write_binary(args.out, pts.data)
     lam = check_lambda(pts, truth.planted_basis, args.outlier_frac,
                        truth.inlier_ids)
     sidecar = {
@@ -365,8 +362,13 @@ def cmd_gen(args) -> int:
         "lambda_ratio": lam,
     }
     truth_path = str(args.out) + ".truth.json"
-    with open(truth_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh)
+    try:
+        (write_csv if args.format == "csv" else write_binary)(args.out, pts.data)
+        with open(truth_path, "w", encoding="utf-8") as fh:
+            json.dump(sidecar, fh)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {args.out} (n={args.n} d={args.d} format={args.format})")
     print(f"ground truth: rank={args.rank} inliers={len(truth.inlier_ids)} "
           f"lambda={lam:.6f} sidecar={truth_path}")
@@ -380,15 +382,13 @@ def cmd_run(args) -> int:
         mode=args.mode, init_mode=args.init, timing=args.timing,
         points_per_round=args.t, rounds=args.l, chain_steps=args.m,
         walk_steps=args.steps)
-    truth = None
-    truth_path = args.truth or (str(args.input) + ".truth.json")
     try:
-        with open(truth_path, "r", encoding="utf-8") as fh:
-            truth = json.load(fh)
-    except OSError:
-        truth = None
-    try:
+        _check_out(args.out)
+        truth = _load_truth(args.truth, str(args.input) + ".truth.json")
         rows, summary = run_experiment(spec, args.input, truth)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(emit_report(rows))
     except PassCountError as exc:
         print(f"pass-count assertion failed: {exc}", file=sys.stderr)
         return 1
@@ -398,12 +398,8 @@ def cmd_run(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = emit_report(rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    if not args.out:
+        sys.stdout.write(emit_report(rows))
     ratio_part = ("median_ratio={:.6f}".format(summary["median_ratio"])
                   if summary["median_ratio"] is not None else "median_ratio=n/a")
     print(f"summary: alg={summary['algorithm']} trials={summary['trials']} "
@@ -412,12 +408,47 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _check_out(path: str | None) -> None:
+    """A report path can be written: its directory exists and it is not
+    one, checked before the input is opened."""
+    if path is None:
+        return
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path}: is a directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise ValueError(f"--out {path}: no such directory")
+
+
+def _load_truth(path: str | None, default: str) -> dict | None:
+    """The ground-truth sidecar at `path`, else at `default` when a file is
+    there, else None. A sidecar that cannot be read or is not a JSON object
+    is an error."""
+    if path is None:
+        if not os.path.exists(default):
+            return None
+        path = default
+    with open(path, encoding="utf-8") as fh:
+        try:
+            truth = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"truth sidecar {path}: not JSON ({exc})") from None
+    if not isinstance(truth, dict):
+        raise ValueError(f"truth sidecar {path}: not a JSON object")
+    return truth
+
+
+def _check_tv_bound(bound: float | None) -> None:
+    if bound is not None and not math.isfinite(bound):
+        raise ValueError("--tv-bound must be finite")
+
+
 def cmd_diag_tv(args) -> int:
     if args.n > 4096:
         print(f"error: n={args.n} exceeds the enumeration guard (4096)",
               file=sys.stderr)
         return 2
     try:
+        _check_tv_bound(args.tv_bound)
         pts, _ = generate_synthetic(n=args.n, d=args.d, rank=min(args.d, args.k + 1),
                                     noise_sigma=0.3, seed=args.seed)
         pivot = greedy_max_volume_init(pts, args.k)
@@ -437,6 +468,7 @@ def cmd_diag_tv(args) -> int:
 
 def cmd_diag_volume(args) -> int:
     try:
+        _check_tv_bound(args.tv_bound)
         # math.comb refuses a negative n or k with a ValueError
         if math.comb(args.n, args.k) > 20000:
             raise ValueError(f"C({args.n},{args.k}) exceeds the enumeration guard (20000)")

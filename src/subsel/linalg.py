@@ -7,7 +7,7 @@ operations are pure functions of immutable inputs and safe to call from
 many threads.
 
 Every spectral step starts from one d x d Gram, `_gram` (X^T X in O(n d^2),
-summed by `_GramSum` over blocks of rows, each rescaled by its own exact
+summed by `_Pow2Sum` over blocks of rows, each rescaled by its own exact
 power of two, so a streamed pass sums the same bits), and takes `eigh` of
 it or of its in-span form B G B^T; no thin SVD of an n-row matrix is run. A
 PointSet sums the Gram of all its rows once, on first use, and keeps it:
@@ -35,8 +35,9 @@ import numpy as np
 # the largest input row norm are treated as linearly dependent.
 RANK_TOL = 1e-9
 
-# Rows per block of the residual and Gram passes: 1024 rows of d = 200 are
-# 1.6 MB.
+# Rows per block of the residual and Gram passes, and per chunk of a source's
+# pass (stream.CHUNK_ROWS), so a streamed Gram sums the kernel's blocks: 1024
+# rows of d = 200 are 1.6 MB.
 RESIDUAL_BLOCK_ROWS = 1024
 
 # A p = 2 error at or below this fraction of ||X||_F^2 is rounding noise (an
@@ -152,13 +153,6 @@ def _pow2_exponent(a: np.ndarray) -> int:
     return int(np.frexp(top)[1])
 
 
-def _pow2_scale(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """(a * 2**-e, e) with the largest magnitude in [0.5, 1); exact, so its
-    results repeat bit for bit under power-of-two scaling of a."""
-    e = _pow2_exponent(a)
-    return np.ldexp(a, -e), e
-
-
 def _scaled_blocks(x: np.ndarray, e: int, rows: np.ndarray | None = None,
                    ) -> Iterator[tuple[int, np.ndarray]]:
     """(lo, x[rows][lo:lo + RESIDUAL_BLOCK_ROWS] * 2**-e) for each block of
@@ -202,56 +196,53 @@ def is_exact_fit(points: PointSet, err: float) -> bool:
     return math.ldexp(err, -2 * e) <= EXACT_FIT_REL * max(float(np.trace(gram)), 1e-300)
 
 
-class _GramSum:
-    """A running Gram of row blocks, each handed in at its own power of two.
+class _Pow2Sum:
+    """A running sum m * 2**e of parts handed in at their own powers of two;
+    the mantissa m is a 0-d or d x d array.
 
-    add(e, y) takes y = block * 2**-e, e being the block's `_pow2_exponent`,
-    so the data's maximum need not be known before the first block. The sum
-    g is kept in units of 4**E, E the largest e so far: a block at a larger
-    e shifts g down with ldexp, one at a smaller e is shifted down itself.
-    The shifts are exact powers of two, so the sum equals that of one global
-    exponent unless a term falls below the normal range, and scaling every
-    block by 2**k moves E by k and leaves g bit for bit the same. An
-    all-zero block adds nothing and sets no exponent.
+    add(e, part) adds part * 2**e, so no scale need be known before the
+    first part. e is the largest exponent of a nonzero part so far, None
+    before the first: a part at a larger e shifts m down, one at a smaller e
+    is shifted down itself, each in place by ldexp. The shifts are exact, so
+    the sum is that at one global exponent unless a term falls below the
+    normal range, and scaling every part by 2**k moves e by k and leaves m
+    bit for bit the same. An all-zero part sets no exponent.
     """
 
-    def __init__(self, d: int):
+    def __init__(self, shape: tuple[int, ...] = ()):
         self.e: int | None = None
-        self.g = np.zeros((d, d))
-        self._part = np.empty((d, d))
+        self.m = np.zeros(shape)
 
-    def add(self, e: int, y: np.ndarray) -> None:
-        part = np.matmul(y.T, y, out=self._part)
-        # a nonzero block has an entry in [0.5, 1), so its trace is >= 1/4
-        if not np.trace(part) > 0.0:
-            return
+    def add(self, e: int, part) -> np.ndarray:
+        """Add part * 2**e; returns the part in units of 2**self.e."""
+        part = np.asarray(part, dtype=np.float64)
         if self.e is None or e > self.e:
+            if not np.count_nonzero(part):  # zeros set no exponent
+                return part
             if self.e is not None:
-                np.ldexp(self.g, 2 * (self.e - e), out=self.g)
+                np.ldexp(self.m, self.e - e, out=self.m)
             self.e = e
         elif e < self.e:
-            np.ldexp(part, 2 * (e - self.e), out=part)
-        self.g += part
-
-    def result(self) -> tuple[int, np.ndarray]:
-        """(E, g): the Gram is g * 4**E; E = 0 when every block was zero."""
-        return (0 if self.e is None else self.e), self.g
+            np.ldexp(part, e - self.e, out=part)
+        self.m += part
+        return part
 
 
 def _gram(x: np.ndarray, rows: np.ndarray | None = None) -> tuple[int, np.ndarray]:
     """The Gram kernel: (e, g) with the Gram of x[rows] equal to g * 4**e,
-    rows defaulting to every row.
+    rows defaulting to every row; e = 0 when every row is zero.
 
-    Each block of RESIDUAL_BLOCK_ROWS rows (CHUNK_ROWS, so a streamed pass
-    sums the same blocks) is rescaled by its own power of two in one scratch
-    block and added to a _GramSum, so the rescaled rows are never formed and
-    a pass that meets the blocks one at a time sums the same bits.
+    Each block of RESIDUAL_BLOCK_ROWS rows is rescaled by its own power of
+    two 2**e in one scratch block and its Gram added to a _Pow2Sum at 4**e,
+    so the rescaled rows are never formed and a pass that meets the blocks
+    one at a time sums the same bits.
     """
-    acc = _GramSum(x.shape[1])
+    acc = _Pow2Sum((x.shape[1], x.shape[1]))
     for _, block in _scaled_blocks(x, 0, rows):
         e = _pow2_exponent(block)
-        acc.add(e, np.ldexp(block, -e, out=block))
-    return acc.result()
+        y = np.ldexp(block, -e, out=block)
+        acc.add(2 * e, y.T @ y)
+    return (acc.e or 0) // 2, acc.m
 
 
 def _eigh_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -281,7 +272,8 @@ def _cgs2_extend(base: np.ndarray, rows: np.ndarray) -> np.ndarray:
     normalize exactly. Rows whose residual norm is <= RANK_TOL times the
     batch's largest row norm are dropped.
     """
-    rows, _ = _pow2_scale(np.asarray(rows, dtype=np.float64))
+    rows = np.asarray(rows, dtype=np.float64)
+    rows = np.ldexp(rows, -_pow2_exponent(rows))
     tol = RANK_TOL * np.linalg.norm(rows, axis=1).max(initial=0.0)
     out = np.concatenate([base, rows])  # room for every row; r of them kept
     r = len(base)

@@ -491,15 +491,14 @@ def volume_sample_dpp(points: PointSet, k: int, seed: int = 0, *,
     are the same for data scaled by a power of two.
     """
     rng = rng if rng is not None else derive_rng(seed, "volume-dpp")
-    return _volume_pivot(as_source(points), k, rng, rng, label="volume-dpp")[0]
+    return _volume_pivot(as_source(points), k, rng, label="volume-dpp")[0]
 
 
-def _volume_pivot(source: DatasetSource, k: int, draws_rng: np.random.Generator,
-                  rng: np.random.Generator, *, label: str) -> tuple[list[int], np.ndarray]:
-    """volume_sample_dpp on a source, its pass's draws taken with
-    `draws_rng`: the picked ids and their rows."""
+def _volume_pivot(source: DatasetSource, k: int, rng: np.random.Generator, *,
+                  label: str) -> tuple[list[int], np.ndarray]:
+    """volume_sample_dpp on a source: the picked ids and their rows."""
     (e_x, gram), bank, points = length_squared_pass(source, pivot_draws(k, source.d),
-                                                    draws_rng, label=label)
+                                                    rng, label=label)
 
     def rows_of(ids: np.ndarray) -> np.ndarray:
         return points.data[ids] if points is not None else bank.points_for(ids)
@@ -971,15 +970,17 @@ def init_pivot(source: DatasetSource, k: int, p: float, seed: int,
     The exact-volume init (p = 2 only) is one pass, init:exact-volume
     (length_squared_pass): it sums the d x d Gram and keeps a bank of
     s = pivot_draws(k, d) length-squared draws and min(n, s) rows: every
-    row when n <= s, else the drawn ones. volume_sample_dpp's law is then
-    drawn from the Gram and those draws. When the draws run out, a source
-    whose rows were all kept (memory mode, or n <= s) draws the rest from
-    them, and a streamed source of more than s rows raises DrawBudgetError,
-    so the two modes pick the same rows whenever streaming succeeds. The adaptive
-    init is adaptive_sample with k single-point rounds from the empty span,
-    in k passes. Both inits raise RankDeficientError when the data has rank
-    below k; the adaptive init finds that when its picks span fewer than k
-    dimensions (extend_basis drops a pick whose residual is rounding error).
+    row when n <= s, else the drawn ones. It is volume_sample_dpp run with
+    one generator, derive_rng(seed, "init", init_mode), for the pass's
+    draws and the DPP's, so both pick the same rows. When the draws run
+    out, a source whose rows were all kept (memory mode, or n <= s) draws
+    the rest from them, and a streamed source of more than s rows raises
+    DrawBudgetError, so the two modes pick the same rows whenever streaming
+    succeeds. The adaptive init is adaptive_sample with k single-point
+    rounds from the empty span, in k passes. Both inits raise
+    RankDeficientError when the data has rank below k; the adaptive init
+    finds that when its picks span fewer than k dimensions (extend_basis
+    drops a pick whose residual is rounding error).
     """
     _check_init(init_mode, p)
     if init_mode == "adaptive-k-pass":
@@ -989,8 +990,8 @@ def init_pivot(source: DatasetSource, k: int, p: float, seed: int,
                 f"rank-deficient dataset: the adaptive init rows span rank {pivot.basis.r} "
                 f"< k = {k}")
         return pivot.basis
-    ids, rows = _volume_pivot(source, k, derive_rng(seed, "init", init_mode, "draws"),
-                              derive_rng(seed, "init", init_mode), label=f"init:{init_mode}")
+    ids, rows = _volume_pivot(source, k, derive_rng(seed, "init", init_mode),
+                              label=f"init:{init_mode}")
     return extend_basis(OrthonormalBasis.empty(source.d), rows, ids)
 
 
@@ -1045,12 +1046,14 @@ def tv_distance_diag(points: PointSet, pivot_ids: Sequence[int],
     stepper, _walk on r = target / q, with each step's proposals and then
     uniforms drawn as (1, trials) arrays. Also reports gamma, the worst-case
     target/proposal ratio that controls the (1 - 1/gamma)^(m-1) decay.
-    Enumeration-based: n <= 4096, trials >= 1. Raises ExactFitReached
-    when either span fits every point up to rounding, each residual at most
-    RANK_TOL times its row norm (mcmc_select's saturation test): the target
-    would be rounding noise. Residuals are weighed at the row norms' power
-    of two, so extreme scales neither underflow nor overflow.
+    Enumeration-based: n <= 4096, trials >= 1, p finite and >= 1. Raises
+    ExactFitReached when either span fits every point up to rounding, each
+    residual at most RANK_TOL times its row norm (mcmc_select's saturation
+    test): the target would be rounding noise. Residuals are weighed at the
+    row norms' power of two, so extreme scales neither underflow nor
+    overflow.
     """
+    _check_p(p)
     n = points.n
     if n > TV_DIAG_MAX_POINTS:
         raise ValueError(f"n={n} too large to enumerate the exact distribution "

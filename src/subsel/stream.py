@@ -39,18 +39,19 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .linalg import (
+    RESIDUAL_BLOCK_ROWS,
     OrthonormalBasis,
     PointSet,
-    _GramSum,
     _pow2_exponent,
+    _Pow2Sum,
     residual_distances,
 )
 from .rng import derive_rng
 
 # Fixed chunk size: part of the sampling contract, not a tuning knob. Both
-# source modes must consume randomness identically. It equals the Gram
-# kernel's RESIDUAL_BLOCK_ROWS, so a streamed Gram sums the kernel's blocks.
-CHUNK_ROWS = 1024
+# source modes must consume randomness identically. It is the Gram kernel's
+# block, so a streamed Gram sums the kernel's blocks.
+CHUNK_ROWS = RESIDUAL_BLOCK_ROWS
 
 BINARY_MAGIC = b"SSEL1\x00"
 
@@ -497,10 +498,9 @@ class ReservoirBank(CountBank):
     holds every row already is given no store (None) and keeps only rows and
     counts.
 
-    A chunk's weights may come in units of 2**e (`offer`'s e): W_cum is kept
-    as a mantissa in units of 2**E, E the largest e of a chunk with weight,
-    so weights taken in each chunk's own units neither overflow nor
-    underflow, and scaling them all by 2**k draws the same rows.
+    A chunk's weights may come in units of 2**e (`offer`'s e): W_cum is a
+    _Pow2Sum, so weights taken in each chunk's own units neither overflow
+    nor underflow, and scaling them all by 2**k draws the same rows.
     """
 
     def __init__(self, slots: int, rng: np.random.Generator, store: RowStore | None):
@@ -509,12 +509,12 @@ class ReservoirBank(CountBank):
         super().__init__(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), store)
         self.slots = slots
         self.rng = rng
-        self._total, self._e = 0.0, 0
+        self._w = _Pow2Sum()
 
     @property
     def total_weight(self) -> float:
         """The weight offered so far, W_cum (in units of 2**0)."""
-        return math.ldexp(self._total, self._e)
+        return math.ldexp(float(self._w.m), self._w.e or 0)
 
     def offer(self, start: int, chunk: np.ndarray, weights: np.ndarray, e: int = 0) -> None:
         """Offer a chunk whose row weights are `weights` * 2**e."""
@@ -524,16 +524,13 @@ class ReservoirBank(CountBank):
         total = float(weights.sum())
         if total <= 0.0:
             return
-        if self._total == 0.0 or e > self._e:
-            self._total, self._e, share = math.ldexp(self._total, self._e - e), e, total
-        else:
-            share = math.ldexp(total, e - self._e)
-        self._total += share
-        if not math.isfinite(self._total):
+        share = float(self._w.add(e, total))
+        w_cum = float(self._w.m)
+        if not math.isfinite(w_cum):
             raise ValueError("weights overflow: their running sum is not finite")
         # 1 - pi_c is exactly 0 when this chunk carries all the weight so
         # far; an empty bank (before the first chunk of weight) draws nothing
-        kept = (self.rng.binomial(self.counts, 1.0 - share / self._total)
+        kept = (self.rng.binomial(self.counts, 1.0 - share / w_cum)
                 if len(self.counts) else self.counts)
         # rows of zero weight stay out, so the multinomial's remainder
         # category is a row that can be drawn
@@ -585,30 +582,15 @@ def weighted_reservoir_sample(source: DatasetSource, weight_fn, slots: int,
 def _uniform_counts(rng: np.random.Generator, n: int, draws: int,
                     ) -> tuple[np.ndarray, np.ndarray]:
     """`draws` uniform draws over rows 0..n-1 as (increasing rows, positive
-    counts), with the law of multinomial(draws, [1/n] * n).
-
-    Each range of rows splits its count between its two halves with one
-    binomial, and only halves that got draws are split again, so this takes
-    O(min(n, draws log n)) time and memory and no n-length array. When n is
-    at most the draws, one multinomial over the rows is that cheap already.
+    counts), with the law of multinomial(draws, [1/n] * n), in
+    O(min(n, draws)) memory: one multinomial over the rows when n is at most
+    the draws, else the tally of `draws` uniform row ids.
     """
     if n <= draws:
         counts = rng.multinomial(draws, np.full(n, 1.0 / n))
         rows = np.flatnonzero(counts)
         return rows, counts[rows]
-    # rows (lo, size, count) of the ranges that hold draws, in row order
-    ranges = np.array([[0], [n], [draws]], dtype=np.int64)
-    while np.any(ranges[1] > 1):
-        lo, size, count = ranges
-        half = size // 2
-        left = rng.binomial(count, half / size)
-        # each range becomes its left half, then its right half
-        split = np.empty((3, 2 * len(lo)), dtype=np.int64)
-        split[0, 0::2], split[0, 1::2] = lo, lo + half
-        split[1, 0::2], split[1, 1::2] = half, size - half
-        split[2, 0::2], split[2, 1::2] = left, count - left
-        ranges = split[:, split[2] > 0]
-    return ranges[0], ranges[2]
+    return np.unique(rng.integers(0, n, size=draws), return_counts=True)
 
 
 def proposal_prefetch_pass(source: DatasetSource, pivot_basis: OrthonormalBasis,
@@ -650,7 +632,8 @@ def length_squared_pass(source: DatasetSource, slots: int, rng: np.random.Genera
 
     Each chunk is rescaled once, by its own power of two 2**e: its rows'
     squared norms go to the bank in units of 4**e, so no weight overflows or
-    underflows, and a streamed pass adds the rescaled chunk to a _GramSum.
+    underflows, and a streamed pass adds the rescaled chunk's Gram to a
+    _Pow2Sum at 4**e.
     Chunks are the Gram kernel's blocks, so that sum has the bits of
     PointSet._full_gram, which a memory source reads instead. Returns
     ((e, g), bank, points), the Gram being g * 4**e and the bank's `ids` in
@@ -665,7 +648,7 @@ def length_squared_pass(source: DatasetSource, slots: int, rng: np.random.Genera
     keep = np.empty((source.n, source.d)) if points is None and source.n <= slots else None
     store = RowStore(slots, source.d) if points is None and keep is None else None
     bank = ReservoirBank(slots, rng, store)
-    acc = _GramSum(source.d) if source.mode == "streaming" else None
+    acc = _Pow2Sum((source.d, source.d)) if source.mode == "streaming" else None
     buf = np.empty((min(source.n, CHUNK_ROWS), source.d))
 
     def visit(start: int, chunk: np.ndarray) -> None:
@@ -674,7 +657,7 @@ def length_squared_pass(source: DatasetSource, slots: int, rng: np.random.Genera
         e = _pow2_exponent(chunk)
         y = np.ldexp(chunk, -e, out=buf[:len(chunk)])
         if acc is not None:
-            acc.add(e, y)
+            acc.add(2 * e, y.T @ y)
         bank.offer(start, chunk, np.einsum("ij,ij->i", y, y), 2 * e)
 
     source.stream_pass_chunks(label, visit)
@@ -682,7 +665,7 @@ def length_squared_pass(source: DatasetSource, slots: int, rng: np.random.Genera
     if keep is not None:
         # the reader checked every chunk's shape and finiteness
         points = PointSet._adopt(keep)
-    return (points._full_gram() if acc is None else acc.result()), bank, points
+    return (points._full_gram() if acc is None else ((acc.e or 0) // 2, acc.m)), bank, points
 
 
 # ---------------------------------------------------------------------------
@@ -726,6 +709,8 @@ def generate_synthetic(n: int, d: int, rank: int, noise_sigma: float,
         raise ValueError("rank must satisfy 1 <= rank <= d")
     if not 0.0 <= outlier_frac < 1.0:
         raise ValueError("outlier fraction must be in [0, 1)")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
+        raise ValueError("noise_sigma must be finite and >= 0")
     rng = derive_rng(seed, "synthetic")
     raw = rng.standard_normal((rank, d))
     q, _ = np.linalg.qr(raw.T)

@@ -65,6 +65,20 @@ def test_gen_invalid_rank_usage_error(tmp_path):
                  "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--out", "missing/x.csv"], "No such file or directory"),
+    (["--out", "missing/x.bin", "--format", "bin"], "No such file or directory"),
+    (["--out", "x.csv", "--noise", "-1"], "noise_sigma must be finite and >= 0"),
+    (["--out", "x.csv", "--noise", "nan"], "noise_sigma must be finite and >= 0"),
+], ids=["csv-missing-dir", "bin-missing-dir", "negative-noise", "nan-noise"])
+def test_gen_refuses_unwritable_out_and_bad_noise(tmp_path, monkeypatch, capsys, flags, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--n", "10", "--d", "4", "--rank", "2", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err
+    assert list(tmp_path.iterdir()) == []  # no data file and no sidecar
+
+
 def test_missing_flags_usage_error():
     assert main(["gen", "--n", "10"]) == 2
     assert main(["bogus"]) == 2
@@ -282,26 +296,61 @@ USAGE_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("flags, message", USAGE_ERRORS,
-                         ids=["".join(f[1:]).replace("--", "-") for f, _ in USAGE_ERRORS])
-def test_run_usage_errors_exit_before_opening_the_input(tmp_path, monkeypatch, capsys,
-                                                        flags, message):
+@pytest.fixture
+def opened(monkeypatch):
+    """The modes of every source the CLI opens."""
     import subsel.cli
 
-    path = gen_dataset(tmp_path)
-    opened = []
+    modes = []
 
     def counting_open(path_or_points, mode="memory"):
-        opened.append(mode)
+        modes.append(mode)
         return open_source(path_or_points, mode)
 
     monkeypatch.setattr(subsel.cli, "open_source", counting_open)
+    return modes
+
+
+@pytest.mark.parametrize("flags, message", USAGE_ERRORS,
+                         ids=["".join(f[1:]).replace("--", "-") for f, _ in USAGE_ERRORS])
+def test_run_usage_errors_exit_before_opening_the_input(tmp_path, opened, capsys,
+                                                        flags, message):
+    path = gen_dataset(tmp_path)
     capsys.readouterr()
     assert main(["run", "--input", str(path), "--k", "2", "--mode", "streaming",
                  *flags]) == 2
     out, err = capsys.readouterr()
     assert opened == [] and out == ""  # no source, so no pass and no report
     assert message in err
+
+
+FILE_ERRORS = [
+    (["--out", "missing/r.csv"], {}, "no such directory"),
+    (["--out", "."], {}, "is a directory"),
+    (["--truth", "missing.json"], {}, "No such file or directory"),
+    (["--truth", "bad.json"], {"bad.json": "not json"}, "not JSON"),
+    (["--truth", "list.json"], {"list.json": "[1, 2]"}, "not a JSON object"),
+    ([], {"data.csv.truth.json": "{"}, "not JSON"),
+]
+
+
+@pytest.mark.parametrize("flags, files, message", FILE_ERRORS,
+                         ids=["out-missing-dir", "out-is-dir", "truth-missing", "truth-not-json",
+                              "truth-not-object", "default-truth-not-json"])
+def test_run_file_errors_exit_before_opening_the_input(tmp_path, monkeypatch, opened, capsys,
+                                                       flags, files, message):
+    # an explicit --truth must be a readable JSON object, as must the default
+    # <input>.truth.json when a file is there, and --out must be writable
+    gen_dataset(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    capsys.readouterr()
+    assert main(["run", "--input", "data.csv", "--alg", "mcmc", "--k", "2", "--m", "8",
+                 *flags]) == 2
+    out, err = capsys.readouterr()
+    assert opened == [] and out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_run_prints_warnings(tmp_path, capsys):
@@ -443,14 +492,21 @@ def test_diag_tv_bound_failure():
     (["tv", "--d", "0"], "rank must satisfy"),
     (["volume", "--n", "-1"], "must be a non-negative integer"),
     (["volume", "--k", "-1"], "must be a non-negative integer"),
+    (["tv", "--tv-bound", "nan"], "--tv-bound must be finite"),
+    (["volume", "--tv-bound", "nan"], "--tv-bound must be finite"),
+    (["tv", "--p", "inf", "--trials", "2000"], "p must be finite and >= 1"),
+    (["tv", "--p", "0.5", "--trials", "2000"], "p must be finite and >= 1"),
 ], ids=["tv-rank-below-k", "tv-exact-fit", "volume-rank-below-k", "tv-no-trials",
         "volume-no-walks", "volume-negative-steps", "tv-no-dimension",
-        "volume-negative-n", "volume-negative-k"])
+        "volume-negative-n", "volume-negative-k", "tv-nan-bound", "volume-nan-bound",
+        "tv-infinite-p", "tv-p-below-1"])
 def test_diag_refuses_degenerate_instances(capsys, argv, message):
     # rank 3 < k = 4 has no k-subset of nonzero volume, k = d = 3 rows fit
     # every point up to rounding, no trial or walk and a negative step count
     # measure nothing, d = 0 plants no instance, and a negative n or k has no
-    # subsets to enumerate: usage errors, not a guarantee verdict
+    # subsets to enumerate, a bound that is not finite checks nothing, and p
+    # must be finite and >= 1 as for every sampler: usage errors, not a
+    # guarantee verdict
     assert main(["diag", *argv]) == 2
     captured = capsys.readouterr()
     assert "tv=" not in captured.out

@@ -501,6 +501,22 @@ def test_streamed_pivot_is_scale_free(tmp_path, monkeypatch):
         assert pivot.source_ids == ids
 
 
+@pytest.mark.parametrize("n", [300, 1500], ids=["rows-kept", "rows-drawn"])
+def test_init_pivot_is_volume_sample_dpp_on_its_stream(tmp_path, n):
+    # the exact-volume init is volume_sample_dpp with one generator,
+    # derive_rng(seed, "init", "exact-volume"), for the pass's draws and the
+    # DPP alike; pivot_draws(3, 5) = 764 rows are kept whole at n = 300 and
+    # only drawn at n = 1500, and both modes pick the same rows
+    pts = instance(n, 5, seed=39)
+    path = tmp_path / "x.bin"
+    write_binary(path, pts.data)
+    for mode in ("memory", "streaming"):
+        src = open_source(path, mode)
+        for seed in range(8):
+            want = volume_sample_dpp(pts, 3, rng=derive_rng(seed, "init", "exact-volume"))
+            assert init_pivot(src, 3, 2.0, seed, "exact-volume").source_ids == tuple(want)
+
+
 def test_streamed_selection_holds_no_n_by_d_array(tmp_path, monkeypatch):
     # the exact-volume init is one pass over the Gram and a store of the rows
     # it drew, and the Metropolis pass writes its banks' rows once into the
