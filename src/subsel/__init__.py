@@ -33,7 +33,6 @@ from .samplers import (
     proposal_q,
     select_subset,
     tv_distance_diag,
-    volume_sample_dpp,
     volume_sample_mcmc,
 )
 from .stream import (
@@ -84,7 +83,6 @@ __all__ = [
     "robust_select",
     "select_subset",
     "tv_distance_diag",
-    "volume_sample_dpp",
     "volume_sample_mcmc",
     "weighted_reservoir_sample",
     "write_binary",

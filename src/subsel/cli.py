@@ -34,6 +34,8 @@ from .linalg import (
 from .outliers import check_lambda, robust_select
 from .rng import derive_rng, derive_seed_sequence
 from .samplers import (
+    TV_DIAG_MAX_POINTS,
+    WALK_DIAG_MAX_SUBSETS,
     ExactFitReached,
     SamplingConfig,
     adaptive_sample,
@@ -443,8 +445,8 @@ def _check_tv_bound(bound: float | None) -> None:
 
 
 def cmd_diag_tv(args) -> int:
-    if args.n > 4096:
-        print(f"error: n={args.n} exceeds the enumeration guard (4096)",
+    if args.n > TV_DIAG_MAX_POINTS:
+        print(f"error: n={args.n} exceeds the enumeration guard ({TV_DIAG_MAX_POINTS})",
               file=sys.stderr)
         return 2
     try:
@@ -470,8 +472,9 @@ def cmd_diag_volume(args) -> int:
     try:
         _check_tv_bound(args.tv_bound)
         # math.comb refuses a negative n or k with a ValueError
-        if math.comb(args.n, args.k) > 20000:
-            raise ValueError(f"C({args.n},{args.k}) exceeds the enumeration guard (20000)")
+        if math.comb(args.n, args.k) > WALK_DIAG_MAX_SUBSETS:
+            raise ValueError(f"C({args.n},{args.k}) exceeds the enumeration guard "
+                             f"({WALK_DIAG_MAX_SUBSETS})")
         pts, _ = generate_synthetic(n=args.n, d=args.d, rank=min(args.d, args.k + 1),
                                     noise_sigma=0.3, seed=args.seed)
         diag = volume_walk_distribution(pts, args.k, args.steps, args.walks,

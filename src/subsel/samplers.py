@@ -52,7 +52,9 @@ from .stream import (
 )
 
 ENUMERATION_GUARD = 10 ** 6
+# the diagnostics' limits: tv_distance_diag's rows, volume_walk_distribution's k-subsets
 TV_DIAG_MAX_POINTS = 4096
+WALK_DIAG_MAX_SUBSETS = 20000
 
 
 # A chain round deals its proposals in blocks of whole steps, at most
@@ -109,11 +111,12 @@ def physical_memory_bytes() -> int:
 class SamplingConfig:
     """User-facing knobs for the selection pipeline.
 
-    init_mode picks how the pivot subset is drawn: exact-volume (one
-    materializing pass and a DPP draw, p = 2 only) or adaptive-k-pass (k
-    single-point passes, the one init for p != 2). Overrides replace the
-    derived t / l / m. Construction checks every option before any pass,
-    through the init_mode rules and the closed forms _params derives.
+    init_mode picks how the pivot subset is drawn: exact-volume (one pass
+    that sums the Gram and keeps length-squared draws, then a DPP draw,
+    p = 2 only) or adaptive-k-pass (k single-point passes, the one init for
+    p != 2). Overrides replace the derived t / l / m. Construction checks
+    every option before any pass, through the init_mode rules and the
+    closed forms _params derives.
     """
 
     k: int
@@ -386,7 +389,7 @@ def adaptive_sample(source_or_points, initial: OrthonormalBasis, count: int,
         try:
             bank = weighted_reservoir_sample(
                 source, lambda chunk: residual_distances(chunk, basis) ** p, count,
-                seed=0, rng=derive_rng(seed, "adaptive-round", i), label=f"adaptive:{i + 1}")
+                derive_rng(seed, "adaptive-round", i), label=f"adaptive:{i + 1}")
         except DegenerateWeightsError:
             warnings.append(f"exact fit after {i} rounds; stopped early")
             break
@@ -461,9 +464,10 @@ def _inverse_cdf(cdf: np.ndarray, u):
                       np.searchsorted(cdf, cdf[-1]))
 
 
-def volume_sample_dpp(points: PointSet, k: int, seed: int = 0, *,
-                      rng: np.random.Generator | None = None) -> list[int]:
-    """Exact squared-volume sampling without enumeration (p = 2 only).
+def _volume_pivot(source: DatasetSource, k: int, rng: np.random.Generator, *,
+                  label: str) -> tuple[list[int], np.ndarray]:
+    """Exact squared-volume sampling without enumeration (p = 2 only): the
+    ids of k rows of `source` and the rows.
 
     P(S) ~ det(Gram_S) is a fixed-size DPP with kernel X X^T, sampled in
     dual form (Kulesza & Taskar 2012, 3.3) after one length_squared_pass:
@@ -477,26 +481,20 @@ def volume_sample_dpp(points: PointSet, k: int, seed: int = 0, *,
     envelope ||v_i||^2 <= ||x_i||^2 / lambda_min(S) makes each accepted draw
     exact, and the draws needed, N, have E[N | S] = H_k ||X||_F^2 /
     lambda_min(S). Draws are tested a window of at most PIVOT_WINDOW at a
-    time; the rows after a pick serve the next step, their mass less their
-    square on the new direction. The span grows in R^k by _cgs2_extend, so
-    no n-row array is formed.
+    time, with fresh uniforms; a pick ends its window, and the next starts
+    at the draw after it, so each draw is tested once, against the span of
+    the picks before it. The span grows in R^k by _cgs2_extend, so no n-row
+    array is formed.
 
     When the draws run out before k picks and the pass returned every row
     (a memory source, or n <= pivot_draws(k, d)), the draw finishes
     exactly: the row that further draws would accept at step j has law
     ~ ||(I - P_j) v_i||^2, which it samples from those rows, one residual
     pass per pick. A streamed source of more rows raises DrawBudgetError
-    instead (init_pivot). Eigenvalues <= 1e-12 of the largest (singular
-    values 1e-6) are zero: the Gram resolves about d * 2**-52. Seeded ids
-    are the same for data scaled by a power of two.
+    instead. Eigenvalues <= 1e-12 of the largest (singular values 1e-6) are
+    zero: the Gram resolves about d * 2**-52. Seeded ids are the same for
+    data scaled by a power of two.
     """
-    rng = rng if rng is not None else derive_rng(seed, "volume-dpp")
-    return _volume_pivot(as_source(points), k, rng, label="volume-dpp")[0]
-
-
-def _volume_pivot(source: DatasetSource, k: int, rng: np.random.Generator, *,
-                  label: str) -> tuple[list[int], np.ndarray]:
-    """volume_sample_dpp on a source: the picked ids and their rows."""
     (e_x, gram), bank, points = length_squared_pass(source, pivot_draws(k, source.d),
                                                     rng, label=label)
 
@@ -510,8 +508,7 @@ def _volume_pivot(source: DatasetSource, k: int, rng: np.random.Generator, *,
     e = np.zeros((k + 1, r + 1))
     e[0, :] = 1.0
     for j in range(1, k + 1):
-        for i in range(1, r + 1):
-            e[j, i] = e[j, i - 1] + lam[i - 1] * e[j - 1, i - 1]
+        e[j, 1:] = np.cumsum(lam * e[j - 1, :-1])
 
     chosen = []
     j = k
@@ -529,32 +526,23 @@ def _volume_pivot(source: DatasetSource, k: int, rng: np.random.Generator, *,
     picks: list[int] = []
     at = 0
     while len(picks) < k and at < len(bank.ids):
-        # a window of twice the draws the picks left expect to need; its
-        # rows after a pick serve the next one, with their mass updated
-        left = sum(1.0 / i for i in range(1, k - len(picks) + 1))
-        stop = min(len(bank.ids), at + min(PIVOT_WINDOW, max(16, math.ceil(2.0 * left * spread))))
+        # a window of twice the draws the next pick expects to need
+        size = max(16, math.ceil(2.0 * spread / (k - len(picks))))
+        stop = min(len(bank.ids), at + min(PIVOT_WINDOW, size))
         ids = bank.ids[at:stop]
         y = np.ldexp(rows_of(ids), -e_x)
         v = y @ right
-        mass = np.einsum("ij,ij->i", v, v)
-        if len(span):
-            mass -= np.square(v @ span.T).sum(axis=1)
+        mass = np.einsum("ij,ij->i", v, v) - np.square(v @ span.T).sum(axis=1)
         # u_i ||x_i||^2 / lambda_min(S), the mass draw i needs to be accepted
         bar = rng.random(len(ids)) * np.einsum("ij,ij->i", y, y) / floor
-        base = 0
-        while len(picks) < k:
-            hit = np.flatnonzero(bar[base:] < mass[base:])
-            if not len(hit):
-                break
-            base += int(hit[0])
-            picks.append(int(ids[base]))
-            base += 1
+        hit = np.flatnonzero(bar < mass)
+        if len(hit):
+            i = int(hit[0])
+            picks.append(int(ids[i]))
             if len(picks) < k:
-                grown = _cgs2_extend(span, v[base - 1:base])
-                if len(grown) > len(span):
-                    span = grown
-                    mass[base:] -= np.square(v[base:] @ span[-1])
-        at = stop if len(picks) < k else at + base
+                span = _cgs2_extend(span, v[i:i + 1])
+            stop = at + i + 1
+        at = stop
     if len(picks) < k and points is None:
         harmonic = sum(1.0 / i for i in range(1, k + 1))
         raise DrawBudgetError(
@@ -595,8 +583,8 @@ def greedy_max_volume_init(points: PointSet, k: int) -> list[int]:
     return ids
 
 
-def volume_sample_mcmc(points: PointSet, k: int, walk_steps: int, seed: int = 0, *,
-                       rng: np.random.Generator | None = None) -> list[int]:
+def volume_sample_mcmc(points: PointSet, k: int, walk_steps: int,
+                       rng: np.random.Generator) -> list[int]:
     """Lazy Metropolis walk over k-subsets targeting squared volumes, from
     greedy_max_volume_init's subset.
 
@@ -608,7 +596,6 @@ def volume_sample_mcmc(points: PointSet, k: int, walk_steps: int, seed: int = 0,
     under power-of-two scaling. The current subset is kept sorted so step
     randomness matches the table-driven diagnostic walk exactly.
     """
-    rng = rng if rng is not None else derive_rng(seed, "volume-walk")
     n = points.n
     if not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= n")
@@ -642,13 +629,15 @@ class VolumeWalkDiagnostic:
 
 
 def volume_walk_distribution(points: PointSet, k: int, steps: int, walks: int,
-                             seed: int = 0, guard: int = 20000) -> VolumeWalkDiagnostic:
+                             seed: int = 0, guard: int = WALK_DIAG_MAX_SUBSETS,
+                             ) -> VolumeWalkDiagnostic:
     """Empirical end-state distribution of `walks` independent lazy volume
     walks versus the brute-force target (small instances only).
 
     Table-driven over enumerated subsets, with volume_sample_mcmc's
     gram_dets volumes and acceptance; with walks=1 it consumes random draws
-    exactly like volume_sample_mcmc. It needs walks >= 1 and steps >= 0.
+    exactly like volume_sample_mcmc on derive_rng(seed, "volume-walk"). It
+    needs walks >= 1 and steps >= 0.
     """
     if walks < 1 or steps < 0:
         raise ValueError("walks must be >= 1 and steps >= 0")
@@ -970,9 +959,9 @@ def init_pivot(source: DatasetSource, k: int, p: float, seed: int,
     The exact-volume init (p = 2 only) is one pass, init:exact-volume
     (length_squared_pass): it sums the d x d Gram and keeps a bank of
     s = pivot_draws(k, d) length-squared draws and min(n, s) rows: every
-    row when n <= s, else the drawn ones. It is volume_sample_dpp run with
-    one generator, derive_rng(seed, "init", init_mode), for the pass's
-    draws and the DPP's, so both pick the same rows. When the draws run
+    row when n <= s, else the drawn ones. It is _volume_pivot run with one
+    generator, derive_rng(seed, "init", init_mode), for the pass's draws
+    and the DPP's. When the draws run
     out, a source whose rows were all kept (memory mode, or n <= s) draws
     the rest from them, and a streamed source of more than s rows raises
     DrawBudgetError, so the two modes pick the same rows whenever streaming
@@ -1046,7 +1035,7 @@ def tv_distance_diag(points: PointSet, pivot_ids: Sequence[int],
     stepper, _walk on r = target / q, with each step's proposals and then
     uniforms drawn as (1, trials) arrays. Also reports gamma, the worst-case
     target/proposal ratio that controls the (1 - 1/gamma)^(m-1) decay.
-    Enumeration-based: n <= 4096, trials >= 1, p finite and >= 1. Raises
+    Enumeration-based: n <= TV_DIAG_MAX_POINTS, trials >= 1, p finite and >= 1. Raises
     ExactFitReached when either span fits every point up to rounding, each
     residual at most RANK_TOL times its row norm (mcmc_select's saturation
     test): the target would be rounding noise. Residuals are weighed at the

@@ -513,8 +513,12 @@ class ReservoirBank(CountBank):
 
     @property
     def total_weight(self) -> float:
-        """The weight offered so far, W_cum (in units of 2**0)."""
-        return math.ldexp(float(self._w.m), self._w.e or 0)
+        """The weight offered so far, W_cum (in units of 2**0), inf past the
+        largest float."""
+        try:
+            return math.ldexp(float(self._w.m), self._w.e or 0)
+        except OverflowError:
+            return math.inf
 
     def offer(self, start: int, chunk: np.ndarray, weights: np.ndarray, e: int = 0) -> None:
         """Offer a chunk whose row weights are `weights` * 2**e."""
@@ -553,8 +557,8 @@ class ReservoirBank(CountBank):
 
 
 def weighted_reservoir_sample(source: DatasetSource, weight_fn, slots: int,
-                              seed: int, *, label: str = "reservoir",
-                              rng: np.random.Generator | None = None) -> ReservoirBank:
+                              rng: np.random.Generator, *,
+                              label: str = "reservoir") -> ReservoirBank:
     """`slots` independent draws with probability proportional to weight_fn,
     in exactly one sequential pass regardless of slots, the drawn rows kept
     in a store of min(n, slots) rows.
@@ -562,8 +566,7 @@ def weighted_reservoir_sample(source: DatasetSource, weight_fn, slots: int,
     weight_fn maps a (rows, d) chunk to a (rows,) vector of nonnegative
     weights. Raises DegenerateWeightsError when every row has weight zero.
     """
-    bank = ReservoirBank(slots, rng or derive_rng(seed, "reservoir", label),
-                         RowStore(min(source.n, slots), source.d))
+    bank = ReservoirBank(slots, rng, RowStore(min(source.n, slots), source.d))
 
     def visit(start: int, chunk: np.ndarray) -> None:
         w = np.asarray(weight_fn(chunk), dtype=np.float64)

@@ -28,7 +28,6 @@ from subsel.samplers import (
     adaptive_sample,
     select_subset,
     tv_distance_diag,
-    volume_sample_dpp,
     volume_walk_distribution,
 )
 from subsel.stream import generate_synthetic, inlier_count
@@ -99,8 +98,8 @@ def test_criterion_2_pass_complexity():
     from subsel.stream import open_source, weighted_reservoir_sample
 
     src = open_source(pts)
-    bank = weighted_reservoir_sample(
-        src, lambda c: np.linalg.norm(c, axis=1) ** 2, 4, seed=6, label="init:fkv")
+    bank = weighted_reservoir_sample(src, lambda c: np.linalg.norm(c, axis=1) ** 2, 4,
+                                     derive_rng(6, "reservoir", "init:fkv"), label="init:fkv")
     init = extend_basis(OrthonormalBasis.empty(pts.d), bank.points_for(bank.ids), bank.ids)
     seeded = adaptive_sample(src, init, 10, rounds, seed=7)
     seeded.passes.assert_passes(rounds)  # the result logs its own passes
@@ -139,7 +138,7 @@ def test_criterion_3_chain_tv():
 # 4. volume sampling expectation + walk convergence
 # ---------------------------------------------------------------------------
 
-def test_criterion_4_volume_sampling():
+def test_criterion_4_volume_sampling(volume_dpp):
     pts, _ = generate_synthetic(n=50, d=8, rank=8, noise_sigma=0.5, seed=4)
     _, opt = optimal_subspace(pts, 2)
     subsets, _, probs = _enumerate_volumes(pts, 2)
@@ -149,7 +148,7 @@ def test_criterion_4_volume_sampling():
     assert exact_mean <= 3 * opt  # (k+1) * opt, exact enumeration
     idx = {s: i for i, s in enumerate(subsets)}
     rng = derive_rng(5, "criterion-4")
-    samples = np.array([errs[idx[tuple(sorted(volume_sample_dpp(pts, 2, rng=rng)))]]
+    samples = np.array([errs[idx[tuple(sorted(volume_dpp(pts, 2, rng)))]]
                         for _ in range(20_000)])
     mean = float(samples.mean())
     sem = float(samples.std(ddof=1) / math.sqrt(len(samples)))
@@ -242,7 +241,7 @@ def test_criterion_6_outlier_guarantee():
 # 7. distributional oracles
 # ---------------------------------------------------------------------------
 
-def test_criterion_7_distributional_oracles():
+def test_criterion_7_distributional_oracles(volume_dpp):
     rng_data = np.random.default_rng(700)
     pts = PointSet(rng_data.standard_normal((5, 3)) * np.array([2.0, 1.0, 0.5]))
     trials = 50_000
@@ -266,7 +265,7 @@ def test_criterion_7_distributional_oracles():
     subsets, _, probs = _enumerate_volumes(pts, 2)
     idx = {s: i for i, s in enumerate(subsets)}
     rng = derive_rng(703, "criterion-7")
-    samples = [idx[tuple(sorted(volume_sample_dpp(pts, 2, rng=rng)))]
+    samples = [idx[tuple(sorted(volume_dpp(pts, 2, rng)))]
                for _ in range(trials)]
     tv_vol = empirical_tv(samples, probs, len(subsets))
     assert tv_vol <= 0.05

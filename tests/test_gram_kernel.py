@@ -1,8 +1,9 @@
 """The Gram eigen-kernel against the thin SVD as oracle.
 
 `optimal_subspace`, `best_rank_k_in_span`, `outliers.fit_trimmed_subspace`
-and `volume_sample_dpp` read their subspaces off the d x d Gram of a
-power-of-two-rescaled matrix. These tests check their errors against
+and the exact-volume pivot (`samplers._volume_pivot`, which tests reach
+through the `volume_dpp` fixture) read their subspaces off the d x d Gram of
+a power-of-two-rescaled matrix. These tests check their errors against
 `np.linalg.svd` on tall planted instances at noise levels from 1e-6 to 1,
 check that power-of-two scaling of the data leaves every basis bit for bit
 unchanged, check that a PointSet sums the Gram of all its rows once and
@@ -29,7 +30,7 @@ from subsel.linalg import (
     orthonormal_basis,
 )
 from subsel.outliers import fit_trimmed_subspace
-from subsel.samplers import volume_sample_dpp
+from subsel.rng import derive_rng
 from subsel.stream import CHUNK_ROWS, inlier_count, length_squared_pass, open_source
 
 REL = 1e-9
@@ -117,7 +118,7 @@ def test_fit_trimmed_subspace_matches_svd(n, d, k, sigma, scale, seed):
 @pytest.mark.parametrize("caller", ["optimal_subspace", "best_rank_k_in_span",
                                     "fit_trimmed_subspace", "volume_sample_dpp",
                                     "volume_sample_dpp_k5"])
-def test_kernel_callers_make_no_n_row_copy(caller):
+def test_kernel_callers_make_no_n_row_copy(caller, volume_dpp):
     # the Gram is summed block by block, and the DPP (k = 3 and the
     # workloads' k = 5) holds one rescaled chunk and the ids of its
     # length-squared draws, reading their rows from the points: no rescaled
@@ -129,8 +130,8 @@ def test_kernel_callers_make_no_n_row_copy(caller):
         "optimal_subspace": lambda: optimal_subspace(pts, k),
         "best_rank_k_in_span": lambda: best_rank_k_in_span(pts, span, k),
         "fit_trimmed_subspace": lambda: fit_trimmed_subspace(pts, span, k, 0.1),
-        "volume_sample_dpp": lambda: volume_sample_dpp(pts, k, seed=2),
-        "volume_sample_dpp_k5": lambda: volume_sample_dpp(pts, 5, seed=2),
+        "volume_sample_dpp": lambda: volume_dpp(pts, k, derive_rng(2, "volume-dpp")),
+        "volume_sample_dpp_k5": lambda: volume_dpp(pts, 5, derive_rng(2, "volume-dpp")),
     }[caller]
     tracemalloc.start()
     try:
@@ -227,7 +228,7 @@ def count_full_grams(monkeypatch):
     return calls
 
 
-def test_point_set_sums_full_gram_once(monkeypatch):
+def test_point_set_sums_full_gram_once(monkeypatch, volume_dpp):
     # the optimum, best-k-in-span, the exact-fit test and the DPP pivot read
     # one Gram kept on the PointSet; the trimmed fit sums its own over the
     # rows it keeps
@@ -236,7 +237,7 @@ def test_point_set_sums_full_gram_once(monkeypatch):
     pts = PointSet(x)
     _, opt = optimal_subspace(pts, 3)
     best_rank_k_in_span(pts, orthonormal_basis(pts, range(30, 38)), 3)
-    volume_sample_dpp(pts, 3, seed=4)
+    volume_dpp(pts, 3, derive_rng(4, "volume-dpp"))
     linalg.is_exact_fit(pts, opt)
     assert calls == [x.shape]
     fit_trimmed_subspace(pts, orthonormal_basis(pts, range(30, 38)), 3, 0.05)
@@ -278,7 +279,7 @@ def test_streamed_pass_sums_the_kept_gram_bitwise(tmp_path, scale):
 
 @pytest.mark.parametrize("warm_with", ["optimal_subspace", "best_rank_k_in_span",
                                        "volume_sample_dpp"])
-def test_bases_match_cold_and_warm_gram(warm_with):
+def test_bases_match_cold_and_warm_gram(warm_with, volume_dpp):
     # each caller returns the same bits whether it sums the Gram (cold, on a
     # fresh set) or reads the one another caller kept (warm), in every order
     n, d, k = 2000, 10, 3
@@ -287,7 +288,8 @@ def test_bases_match_cold_and_warm_gram(warm_with):
         "optimal_subspace": lambda pts: optimal_subspace(pts, k)[0].vectors,
         "best_rank_k_in_span": lambda pts: best_rank_k_in_span(
             pts, orthonormal_basis(pts, range(k + 4)), k)[0].vectors,
-        "volume_sample_dpp": lambda pts: np.array(volume_sample_dpp(pts, k, seed=8)),
+        "volume_sample_dpp": lambda pts: np.array(
+            volume_dpp(pts, k, derive_rng(8, "volume-dpp"))),
     }
     warm_pts = PointSet(x)
     callers[warm_with](warm_pts)

@@ -37,7 +37,6 @@ from subsel.samplers import (
     proposal_q,
     select_subset,
     tv_distance_diag,
-    volume_sample_dpp,
     volume_sample_mcmc,
     volume_walk_distribution,
 )
@@ -337,13 +336,13 @@ def test_volume_exact_three_pair_uniform():
     assert np.allclose(probs, 1.0 / 3)
 
 
-def test_volume_exact_duplicate_pair_never_sampled():
+def test_volume_exact_duplicate_pair_never_sampled(volume_dpp):
     pts = PointSet(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     subsets, _, probs = _enumerate_volumes(pts, 2)
     assert probs[subsets.index((0, 1))] == 0.0
     rng = derive_rng(21, "volume-test")
     for _ in range(300):
-        assert tuple(sorted(volume_sample_dpp(pts, 2, rng=rng))) != (0, 1)
+        assert tuple(sorted(volume_dpp(pts, 2, rng))) != (0, 1)
 
 
 def test_volume_exact_guard_and_rank_errors():
@@ -374,31 +373,31 @@ def test_volume_exact_distribution_p3():
     assert np.allclose(probs, w / w.sum(), rtol=1e-9, atol=1e-12)
 
 
-def test_volume_dpp_matches_enumeration():
+def test_volume_dpp_matches_enumeration(volume_dpp):
     pts = instance(6, 4, seed=25)
     subsets, _, probs = _enumerate_volumes(pts, 2)
     idx = {s: i for i, s in enumerate(subsets)}
     rng = derive_rng(26, "volume-test")
-    samples = [idx[tuple(sorted(volume_sample_dpp(pts, 2, rng=rng)))] for _ in range(20_000)]
+    samples = [idx[tuple(sorted(volume_dpp(pts, 2, rng)))] for _ in range(20_000)]
     assert empirical_tv(samples, probs, len(subsets)) <= 0.05
 
 
-def test_volume_dpp_k3_matches_enumeration():
+def test_volume_dpp_k3_matches_enumeration(volume_dpp):
     pts = instance(7, 5, seed=27)
     subsets, _, probs = _enumerate_volumes(pts, 3)
     idx = {s: i for i, s in enumerate(subsets)}
     rng = derive_rng(28, "volume-test")
-    samples = [idx[tuple(sorted(volume_sample_dpp(pts, 3, rng=rng)))] for _ in range(20_000)]
+    samples = [idx[tuple(sorted(volume_dpp(pts, 3, rng)))] for _ in range(20_000)]
     assert empirical_tv(samples, probs, len(subsets)) <= 0.05
 
 
-def test_volume_dpp_rank_deficient():
+def test_volume_dpp_rank_deficient(volume_dpp):
     flat = PointSet(np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
     with pytest.raises(ValueError, match="rank-deficient"):
-        volume_sample_dpp(flat, 2)
+        volume_dpp(flat, 2, derive_rng(0, "volume-dpp"))
 
 
-def test_volume_dpp_names_the_numerical_rank():
+def test_volume_dpp_names_the_numerical_rank(volume_dpp):
     # full-rank Gaussian rows beside one row of 1e300: under the 1e-12
     # eigenvalue cut the Gram has rank 1, and many 3-subsets still have
     # nonzero volume, so the error names the rank and the cut
@@ -407,22 +406,22 @@ def test_volume_dpp_names_the_numerical_rank():
     pts = PointSet(x)
     want = r"rank-deficient dataset: numerical rank 1 < k = 3 .*1e-12"
     with pytest.raises(RankDeficientError, match=want):
-        volume_sample_dpp(pts, 3)
+        volume_dpp(pts, 3, derive_rng(0, "volume-dpp"))
     with pytest.raises(RankDeficientError, match=want):
         select_subset(pts, SamplingConfig(k=3, epsilon=0.5, seed=41, chain_steps=4))
 
 
-def test_volume_dpp_extreme_scale_no_overflow():
+def test_volume_dpp_extreme_scale_no_overflow(volume_dpp):
     # squared singular values of data near 1e180 would overflow without the
     # power-of-two rescale; the rescale is exact, so the seeded ids are those
     # of the unscaled run
     x = instance(40, 6, seed=30).data
-    ids = volume_sample_dpp(PointSet(x), 3, seed=31)
+    ids = volume_dpp(PointSet(x), 3, derive_rng(31, "volume-dpp"))
     assert len(set(ids)) == 3 and all(0 <= i < 40 for i in ids)
     assert np.linalg.matrix_rank(x[ids]) == 3
     for scale in (2.0 ** 600, 2.0 ** -600):
         with np.errstate(all="raise"):
-            assert volume_sample_dpp(PointSet(x * scale), 3, seed=31) == ids
+            assert volume_dpp(PointSet(x * scale), 3, derive_rng(31, "volume-dpp")) == ids
 
 
 def spectrum_instance(n, singular_values, seed):
@@ -433,7 +432,7 @@ def spectrum_instance(n, singular_values, seed):
     return PointSet((u * np.asarray(singular_values)) @ v.T)
 
 
-def test_volume_dpp_ill_conditioned_samples():
+def test_volume_dpp_ill_conditioned_samples(volume_dpp):
     # s_k / s_0 = 1e-4 is eigenvalue ratio 1e-8, above the Gram's 1e-12 rank
     # cut: the DPP still samples, with the enumeration's law; an exactly
     # rank-deficient spectrum raises (test_volume_dpp_rank_deficient)
@@ -441,10 +440,11 @@ def test_volume_dpp_ill_conditioned_samples():
     subsets, _, probs = _enumerate_volumes(pts, 3)
     idx = {s: i for i, s in enumerate(subsets)}
     rng = derive_rng(33, "volume-test")
-    samples = [idx[tuple(sorted(volume_sample_dpp(pts, 3, rng=rng)))] for _ in range(10_000)]
+    samples = [idx[tuple(sorted(volume_dpp(pts, 3, rng)))] for _ in range(10_000)]
     assert empirical_tv(samples, probs, len(subsets)) <= 0.05
     with pytest.raises(ValueError, match="rank-deficient"):
-        volume_sample_dpp(spectrum_instance(6, [1.0, 1e-2, 0.0], seed=32), 3)
+        volume_dpp(spectrum_instance(6, [1.0, 1e-2, 0.0], seed=32), 3,
+                   derive_rng(0, "volume-dpp"))
 
 
 def test_volume_pivot_draws_run_out_only_streaming_refuses(tmp_path):
@@ -502,19 +502,17 @@ def test_streamed_pivot_is_scale_free(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [300, 1500], ids=["rows-kept", "rows-drawn"])
-def test_init_pivot_is_volume_sample_dpp_on_its_stream(tmp_path, n):
-    # the exact-volume init is volume_sample_dpp with one generator,
-    # derive_rng(seed, "init", "exact-volume"), for the pass's draws and the
-    # DPP alike; pivot_draws(3, 5) = 764 rows are kept whole at n = 300 and
-    # only drawn at n = 1500, and both modes pick the same rows
+def test_init_pivot_picks_the_same_ids_in_both_modes(tmp_path, n):
+    # pivot_draws(3, 5) = 764 rows are kept whole at n = 300 and only drawn
+    # at n = 1500; the pass's draws and the DPP's come from one generator,
+    # so memory and streaming mode pick the same rows
     pts = instance(n, 5, seed=39)
     path = tmp_path / "x.bin"
     write_binary(path, pts.data)
-    for mode in ("memory", "streaming"):
-        src = open_source(path, mode)
-        for seed in range(8):
-            want = volume_sample_dpp(pts, 3, rng=derive_rng(seed, "init", "exact-volume"))
-            assert init_pivot(src, 3, 2.0, seed, "exact-volume").source_ids == tuple(want)
+    mem, strm = open_source(path, "memory"), open_source(path, "streaming")
+    for seed in range(8):
+        a, b = (init_pivot(src, 3, 2.0, seed, "exact-volume") for src in (mem, strm))
+        assert a.source_ids == b.source_ids and np.array_equal(a.vectors, b.vectors)
 
 
 def test_streamed_selection_holds_no_n_by_d_array(tmp_path, monkeypatch):
@@ -564,30 +562,31 @@ def test_volume_walk_extreme_scale_no_overflow():
     # two, so data at 2**+-600 gives the unscaled run's ids
     x = instance(30, 6, seed=42).data
     greedy = greedy_max_volume_init(PointSet(x), 3)
-    ids = volume_sample_mcmc(PointSet(x), 3, 500, seed=43)
+    ids = volume_sample_mcmc(PointSet(x), 3, 500, derive_rng(43, "volume-walk"))
     for scale in (2.0 ** 600, 2.0 ** -600):
         with np.errstate(all="raise"):
             assert greedy_max_volume_init(PointSet(x * scale), 3) == greedy
-            assert volume_sample_mcmc(PointSet(x * scale), 3, 500, seed=43) == ids
+            assert volume_sample_mcmc(PointSet(x * scale), 3, 500,
+                                      derive_rng(43, "volume-walk")) == ids
 
 
 def test_volume_walk_stationary_at_k_equals_n():
     pts = instance(4, 4, seed=30)
-    assert volume_sample_mcmc(pts, 4, 100, seed=31) == [0, 1, 2, 3]
+    assert volume_sample_mcmc(pts, 4, 100, derive_rng(31, "volume-walk")) == [0, 1, 2, 3]
 
 
 def test_volume_walk_never_accepts_zero_volume():
     # duplicated point: the duplicate pair has volume zero and must never appear
     pts = PointSet(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
     for seed in range(8):
-        ids = volume_sample_mcmc(pts, 2, 60, seed=seed)
+        ids = volume_sample_mcmc(pts, 2, 60, derive_rng(seed, "volume-walk"))
         assert tuple(sorted(ids)) != (0, 1)
 
 
 def test_volume_walk_matches_table_driven_walk():
     pts = instance(6, 3, seed=32)
     for seed in (0, 1, 7):
-        ids = volume_sample_mcmc(pts, 2, 97, seed=seed)
+        ids = volume_sample_mcmc(pts, 2, 97, derive_rng(seed, "volume-walk"))
         diag = volume_walk_distribution(pts, 2, 97, walks=1, seed=seed)
         end = diag.subsets[int(np.argmax(diag.empirical))]
         assert tuple(sorted(ids)) == end
@@ -670,7 +669,7 @@ def test_volume_walk_rank_below_k_is_the_typed_error(rank_two_rows):
     # full-rank start below rank k
     for rows, k in ((RANK_ONE_ROWS, 2), (rank_two_rows, 3)):
         with pytest.raises(RankDeficientError, match="rank-deficient"):
-            volume_sample_mcmc(PointSet(rows), k, 10, seed=39)
+            volume_sample_mcmc(PointSet(rows), k, 10, derive_rng(39, "volume-walk"))
 
 
 def test_adaptive_k_pass_init_expectation_bound():

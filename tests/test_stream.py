@@ -19,6 +19,7 @@ from subsel.stream import (
     _uniform_counts,
     generate_synthetic,
     inlier_count,
+    length_squared_pass,
     open_source,
     proposal_prefetch_pass,
     weighted_reservoir_sample,
@@ -29,6 +30,10 @@ from subsel.stream import (
 
 def sq_norms(chunk):
     return np.linalg.norm(chunk, axis=1) ** 2
+
+
+def reservoir_rng(seed):
+    return derive_rng(seed, "reservoir", "reservoir")
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +325,7 @@ def test_memory_open_reads_file_once(tmp_path, monkeypatch, fmt):
 def test_reservoir_rejects_negative_weights():
     src = open_source(PointSet(np.array([[1.0], [2.0]])))
     with pytest.raises(ValueError, match="nonnegative"):
-        weighted_reservoir_sample(src, lambda c: np.array([1.0, -0.5]), 2, seed=0)
+        weighted_reservoir_sample(src, lambda c: np.array([1.0, -0.5]), 2, reservoir_rng(0))
 
 
 def test_streaming_requires_path():
@@ -412,7 +417,7 @@ def test_reservoir_single_support():
     pts = PointSet(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
     for seed in range(10):
         src = open_source(pts)
-        bank = weighted_reservoir_sample(src, sq_norms, 5, seed=seed)
+        bank = weighted_reservoir_sample(src, sq_norms, 5, reservoir_rng(seed))
         assert np.all(bank.ids == 0)
         assert np.array_equal(bank.points_for(bank.ids), np.tile([1.0, 0.0], (5, 1)))
 
@@ -420,7 +425,7 @@ def test_reservoir_single_support():
 def test_reservoir_uniform_counts():
     pts = PointSet(np.ones((4, 2)))
     src = open_source(pts)
-    bank = weighted_reservoir_sample(src, lambda c: np.ones(len(c)), 10000, seed=99)
+    bank = weighted_reservoir_sample(src, lambda c: np.ones(len(c)), 10000, reservoir_rng(99))
     counts = np.bincount(bank.ids, minlength=4)
     sigma = math.sqrt(10000 * 0.25 * 0.75)
     assert np.all(np.abs(counts - 2500) <= 3 * sigma)
@@ -430,7 +435,7 @@ def test_reservoir_uniform_counts():
 def test_reservoir_weighted_counts():
     pts = PointSet(np.array([[math.sqrt(3.0), 0.0], [1.0, 0.0]]))
     src = open_source(pts)
-    bank = weighted_reservoir_sample(src, sq_norms, 40000, seed=7)
+    bank = weighted_reservoir_sample(src, sq_norms, 40000, reservoir_rng(7))
     freq0 = np.mean(bank.ids == 0)
     sigma = math.sqrt(0.75 * 0.25 / 40000)
     assert abs(freq0 - 0.75) <= 3 * sigma
@@ -439,13 +444,13 @@ def test_reservoir_weighted_counts():
 def test_reservoir_degenerate_weights():
     src = open_source(PointSet(np.zeros((3, 2)) + 0.0))
     with pytest.raises(ValueError, match="degenerate weights"):
-        weighted_reservoir_sample(src, sq_norms, 2, seed=0)
+        weighted_reservoir_sample(src, sq_norms, 2, reservoir_rng(0))
 
 
 def test_reservoir_one_pass_regardless_of_slots():
     for slots in (1, 17, 400):
         src = open_source(PointSet(np.eye(5)))
-        weighted_reservoir_sample(src, lambda c: np.ones(len(c)), slots, seed=3)
+        weighted_reservoir_sample(src, lambda c: np.ones(len(c)), slots, reservoir_rng(3))
         src.pass_log.assert_passes(1)
 
 
@@ -458,7 +463,7 @@ def test_reservoir_single_slot_matches_enumeration():
     counts = np.zeros(4)
     for trial in range(trials):
         src = open_source(pts)
-        bank = weighted_reservoir_sample(src, sq_norms, 1, seed=trial)
+        bank = weighted_reservoir_sample(src, sq_norms, 1, reservoir_rng(trial))
         counts[bank.ids[0]] += 1
     sigma = np.sqrt(trials * probs * (1 - probs))
     assert np.all(np.abs(counts - trials * probs) <= 3 * sigma)
@@ -471,7 +476,7 @@ def test_reservoir_matches_inverse_cdf_in_distribution():
     pts = PointSet(np.diag(np.sqrt(weights)))
     src = open_source(pts)
     slots = 60000
-    bank = weighted_reservoir_sample(src, sq_norms, slots, seed=11)
+    bank = weighted_reservoir_sample(src, sq_norms, slots, reservoir_rng(11))
     emp_res = np.bincount(bank.ids, minlength=5) / slots
     rng = derive_rng(11, "inverse-cdf")
     emp_cdf = np.bincount(rng.choice(5, size=slots, p=weights / weights.sum()),
@@ -488,8 +493,8 @@ def test_reservoir_bit_identical_across_modes(tmp_path, n):
     write_csv(path, data)
     mem = open_source(path, mode="memory")
     strm = open_source(path, mode="streaming")
-    b_mem = weighted_reservoir_sample(mem, sq_norms, 64, seed=42)
-    b_strm = weighted_reservoir_sample(strm, sq_norms, 64, seed=42)
+    b_mem = weighted_reservoir_sample(mem, sq_norms, 64, reservoir_rng(42))
+    b_strm = weighted_reservoir_sample(strm, sq_norms, 64, reservoir_rng(42))
     assert np.array_equal(b_mem.ids, b_strm.ids)
     assert b_mem.total_weight == b_strm.total_weight
     assert np.array_equal(b_mem.points_for(b_mem.ids), b_strm.points_for(b_strm.ids))
@@ -509,7 +514,7 @@ def test_reservoir_cross_chunk_row_frequencies():
     probs = w / w.sum()
     slots = 200_000
     src = open_source(PointSet(np.column_stack([w, np.zeros(n)])))
-    bank = weighted_reservoir_sample(src, first_column, slots, seed=17)
+    bank = weighted_reservoir_sample(src, first_column, slots, reservoir_rng(17))
     src.pass_log.assert_passes(1)
     counts = np.bincount(bank.ids, minlength=n)
     assert not counts[w == 0.0].any()
@@ -533,7 +538,7 @@ def test_reservoir_slots_independent():
     w = 1.0 + np.arange(n) % 3
     slots = 100_000
     src = open_source(PointSet(np.column_stack([w, np.ones(n)])))
-    bank = weighted_reservoir_sample(src, first_column, slots, seed=23)
+    bank = weighted_reservoir_sample(src, first_column, slots, reservoir_rng(23))
     group = bank.ids // (CHUNK_ROWS // 4)
     groups = int(group.max()) + 1
     joint = np.zeros((groups, groups))
@@ -562,9 +567,9 @@ def test_reservoir_mode_identity_property(tmp_path_factory, n, zero_chunks, slot
         src = open_source(path, mode=mode)
         if not data.any():
             with pytest.raises(ValueError, match="degenerate weights"):
-                weighted_reservoir_sample(src, sq_norms, slots, seed=seed)
+                weighted_reservoir_sample(src, sq_norms, slots, reservoir_rng(seed))
             continue
-        banks.append(weighted_reservoir_sample(src, sq_norms, slots, seed=seed))
+        banks.append(weighted_reservoir_sample(src, sq_norms, slots, reservoir_rng(seed)))
     if banks:
         b_mem, b_strm = banks
         assert np.array_equal(b_mem.ids, b_strm.ids)
@@ -617,7 +622,8 @@ def test_reservoir_counts_invariants_property(tmp_path_factory, n, zero_chunks, 
 def test_reservoir_weight_fn_frequency():
     pts = PointSet(np.array([[1.0, 0.0], [0.0, 2.0]]))
     src = open_source(pts)
-    bank = weighted_reservoir_sample(src, lambda c: np.einsum("ij,ij->i", c, c), 2000, seed=1)
+    bank = weighted_reservoir_sample(src, lambda c: np.einsum("ij,ij->i", c, c), 2000,
+                                     reservoir_rng(1))
     freq1 = np.mean(bank.ids == 1)
     assert abs(freq1 - 0.8) <= 3 * math.sqrt(0.8 * 0.2 / 2000)
 
@@ -626,13 +632,30 @@ def test_reservoir_rejects_overflowing_weight_sum():
     # every weight is finite (2e306) but a chunk of 200 sums past the float range
     src = open_source(PointSet(np.full((200, 2), 1e153)))
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
-        weighted_reservoir_sample(src, sq_norms, 5, seed=0)
+        weighted_reservoir_sample(src, sq_norms, 5, reservoir_rng(0))
+
+
+def test_total_weight_saturates_past_the_largest_float(tmp_path):
+    # W_cum is summed in each chunk's power of two, so a streamed total past
+    # the float range reads inf rather than raising, and a scale that keeps
+    # it in range moves only its exponent: the scale-1 total keeps its bits
+    x = np.random.default_rng(5).standard_normal((3000, 12))
+    totals = {}
+    for scale in (0, 100, 600):
+        path = tmp_path / f"x{scale}.bin"
+        write_binary(path, x * 2.0 ** scale)
+        _, bank, _ = length_squared_pass(open_source(path, "streaming"), 64,
+                                         np.random.default_rng(6), label="ls")
+        totals[scale] = bank.total_weight
+    assert totals[0] == pytest.approx(float(np.sum(x * x)), rel=1e-12)
+    assert totals[100] == math.ldexp(totals[0], 200)
+    assert totals[600] == math.inf
 
 
 def test_reservoir_rejects_misshaped_weights():
     src = open_source(PointSet(np.eye(3)))
     with pytest.raises(ValueError, match="shape"):
-        weighted_reservoir_sample(src, lambda c: sq_norms(c)[:, None], 4, seed=0)
+        weighted_reservoir_sample(src, lambda c: sq_norms(c)[:, None], 4, reservoir_rng(0))
     assert not src.pass_log.entries[-1].complete
 
 
