@@ -54,6 +54,8 @@ from .rng import derive_rng
 CHUNK_ROWS = RESIDUAL_BLOCK_ROWS
 
 BINARY_MAGIC = b"SSEL1\x00"
+# the magic, then n and d as little-endian uint64
+_BINARY_HEADER = len(BINARY_MAGIC) + 16
 
 # block size of the digest check a streamed CSV pass makes of its file
 _HASH_BLOCK = 1 << 16
@@ -178,16 +180,18 @@ def open_source(path_or_points, mode: str = "memory") -> DatasetSource:
     """Open a dataset for pass-counted sequential access.
 
     Accepts a PointSet (in-memory only) or a file path. Opening a file is one
-    pass of its format's reader, which learns n and d; memory mode keeps the
-    chunks read. A streamed binary file keeps only its size and mtime_ns,
-    taken before it is read, and a later pass raises DatasetFormatError if the
-    file no longer holds n rows of d finite entries or either of those moved;
-    an edit that keeps both goes unnoticed.
-    A streamed CSV is parsed here and only here: its rows go to an unlinked
-    temporary file (n * d * 8 bytes of temp-dir disk, closed when the source
-    is collected), and a later pass raises DatasetFormatError if the file's
-    sha256 differs from that of the bytes parsed. The pass counter starts at
-    zero after opening.
+    pass of its format's reader, which checks every row. A binary file's
+    header gives n and d before any row is read, so memory mode fills one
+    preallocated n x d array, chunk by chunk. A streamed binary file keeps
+    only its size and mtime_ns, taken before it is read, and a later pass
+    raises DatasetFormatError if the file no longer holds n rows of d finite
+    entries or either of those moved; an edit that keeps both goes unnoticed.
+    A CSV learns n and d as it is parsed (see _csv_rows); memory mode keeps
+    its chunks and stacks them. A streamed CSV is parsed here and only here:
+    its rows go to an unlinked temporary file (n * d * 8 bytes of temp-dir
+    disk, closed when the source is collected), and a later pass raises
+    DatasetFormatError if the file's sha256 differs from that of the bytes
+    parsed. The pass counter starts at zero after opening.
     """
     if mode not in ("memory", "streaming"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -197,24 +201,28 @@ def open_source(path_or_points, mode: str = "memory") -> DatasetSource:
         pts = path_or_points
         return DatasetSource(points=pts, path=None, n=pts.n, d=pts.d, mode="memory")
     path = str(path_or_points)
-    fmt = _sniff_format(path)
-    if fmt == "csv" and mode == "streaming":
-        return _open_streamed_csv(path)
-    kept = []
+    shape = _binary_shape(path)
+    if shape is None:
+        return _open_csv(path, mode)
     stamp = None
-    if fmt == "binary" and mode == "streaming":
+    if mode == "streaming":
         st = os.stat(path)
         stamp = (st.st_size, st.st_mtime_ns)
-    for start, chunk in _csv_rows(path) if fmt == "csv" else _binary_rows(path):
-        if mode == "memory":
-            kept.append(chunk)
-    # the reader checked every chunk; the stacked rows are the one copy kept
-    points = PointSet._adopt(np.vstack(kept)) if kept else None
-    return DatasetSource(points=points, path=path, n=start + len(chunk),
-                         d=chunk.shape[1], mode=mode, stamp=stamp)
+    data = np.empty(shape) if mode == "memory" else None
+    for start, chunk in _binary_rows(path, shape, stamp):
+        if data is not None:
+            data[start:start + len(chunk)] = chunk
+    # the reader checked every chunk; data is the one copy kept
+    points = None if data is None else PointSet._adopt(data)
+    return DatasetSource(points=points, path=path, n=shape[0], d=shape[1], mode=mode,
+                         stamp=stamp)
 
 
-def _open_streamed_csv(path: str) -> DatasetSource:
+def _open_csv(path: str, mode: str) -> DatasetSource:
+    if mode == "memory":
+        # the reader checked every chunk; the stacked rows are the one copy kept
+        points = PointSet._adopt(np.vstack([chunk for _, chunk in _csv_rows(path)]))
+        return DatasetSource(points=points, path=path, n=points.n, d=points.d, mode=mode)
     digest = hashlib.sha256()
     spill = tempfile.TemporaryFile()
     try:
@@ -224,7 +232,7 @@ def _open_streamed_csv(path: str) -> DatasetSource:
         spill.close()
         raise
     return DatasetSource(points=None, path=path, n=start + len(chunk), d=chunk.shape[1],
-                         mode="streaming", spill=spill, digest=digest.digest())
+                         mode=mode, spill=spill, digest=digest.digest())
 
 
 def as_source(source_or_points) -> DatasetSource:
@@ -238,15 +246,17 @@ def as_source(source_or_points) -> DatasetSource:
 # file formats
 # ---------------------------------------------------------------------------
 
-def _sniff_format(path: str) -> str:
+def _binary_shape(path: str) -> tuple[int, int] | None:
+    """(n, d) from a binary file's checked header (see _binary_header), or
+    None for a CSV."""
     with open(path, "rb") as fh:
         head = fh.read(len(BINARY_MAGIC))
-    if head == BINARY_MAGIC:
-        return "binary"
+        if head == BINARY_MAGIC:
+            return _binary_header(fh, path)
     if head[:4] == b"SSEL":
         # SSEL-prefixed but not the exact magic: corrupt or wrong-version binary
         raise DatasetFormatError(f"{path}: bad magic bytes {head!r}")
-    return "csv"
+    return None
 
 
 class _HashingReader(io.RawIOBase):
@@ -278,66 +288,123 @@ def _sha256(path: str) -> bytes:
 
 def _csv_rows(path: str, digest=None) -> Iterator[tuple[int, np.ndarray]]:
     """(start, chunk) blocks of CHUNK_ROWS rows, each checked as it is read.
-    Every byte read also goes into `digest` when one is given."""
+
+    The file is UTF-8 text. Blank lines and lines starting with '#' (after
+    whitespace) are skipped; every other line is one row of comma-separated
+    decimal floats, as many as on the file's first data line. Fields may
+    carry whitespace around them, nothing else: no trailing comment, no `_`
+    digit separator, no non-ASCII digit. Each chunk's stripped data lines go
+    to one np.loadtxt call (numpy's C parser); a chunk it refuses, or of the
+    wrong width, is parsed again one line at a time to name its first bad
+    line. A line holding bytes that are not UTF-8, a bad or missing field, a
+    wrong width and a non-finite entry each raise DatasetFormatError naming
+    the file and the line. Every byte read also goes into `digest` when one
+    is given.
+    """
     raw = open(path, "rb", buffering=0)
     if digest is not None:
         raw = _HashingReader(raw, digest)
     d = None
     start = 0
-    buf: list[list[float]] = []
+    texts: list[str] = []
     lines: list[int] = []
-    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8") as fh:
+    # bytes that are not UTF-8 decode to lone surrogates, so the line that
+    # holds them can be named
+    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8",
+                          errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
+                _check_utf8(text, path, lineno)
                 continue
-            try:
-                values = list(map(float, text.split(",")))
-            except ValueError as exc:
-                raise DatasetFormatError(f"{path}: line {lineno}: {exc}") from None
             if d is None:
-                d = len(values)
-            elif len(values) != d:
-                raise DatasetFormatError(
-                    f"{path}: line {lineno}: expected {d} columns, found {len(values)}")
-            buf.append(values)
+                d = text.count(",") + 1
+            texts.append(text)
             lines.append(lineno)
-            if len(buf) == CHUNK_ROWS:
-                yield start, _finite(np.array(buf, dtype=np.float64), path, "line", lines)
-                start += len(buf)
-                buf, lines = [], []
-    if buf:
-        yield start, _finite(np.array(buf, dtype=np.float64), path, "line", lines)
+            if len(texts) == CHUNK_ROWS:
+                yield start, _parse_lines(texts, lines, d, path)
+                start += len(texts)
+                texts, lines = [], []
+    if texts:
+        yield start, _parse_lines(texts, lines, d, path)
     elif start == 0:
         raise DatasetFormatError(f"{path}: 0 data rows")
 
 
-def _binary_rows(path: str, shape: tuple[int, int] | None = None,
+def _loadtxt(texts: list[str]) -> np.ndarray:
+    return np.loadtxt(texts, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+
+
+def _parse_lines(texts: list[str], lines: list[int], d: int, path: str) -> np.ndarray:
+    """The rows of data lines `texts` (file lines `lines`), d finite floats
+    each."""
+    try:
+        chunk = _loadtxt(texts)
+    except ValueError as exc:
+        error = exc
+    else:
+        if chunk.shape[1] == d:
+            # not under the try: DatasetFormatError is a ValueError
+            return _finite(chunk, path, "line", lines)
+        error = f"expected {d} columns, found {chunk.shape[1]}"
+    # name the first bad line
+    for text, lineno in zip(texts, lines):
+        _check_utf8(text, path, lineno)
+        try:
+            row = _loadtxt([text])
+        except ValueError as exc:
+            # loadtxt counts the rows of its own input, here this one line
+            message = str(exc).replace(" at row 0,", " at")
+            raise DatasetFormatError(f"{path}: line {lineno}: {message}") from None
+        if row.shape[1] != d:
+            raise DatasetFormatError(
+                f"{path}: line {lineno}: expected {d} columns, found {row.shape[1]}")
+    raise DatasetFormatError(f"{path}: lines {lines[0]}..{lines[-1]}: {error}")
+
+
+def _check_utf8(text: str, path: str, lineno: int) -> None:
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DatasetFormatError(f"{path}: line {lineno}: not UTF-8 text") from None
+
+
+def _binary_header(fh, path: str) -> tuple[int, int]:
+    """(n, d) from the header of binary file fh, read from its start; checks
+    the magic, n, d >= 1 and that the payload is n * d * 8 bytes, from the
+    file's size."""
+    fh.seek(0)
+    header = fh.read(_BINARY_HEADER)
+    if len(header) < _BINARY_HEADER:
+        raise DatasetFormatError(f"{path}: truncated header")
+    if header[:len(BINARY_MAGIC)] != BINARY_MAGIC:
+        raise DatasetFormatError(f"{path}: bad magic bytes {header[:6]!r}")
+    n, d = struct.unpack("<QQ", header[len(BINARY_MAGIC):])
+    if n < 1 or d < 1:
+        raise DatasetFormatError(f"{path}: empty dataset (n={n}, d={d})")
+    found = os.fstat(fh.fileno()).st_size - _BINARY_HEADER
+    if found != n * d * 8:
+        raise DatasetFormatError(f"{path}: expected {n * d * 8} payload bytes, found {found}")
+    return n, d
+
+
+def _binary_rows(path: str, shape: tuple[int, int],
                  stamp: tuple[int, int] | None = None,
                  ) -> Iterator[tuple[int, np.ndarray]]:
     """(start, chunk) blocks of CHUNK_ROWS rows, each checked as it is read.
-    Given the (n, d) learned at open, the header must still say n x d; given
-    the (st_size, st_mtime_ns) taken at open, the file's must still match."""
+    The header must say the `shape` (n, d) learned before; given the
+    (st_size, st_mtime_ns) taken at open, the file's must still match."""
     with open(path, "rb") as fh:
-        header = fh.read(len(BINARY_MAGIC) + 16)
-        if len(header) < len(BINARY_MAGIC) + 16:
-            raise DatasetFormatError(f"{path}: truncated header")
-        if header[:len(BINARY_MAGIC)] != BINARY_MAGIC:
-            raise DatasetFormatError(f"{path}: bad magic bytes {header[:6]!r}")
-        n, d = struct.unpack("<QQ", header[len(BINARY_MAGIC):])
-        if n < 1 or d < 1:
-            raise DatasetFormatError(f"{path}: empty dataset (n={n}, d={d})")
-        if shape is not None and (n, d) != shape:
+        n, d = _binary_header(fh, path)
+        if (n, d) != shape:
             raise DatasetFormatError(
                 f"{path}: header says {n} x {d}, but {shape[0]} x {shape[1]} when opened")
-        st = os.fstat(fh.fileno())
-        found = st.st_size - len(header)
-        if found != n * d * 8:
-            raise DatasetFormatError(
-                f"{path}: expected {n * d * 8} payload bytes, found {found}")
-        if stamp is not None and (st.st_size, st.st_mtime_ns) != stamp:
-            raise DatasetFormatError(f"{path}: changed since it was opened")
-        for start, chunk in _payload_chunks(fh, len(header), n, d, path):
+        if stamp is not None:
+            st = os.fstat(fh.fileno())
+            if (st.st_size, st.st_mtime_ns) != stamp:
+                raise DatasetFormatError(f"{path}: changed since it was opened")
+        for start, chunk in _payload_chunks(fh, _BINARY_HEADER, n, d, path):
             yield start, _finite(chunk, path, "row", range(start, start + len(chunk)))
             del chunk  # freed before the next chunk is read
 

@@ -145,6 +145,149 @@ def test_csv_skips_blanks_and_comments(tmp_path):
     assert np.array_equal(src.collect("load").data, [[1.0, 2.0], [3.0, 4.0]])
 
 
+def _finite_bit_patterns(rng, shape):
+    """Random float64 bit patterns, the non-finite ones replaced by zero, and
+    a first row of +-0, subnormals and +-max."""
+    x = rng.integers(0, 2 ** 64, size=shape, dtype=np.uint64).view(np.float64)
+    x = np.where(np.isfinite(x), x, 0.0)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+               np.finfo(np.float64).max, -np.finfo(np.float64).max]
+    x[0, :] = np.resize(special, shape[1])
+    return x
+
+
+@pytest.mark.parametrize("mode", ["memory", "streaming"])
+def test_csv_reads_random_bit_patterns_exactly(tmp_path, mode):
+    # write_csv's repr strings parse back to the same bits, sign of zero
+    # and subnormals included
+    data = _finite_bit_patterns(np.random.default_rng(11), (2 * CHUNK_ROWS + 5, 9))
+    path = tmp_path / "bits.csv"
+    write_csv(path, data)
+    got = open_source(path, mode).collect("load").data
+    assert np.array_equal(got.view(np.uint64), data.view(np.uint64))
+
+
+@pytest.mark.parametrize("fmt", ["%.17g", "%.6e", "%.3f"])
+def test_csv_parses_as_python_float(tmp_path, fmt):
+    # other spellings than repr's give the bits Python's float() gives
+    data = _finite_bit_patterns(np.random.default_rng(15), (CHUNK_ROWS + 5, 7))
+    text = "\n".join(",".join(fmt % v for v in row) for row in data) + "\n"
+    path = tmp_path / "spelled.csv"
+    path.write_text(text, encoding="utf-8")
+    expected = np.array([[float(v) for v in line.split(",")] for line in text.splitlines()])
+    got = open_source(path).collect("load").data
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1])
+def test_csv_with_comments_between_chunks_equals_binary(tmp_path, n):
+    # comment and blank lines, some of them indented, fall inside and between
+    # chunks; the CSV's rows and chunks are the binary file's
+    data = np.random.default_rng(n).standard_normal((n, 6))
+    write_binary(tmp_path / "a.bin", data)
+    with open(tmp_path / "a.csv", "w", encoding="utf-8") as fh:
+        fh.write("# header\n\n")
+        for i, row in enumerate(data):
+            if i % 300 == 299 or i == CHUNK_ROWS:
+                fh.write("  # note\n\n   \n")
+            fh.write(" , ".join(repr(float(v)) for v in row) + "\n")
+        fh.write("\n# trailer\n")
+    for mode in ("memory", "streaming"):
+        chunks = {}
+        for name in ("a.csv", "a.bin"):
+            src = open_source(tmp_path / name, mode)
+            assert (src.n, src.d) == (n, 6)
+            got = []
+            src.stream_pass_chunks("load", lambda s, c: got.append((s, c.copy())))
+            chunks[name] = got
+        assert [s for s, _ in chunks["a.csv"]] == [s for s, _ in chunks["a.bin"]]
+        assert np.array_equal(np.vstack([c for _, c in chunks["a.csv"]]).view(np.uint64),
+                              data.view(np.uint64))
+
+
+def test_csv_crlf_line_endings(tmp_path):
+    data = np.random.default_rng(12).standard_normal((CHUNK_ROWS + 3, 4))
+    path = tmp_path / "crlf.csv"
+    write_csv(path, data, header="windows")
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    for mode in ("memory", "streaming"):
+        assert np.array_equal(open_source(path, mode).collect("load").data, data)
+
+
+@pytest.mark.parametrize("n", [1, CHUNK_ROWS + 3])
+def test_one_column_csv(tmp_path, n):
+    data = np.random.default_rng(13).standard_normal((n, 1))
+    path = tmp_path / "column.csv"
+    write_csv(path, data)
+    for mode in ("memory", "streaming"):
+        src = open_source(path, mode)
+        assert (src.n, src.d) == (n, 1)
+        got = src.collect("load").data
+        assert got.shape == (n, 1)
+        assert np.array_equal(got, data)
+
+
+@pytest.mark.parametrize("mode", ["memory", "streaming"])
+@pytest.mark.parametrize("bad, message", [
+    pytest.param("zap,{rest}", "could not convert string 'zap'", id="non-numeric"),
+    pytest.param("{rest}", "expected 5 columns, found 4", id="short"),
+    pytest.param("{row},1.0", "expected 5 columns, found 6", id="long"),
+    pytest.param("inf,{rest}", "non-finite entry", id="inf"),
+    pytest.param("{row} # note", "could not convert string", id="trailing-comment"),
+    pytest.param(",{rest}", "could not convert string ''", id="empty-field"),
+    pytest.param("1_0,{rest}", "could not convert string '1_0'", id="digit-separator"),
+    pytest.param("\u0661,{rest}", "could not convert string", id="non-ascii-digit"),
+])
+def test_csv_error_past_first_chunk_names_line(tmp_path, mode, bad, message):
+    # a bad line in the second chunk fails the open, naming that line: the
+    # file's line 1 is a comment, so data row r sits on line r + 2
+    n, r = 2 * CHUNK_ROWS + 10, CHUNK_ROWS + 37
+    data = np.random.default_rng(14).standard_normal((n, 5))
+    path = tmp_path / "bad.csv"
+    write_csv(path, data, header="five columns")
+    lines = path.read_text(encoding="utf-8").split("\n")
+    row = lines[r + 1]
+    lines[r + 1] = bad.format(row=row, rest=row.split(",", 1)[1])
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=f"bad.csv: line {r + 2}: {message}"):
+        open_source(path, mode)
+
+
+def test_csv_chunk_of_another_width_names_its_first_line(tmp_path):
+    # every line of the second chunk agrees with the others but not with the
+    # file's first data line
+    path = tmp_path / "narrow.csv"
+    rows = ["1.0,2.0,3.0"] * CHUNK_ROWS + ["4.0,5.0"] * 10
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError,
+                       match=f"narrow.csv: line {CHUNK_ROWS + 1}: expected 3 columns, found 2"):
+        open_source(path)
+
+
+@pytest.mark.parametrize("mode", ["memory", "streaming"])
+@pytest.mark.parametrize("where", ["data", "comment", "past-first-chunk"])
+def test_csv_non_utf8_bytes_name_line(tmp_path, mode, where):
+    path = tmp_path / "latin.csv"
+    if where == "past-first-chunk":
+        n = 2 * CHUNK_ROWS
+        write_csv(path, np.ones((n, 3)))
+        path.write_bytes(path.read_bytes() + b"1.0,2.0,3\xff\n")
+        line = n + 1
+    else:
+        body = (b"# caf\xe9\n1.0,2.0\n" if where == "comment"
+                else b"# header\n1.0,2.0\n3.0,4\xff.0\n")
+        path.write_bytes(body)
+        line = 1 if where == "comment" else 3
+    with pytest.raises(DatasetFormatError, match=f"latin.csv: line {line}: not UTF-8 text"):
+        open_source(path, mode)
+
+
+def test_csv_accepts_utf8_comments(tmp_path):
+    path = tmp_path / "utf8.csv"
+    path.write_text("# café, naïve\n1.0,2.0\n", encoding="utf-8")
+    assert np.array_equal(open_source(path).collect("load").data, [[1.0, 2.0]])
+
+
 def _rewrite(path, fmt, data):
     (write_csv if fmt == "csv" else write_binary)(path, data)
 
@@ -281,8 +424,8 @@ def test_streamed_csv_pass_memory_and_spill_lifetime(tmp_path):
                                            ("streaming-collect", 1.25)])
 def test_open_binary_peak_memory(tmp_path, mode, payloads):
     # a streamed open reads one chunk at a time, so the payload is never
-    # resident; a memory open holds the rows at most twice (chunks, then the
-    # stacked rows), and a streamed collect fills one array chunk by chunk
+    # resident; a memory open and a streamed collect fill one array chunk by
+    # chunk (the memory open's tight bound is checked below)
     n, d = 20 * CHUNK_ROWS, 20
     path = tmp_path / "big.bin"
     write_binary(path, np.random.default_rng(4).standard_normal((n, d)))
@@ -296,6 +439,23 @@ def test_open_binary_peak_memory(tmp_path, mode, payloads):
         tracemalloc.stop()
     assert (src.n, src.d) == (n, d)
     assert peak < payloads * n * d * 8
+
+
+def test_memory_open_of_binary_holds_one_copy(tmp_path):
+    # the header gives n and d before any payload is read, so the rows go
+    # into one preallocated array: one payload plus one chunk in flight
+    n, d = 20 * CHUNK_ROWS, 20
+    data = np.random.default_rng(4).standard_normal((n, d))
+    path = tmp_path / "big.bin"
+    write_binary(path, data)
+    tracemalloc.start()
+    try:
+        src = open_source(path, "memory")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * n * d * 8 + CHUNK_ROWS * d * 8
+    assert np.array_equal(src.collect("load").data, data)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "bin"])
