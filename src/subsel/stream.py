@@ -14,6 +14,13 @@ spill file and the sha256 of the bytes parsed, and a later pass hashes the
 whole file, checks it against that digest, then reads the rows back from the
 spill.
 
+A pass of more than one chunk reads ahead on one reader thread, started
+and joined by the pass: it reads and checks chunk c + 1, and runs the
+caller's `prepare` stage on it, while the caller's visitor uses chunk c on
+the calling thread. The visitor still sees every chunk in order, so the
+arithmetic and the random draws it makes happen in the same order as in a
+one-thread pass. A pass of one chunk starts no thread.
+
 Also provides weighted reservoir sampling (many independent single draws in
 one pass, kept as per-row counts: a chunk thins each row's count by a
 binomial and refills the freed draws with one multinomial, at a cost that
@@ -30,10 +37,14 @@ import hashlib
 import io
 import math
 import os
+import queue
 import struct
 import tempfile
+import threading
 import weakref
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Iterator
 
 import numpy as np
@@ -129,33 +140,63 @@ class DatasetSource:
 
     # -- sequential access ---------------------------------------------------
 
-    def _chunks(self) -> Iterator[tuple[int, np.ndarray]]:
+    def _chunks(self, arrays: Iterator) -> Iterator[tuple[int, np.ndarray]]:
         """A memory source slices its rows. A streamed binary file is read
         again by its format's reader, checked against the size and mtime
         taken at open. A streamed CSV is hashed whole and checked against
         the digest taken at open, before any row is yielded; its rows then
-        come from the spill, as the reader parsed them."""
+        come from the spill, as the reader parsed them. Each chunk takes the
+        next item of `arrays`: a file's chunk is read into it, and a memory
+        source's chunk waits for it all the same, so a read-ahead paces both
+        alike."""
         if self.mode == "memory":
             data = self._points.data
-            for start in range(0, self.n, CHUNK_ROWS):
+            for start, _ in zip(range(0, self.n, CHUNK_ROWS), arrays):
                 yield start, data[start:start + CHUNK_ROWS]
         elif self._spill is None:
-            yield from _binary_rows(self.path, (self.n, self.d), self._stamp)
+            yield from _binary_rows(self.path, (self.n, self.d), arrays, self._stamp)
         else:
             if _sha256(self.path) != self._digest:
                 raise DatasetFormatError(f"{self.path}: changed since it was opened")
-            yield from _payload_chunks(self._spill, 0, self.n, self.d, f"spill of {self.path}")
+            yield from _payload_chunks(self._spill.fileno(), 0, self.n, self.d,
+                                       f"spill of {self.path}", arrays)
 
     def stream_pass_chunks(self, label: str,
                            visitor: Callable[[int, np.ndarray], None], *,
+                           prepare: Callable[[int, np.ndarray], None] | None = None,
                            reporting: bool = False) -> PassEntry:
-        """Visit every row once, in index order, as (start, chunk) blocks."""
+        """Visit every row once, in index order, as (start, chunk) blocks.
+
+        prepare(start, chunk), when given, runs on each chunk before
+        visitor(start, chunk) does. A pass of more than one chunk reads
+        ahead on one reader thread, which lives only as long as the pass:
+        while the visitor runs on chunk c on the calling thread, the reader
+        reads and checks chunk c + 1 and runs prepare on it, so prepare runs
+        in chunk order, at most one chunk ahead of the visitor. A pass of
+        one chunk runs both stages inline and starts no thread. prepare
+        hands its results to the visitor through state the caller owns, a
+        deque that prepare appends to and the visitor pops from, and touches
+        nothing else the visitor does. An error of the reader or of prepare
+        is raised here, after the visitor has seen every chunk before the
+        one it concerns. A file source's chunks are fresh arrays, allocated
+        on the calling thread, which a visitor may keep.
+        """
         entry = PassEntry(label, 0, self.n, reporting)
         self.pass_log.entries.append(entry)
-        for start, chunk in self._chunks():
-            visitor(start, chunk)
-            entry.rows_visited += len(chunk)
-            del chunk  # a streamed chunk is freed before the next is read
+        # a file's chunks are read into fresh arrays, taken here on the
+        # calling thread; a memory source's views are paced by None
+        arrays = repeat(None) if self.mode == "memory" else _fresh_arrays(self.n, self.d)
+        inline = self.n <= CHUNK_ROWS
+        chunks = self._chunks(arrays) if inline else _read_ahead(self._chunks, arrays, prepare)
+        try:
+            for start, chunk in chunks:
+                if inline and prepare is not None:
+                    prepare(start, chunk)
+                visitor(start, chunk)
+                entry.rows_visited += len(chunk)
+                del chunk  # freed before a third chunk is allocated
+        finally:
+            chunks.close()  # a pass that stops early stops its reader
         return entry
 
     def collect(self, label: str, *, reporting: bool = False) -> PointSet:
@@ -209,7 +250,7 @@ def open_source(path_or_points, mode: str = "memory") -> DatasetSource:
         st = os.stat(path)
         stamp = (st.st_size, st.st_mtime_ns)
     data = np.empty(shape) if mode == "memory" else None
-    for start, chunk in _binary_rows(path, shape, stamp):
+    for start, chunk in _binary_rows(path, shape, _fresh_arrays(*shape), stamp):
         if data is not None:
             data[start:start + len(chunk)] = chunk
     # the reader checked every chunk; data is the one copy kept
@@ -228,6 +269,7 @@ def _open_csv(path: str, mode: str) -> DatasetSource:
     try:
         for start, chunk in _csv_rows(path, digest):
             spill.write(chunk.astype("<f8", copy=False))
+        spill.flush()  # a pass reads the spill by its file descriptor
     except BaseException:
         spill.close()
         raise
@@ -389,12 +431,13 @@ def _binary_header(fh, path: str) -> tuple[int, int]:
     return n, d
 
 
-def _binary_rows(path: str, shape: tuple[int, int],
+def _binary_rows(path: str, shape: tuple[int, int], arrays: Iterator[np.ndarray],
                  stamp: tuple[int, int] | None = None,
                  ) -> Iterator[tuple[int, np.ndarray]]:
-    """(start, chunk) blocks of CHUNK_ROWS rows, each checked as it is read.
-    The header must say the `shape` (n, d) learned before; given the
-    (st_size, st_mtime_ns) taken at open, the file's must still match."""
+    """(start, chunk) blocks of CHUNK_ROWS rows, each read into the next of
+    `arrays` (see _fresh_arrays) and checked. The header must say the
+    `shape` (n, d) learned before; given the (st_size, st_mtime_ns) taken at
+    open, the file's must still match."""
     with open(path, "rb") as fh:
         n, d = _binary_header(fh, path)
         if (n, d) != shape:
@@ -404,25 +447,84 @@ def _binary_rows(path: str, shape: tuple[int, int],
             st = os.fstat(fh.fileno())
             if (st.st_size, st.st_mtime_ns) != stamp:
                 raise DatasetFormatError(f"{path}: changed since it was opened")
-        for start, chunk in _payload_chunks(fh, _BINARY_HEADER, n, d, path):
+        for start, chunk in _payload_chunks(fh.fileno(), _BINARY_HEADER, n, d, path, arrays):
             yield start, _finite(chunk, path, "row", range(start, start + len(chunk)))
-            del chunk  # freed before the next chunk is read
 
 
-def _payload_chunks(fh, offset: int, n: int, d: int, name: str,
-                    ) -> Iterator[tuple[int, np.ndarray]]:
-    """n rows of d little-endian float64s stored from byte `offset` of fh,
-    CHUNK_ROWS at a time. Every read seeks first, so passes that share one
-    file object (a spill) may nest."""
+def _fresh_arrays(n: int, d: int) -> Iterator[np.ndarray]:
+    """An unfilled array for each chunk of n rows of d little-endian
+    float64s, in order, each allocated as it is taken."""
     for start in range(0, n, CHUNK_ROWS):
-        count = min(CHUNK_ROWS, n - start)
-        fh.seek(offset + start * d * 8)
-        raw = fh.read(count * d * 8)
-        if len(raw) != count * d * 8:
-            raise DatasetFormatError(
-                f"{name}: payload ends inside rows {start}..{start + count - 1}")
-        yield start, np.frombuffer(raw, dtype="<f8").reshape(count, d)
-        del raw  # freed before the next chunk is read
+        yield np.empty((min(CHUNK_ROWS, n - start), d), dtype="<f8")
+
+
+def _payload_chunks(fd: int, offset: int, n: int, d: int, name: str,
+                    arrays: Iterator[np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
+    """n rows of d little-endian float64s stored from byte `offset` of the
+    file open as fd, CHUNK_ROWS at a time, each read into the next of
+    `arrays` by positional reads: no read moves a shared file position, so
+    passes over one file (a spill) may nest, on any threads."""
+    for start, out in zip(range(0, n, CHUNK_ROWS), arrays):
+        at = offset + start * d * 8
+        view = memoryview(out).cast("B")
+        done = 0
+        while done < len(view):
+            count = os.preadv(fd, [view[done:]], at + done)
+            if not count:
+                raise DatasetFormatError(
+                    f"{name}: payload ends inside rows {start}..{start + len(out) - 1}")
+            done += count
+        yield start, out
+
+
+# handed to a reader thread in place of a chunk's array: end the pass
+_STOP = object()
+
+
+def _read_ahead(chunks_of: Callable[[Iterator], Iterator[tuple[int, np.ndarray]]],
+                arrays: Iterator, prepare: Callable[[int, np.ndarray], None] | None,
+                ) -> Iterator[tuple[int, np.ndarray]]:
+    """The chunks of chunks_of(handed), each after prepare(start, chunk) ran
+    on it, read and prepared on one reader thread while the caller uses the
+    chunk before.
+
+    The reader takes each chunk's item of `arrays` from the calling thread,
+    handed over as the caller takes the chunk before, so it runs at most one
+    chunk ahead and allocates no chunk. An error of the reader is raised
+    here, in its place among the chunks. Closing the generator stops the
+    reader, after at most the chunk it is on, and joins it.
+    """
+    inbox, outbox = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def handed() -> Iterator:
+        while (item := inbox.get()) is not _STOP:
+            yield item
+
+    def read() -> None:
+        chunks = chunks_of(handed())
+        try:
+            for start, chunk in chunks:
+                if prepare is not None:
+                    prepare(start, chunk)
+                outbox.put((start, chunk))
+            outbox.put(None)
+        except BaseException as exc:  # raised on the calling thread instead
+            outbox.put(exc)
+        finally:
+            chunks.close()
+
+    reader = threading.Thread(target=read, name="subsel-read-ahead", daemon=True)
+    inbox.put(next(arrays))
+    reader.start()
+    try:
+        while (item := outbox.get()) is not None:
+            if isinstance(item, BaseException):
+                raise item
+            inbox.put(next(arrays, _STOP))
+            yield item
+    finally:
+        inbox.put(_STOP)
+        reader.join()
 
 
 def _finite(chunk: np.ndarray, path: str, unit: str, labels) -> np.ndarray:
@@ -631,7 +733,9 @@ def weighted_reservoir_sample(source: DatasetSource, weight_fn, slots: int,
     in a store of min(n, slots) rows.
 
     weight_fn maps a (rows, d) chunk to a (rows,) vector of nonnegative
-    weights. Raises DegenerateWeightsError when every row has weight zero.
+    weights. It runs in the pass's visitor, on the calling thread, since an
+    arbitrary callable need not be thread-safe; only the reads run ahead.
+    Raises DegenerateWeightsError when every row has weight zero.
     """
     bank = ReservoirBank(slots, rng, RowStore(min(source.n, slots), source.d))
 
@@ -675,20 +779,27 @@ def proposal_prefetch_pass(source: DatasetSource, pivot_basis: OrthonormalBasis,
     end, so the caller mixes the banks afterwards. The uniform counts are
     drawn before the pass by _uniform_counts, and the pass only writes their
     rows. Both banks keep their rows in one RowStore of 2 min(n, slots) rows,
-    each row written once, as its chunk is visited. Returns (err_p_pivot,
-    residual bank or None when the pivot span fits everything, uniform
-    bank).
+    each row written once, as its chunk is visited. The residuals^p are the
+    pass's prepare stage, so they run ahead on the reader thread; the offers
+    and captures stay on the calling thread, in chunk order. Returns
+    (err_p_pivot, residual bank or None when the pivot span fits
+    everything, uniform bank).
     """
     store = RowStore(2 * min(source.n, slots), source.d)
     bank_w = ReservoirBank(slots, derive_rng(seed, "bank-residual", label), store)
     rows, counts = _uniform_counts(derive_rng(seed, "bank-uniform", label), source.n, slots)
     bank_u = CountBank(rows, counts, store)
 
+    weights: deque[np.ndarray] = deque()
+
+    def prepare(start: int, chunk: np.ndarray) -> None:
+        weights.append(residual_distances(chunk, pivot_basis) ** p)
+
     def visit(start: int, chunk: np.ndarray) -> None:
-        bank_w.offer(start, chunk, residual_distances(chunk, pivot_basis) ** p)
+        bank_w.offer(start, chunk, weights.popleft())
         bank_u.capture(start, chunk)
 
-    source.stream_pass_chunks(label, visit)
+    source.stream_pass_chunks(label, visit, prepare=prepare)
     err = bank_w.total_weight
     return err, (bank_w if err > 0.0 else None), bank_u
 
@@ -703,16 +814,20 @@ def length_squared_pass(source: DatasetSource, slots: int, rng: np.random.Genera
     Each chunk is rescaled once, by its own power of two 2**e: its rows'
     squared norms go to the bank in units of 4**e, so no weight overflows or
     underflows, and a streamed pass adds the rescaled chunk's Gram to a
-    _Pow2Sum at 4**e.
-    Chunks are the Gram kernel's blocks, so that sum has the bits of
-    PointSet._full_gram, which a memory source reads instead. Returns
+    _Pow2Sum at 4**e. The rescale (in the reader's one scratch block), that
+    sum and the squared norms are the pass's prepare stage, run ahead on
+    the reader thread in chunk order; the offers, the copies into the kept
+    rows and every draw stay on the calling thread. Chunks are the Gram
+    kernel's blocks, so the sum has the bits of PointSet._full_gram, which
+    a memory source reads instead. Returns
     ((e, g), bank, points), the Gram being g * 4**e and the bank's `ids` in
     random order (none when every row is zero). `points` holds every row: a
     memory source's own, or, when n <= slots, the n rows a streamed pass
     keeps in place of a store of min(n, slots) drawn rows; the bank then
     stores none. Only a streamed pass over more than `slots` rows stores the
     drawn rows, at most `slots` of them, in the bank's RowStore, and returns
-    points None. It also holds the d x d Gram and one rescaled chunk.
+    points None. It also holds the d x d Gram, two chunks (the one visited
+    and the one read ahead) and the reader's scratch block.
     """
     points = source._points
     keep = np.empty((source.n, source.d)) if points is None and source.n <= slots else None
@@ -720,17 +835,22 @@ def length_squared_pass(source: DatasetSource, slots: int, rng: np.random.Genera
     bank = ReservoirBank(slots, rng, store)
     acc = _Pow2Sum((source.d, source.d)) if source.mode == "streaming" else None
     buf = np.empty((min(source.n, CHUNK_ROWS), source.d))
+    norms: deque[tuple[int, np.ndarray]] = deque()
 
-    def visit(start: int, chunk: np.ndarray) -> None:
-        if keep is not None:
-            keep[start:start + len(chunk)] = chunk
+    def prepare(start: int, chunk: np.ndarray) -> None:
         e = _pow2_exponent(chunk)
         y = np.ldexp(chunk, -e, out=buf[:len(chunk)])
         if acc is not None:
             acc.add(2 * e, y.T @ y)
-        bank.offer(start, chunk, np.einsum("ij,ij->i", y, y), 2 * e)
+        norms.append((2 * e, np.einsum("ij,ij->i", y, y)))
 
-    source.stream_pass_chunks(label, visit)
+    def visit(start: int, chunk: np.ndarray) -> None:
+        if keep is not None:
+            keep[start:start + len(chunk)] = chunk
+        e2, sq = norms.popleft()
+        bank.offer(start, chunk, sq, e2)
+
+    source.stream_pass_chunks(label, visit, prepare=prepare)
     bank.finish()
     if keep is not None:
         # the reader checked every chunk's shape and finiteness

@@ -1,7 +1,12 @@
+import hashlib
 import itertools
 import math
 import os
+import sys
+import threading
+import time
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -9,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subsel.linalg import PointSet, err_p, optimal_subspace, orthonormal_basis, residual_distances
+from subsel.outliers import robust_select
 from subsel.rng import derive_rng
+from subsel.samplers import SamplingConfig, select_subset
 from subsel.stream import (
     CHUNK_ROWS,
     DatasetFormatError,
@@ -567,6 +574,285 @@ def test_chunked_pass_spans_chunk_boundary(tmp_path):
     assert [g[0] for g in got] == [0, CHUNK_ROWS]
     assert np.allclose(np.vstack([g[1] for g in got]), data)
     assert src.pass_log.total_passes == 1
+
+
+# ---------------------------------------------------------------------------
+# read-ahead: prepare runs on one reader thread that lives only in its pass
+# ---------------------------------------------------------------------------
+
+def _three_chunk_source(tmp_path, fmt, seed=10):
+    n, d = 2 * CHUNK_ROWS + 9, 4
+    data = np.random.default_rng(seed).standard_normal((n, d))
+    if fmt == "memory":
+        return open_source(PointSet(data)), data
+    path = tmp_path / f"three.{fmt}"
+    (write_csv if fmt == "csv" else write_binary)(path, data)
+    return open_source(path, "streaming"), data
+
+
+@pytest.mark.parametrize("fmt", ["memory", "csv", "bin"])
+def test_prepare_runs_ahead_on_one_thread_in_order(tmp_path, fmt):
+    # prepare sees every chunk in order on another thread, at most one chunk
+    # ahead of the visitor, and its results reach the visitor through a
+    # deque; the reader is joined when the pass returns
+    src, data = _three_chunk_source(tmp_path, fmt)
+    before = threading.active_count()
+    sums, prepared, visited, threads = deque(), [], [], []
+
+    def prepare(start, chunk):
+        prepared.append((start, threading.get_ident()))
+        sums.append(chunk.sum(axis=1))
+
+    def visit(start, chunk):
+        time.sleep(0.01)  # time for the reader to run ahead, if it would
+        assert len(prepared) <= len(visited) + 2
+        threads.append(threading.active_count())
+        np.testing.assert_array_equal(sums.popleft(), chunk.sum(axis=1))
+        visited.append((start, chunk.copy()))
+
+    entry = src.stream_pass_chunks("ahead", visit, prepare=prepare)
+    assert entry.complete and not sums
+    # the reader still has the last chunk to read while the first is visited
+    assert threads[0] == max(threads) == before + 1
+    assert threading.active_count() == before
+    assert [s for s, _ in prepared] == [s for s, _ in visited] == [0, CHUNK_ROWS, 2 * CHUNK_ROWS]
+    assert {t for _, t in prepared} != {threading.get_ident()}
+    assert np.array_equal(np.vstack([c for _, c in visited]), data)
+
+
+@pytest.mark.parametrize("fmt", ["memory", "csv", "bin"])
+def test_failed_visitor_stops_the_reader(tmp_path, fmt):
+    src, _ = _three_chunk_source(tmp_path, fmt)
+    before = threading.active_count()
+
+    def visit(start, chunk):
+        if start > 0:
+            raise RuntimeError("abort")
+
+    with pytest.raises(RuntimeError, match="abort"):
+        src.stream_pass_chunks("doomed", visit, prepare=lambda s, c: None)
+    assert threading.active_count() == before
+    assert src.pass_log.entries[-1].rows_visited == CHUNK_ROWS
+
+
+@pytest.mark.parametrize("fmt", ["memory", "csv", "bin"])
+def test_failed_prepare_is_raised_on_the_calling_thread(tmp_path, fmt):
+    # the error comes in its place among the chunks: after the visitor has
+    # seen every chunk before the one prepare failed on
+    src, _ = _three_chunk_source(tmp_path, fmt)
+    before = threading.active_count()
+    seen = []
+
+    def prepare(start, chunk):
+        if start == CHUNK_ROWS:
+            raise ValueError(f"bad chunk at {start}")
+
+    with pytest.raises(ValueError, match=f"bad chunk at {CHUNK_ROWS}"):
+        src.stream_pass_chunks("doomed", lambda s, c: seen.append(s), prepare=prepare)
+    assert threading.active_count() == before
+    assert seen == [0]
+    assert src.pass_log.entries[-1].rows_visited == CHUNK_ROWS
+
+
+def test_reader_error_past_a_restored_mtime_names_the_row(tmp_path):
+    # a NaN written into the third chunk of a streamed binary file, with the
+    # size kept and the mtime put back, is caught by the reader ahead of the
+    # visitor and raised on the calling thread, naming its row
+    n, d = 3 * CHUNK_ROWS + 7, 4
+    data = np.random.default_rng(12).standard_normal((n, d))
+    path = tmp_path / "nan.bin"
+    write_binary(path, data)
+    opened = os.stat(path).st_mtime_ns
+    src = open_source(path, "streaming")
+    bad = data.copy()
+    bad[2 * CHUNK_ROWS + 3, 1] = np.nan
+    write_binary(path, bad)
+    os.utime(path, ns=(opened, opened))
+    before = threading.active_count()
+    seen = []
+    with pytest.raises(DatasetFormatError, match=f"nan.bin: row {2 * CHUNK_ROWS + 3}: non-finite"):
+        src.stream_pass_chunks("after", lambda s, c: seen.append(s), prepare=lambda s, c: None)
+    assert seen == [0, CHUNK_ROWS]
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("fmt", ["memory", "csv", "bin"])
+def test_one_chunk_pass_starts_no_thread(tmp_path, fmt, monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a one-chunk pass started a thread")
+
+    data = np.random.default_rng(13).standard_normal((CHUNK_ROWS, 3))
+    if fmt == "memory":
+        src = open_source(PointSet(data))
+    else:
+        path = tmp_path / f"one.{fmt}"
+        (write_csv if fmt == "csv" else write_binary)(path, data)
+        src = open_source(path, "streaming")
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    order = []
+    src.stream_pass_chunks("one", lambda s, c: order.append(("visit", s)),
+                           prepare=lambda s, c: order.append(("prepare", s)))
+    assert order == [("prepare", 0), ("visit", 0)]
+    assert src.pass_log.entries[-1].complete
+
+
+@pytest.mark.parametrize("fmt", ["csv", "bin"])
+def test_passes_with_prepare_may_nest(tmp_path, fmt):
+    # an inner pass inside an outer pass's visitor runs its own reader; both
+    # read the one file (a CSV's spill) at their own offsets
+    src, data = _three_chunk_source(tmp_path, fmt, seed=14)
+    before = threading.active_count()
+    outer, inner, prepared = [], [], []
+
+    def visit(start, chunk):
+        if start == CHUNK_ROWS:
+            src.stream_pass_chunks("inner", lambda s, c: inner.append(c),
+                                   prepare=lambda s, c: prepared.append(("inner", c.copy())))
+        outer.append(chunk)
+
+    src.stream_pass_chunks("outer", visit,
+                           prepare=lambda s, c: prepared.append(("outer", c.copy())))
+    assert threading.active_count() == before
+    assert np.array_equal(np.vstack(outer), data)
+    assert np.array_equal(np.vstack(inner), data)
+    for name in ("outer", "inner"):
+        assert np.array_equal(np.vstack([c for who, c in prepared if who == name]), data)
+
+
+def test_nested_read_ahead_under_frequent_thread_switches(tmp_path):
+    # three passes nested in one another (three threads on two cores),
+    # switching threads every microsecond: each visitor still pops its own
+    # prepare's result for its own chunk, in order
+    src, data = _three_chunk_source(tmp_path, "bin", seed=15)
+    starts = list(range(0, len(data), CHUNK_ROWS))
+    before = threading.active_count()
+
+    def run(depth):
+        sums, seen = deque(), []
+
+        def visit(start, chunk):
+            assert sums.popleft() == (start, float(chunk.sum()))
+            if depth < 2 and start == CHUNK_ROWS:
+                run(depth + 1)
+            seen.append(start)
+
+        src.stream_pass_chunks(f"depth {depth}", visit,
+                               prepare=lambda s, c: sums.append((s, float(c.sum()))))
+        assert seen == starts and not sums
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            run(0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+
+
+# ---------------------------------------------------------------------------
+# pinned seeded selections
+# ---------------------------------------------------------------------------
+
+# (call, seed) -> (sha256 of basis.vectors.tobytes(), selected_ids) of a
+# streamed selection on the instance of pinned_inputs, recorded from
+# one-thread passes
+PINNED_SELECTIONS = {
+    ("select_subset", 1): (
+        "a9db7a969c8ff57c2e1e5a464f93bd369a6ac09544dd9f99b6552e1063101403",
+        (754, 2199, 492, 883, 2173, 1746, 99, 1669, 2103, 820, 2066, 579, 2966, 1046,
+         1647, 765, 593, 839, 139, 745, 301, 2238, 1071, 2253, 2338, 2844, 1571, 158,
+         634, 2816, 394, 634, 2604, 1530, 2354, 1796, 1553, 1419, 339, 1829, 466, 1104,
+         2051, 2938, 9, 2149, 1903, 1598, 1647, 2104, 2221),
+    ),
+    ("select_subset", 2): (
+        "ee2ad2120cad63825ade61787d848f9177e9a3690521a8ab26be76f2cdd938e4",
+        (2233, 2485, 1169, 619, 1210, 2861, 2306, 1746, 2025, 1008, 2454, 2865, 1571,
+         2196, 1363, 2821, 1046, 2629, 1671, 2191, 926, 194, 856, 433, 1363, 600, 2309,
+         1104, 1561, 1289, 900, 1756, 1688, 800, 2607, 1665, 956, 1796, 515, 2473, 1746,
+         39, 1796, 2134, 1786, 2717, 2749, 444, 1104, 1934, 359),
+    ),
+    ("select_subset", 3): (
+        "15fc20c8fb49dfa27ca6d3cfb988a1aac04e328ecf9b1847e1b231b7a914a215",
+        (1412, 2310, 629, 514, 1581, 2481, 1617, 561, 1299, 43, 68, 1691, 967, 725, 636,
+         804, 2056, 1667, 263, 1248, 1179, 798, 1875, 1041, 2382, 2922, 365, 2309, 600,
+         1486, 2938, 1428, 798, 1598, 1107, 1101, 2475, 2861, 1671, 1741, 2629, 514,
+         1796, 1875, 565, 2091, 146, 2882, 2942, 2156, 158),
+    ),
+    ("robust_select", 1): (
+        "6c56069950e6dad67c61d6da2548c4c8ef62a3a148630d08f5e979fa5f74acf5",
+        (754, 2199, 492, 2253, 1214, 1372, 1129, 2066, 141, 1391, 1599, 2438, 800, 766,
+         2677, 1861, 1391, 1459, 1647, 2840, 2291, 2171, 439, 2846, 1380, 907, 2247,
+         798, 746, 30, 1155, 2866, 1295, 1234, 710, 2405, 798, 1766, 157, 2844, 2356,
+         2488, 2033, 384, 230, 812, 2706, 787, 914, 444, 314, 656, 1896, 905, 2850,
+         1989, 313, 2735, 1953, 2781, 813, 600, 1603, 2593, 1988, 1978, 1676, 2703,
+         2618, 1138, 1111, 1950, 1420, 2334, 816, 2930, 1598, 1312, 146, 1068, 2438,
+         1712, 2480, 871, 847, 1372, 3028, 756, 2998, 2116, 1043, 1731, 1100, 627, 1060,
+         2896, 329, 1952, 717),
+    ),
+    ("robust_select", 2): (
+        "185fa78d6980895b111ef380b187a38078ff5cec08c0395d5190254f904dfed0",
+        (2233, 2485, 1169, 1598, 2865, 727, 2532, 1054, 2020, 2253, 1058, 168, 127, 339,
+         2746, 568, 1617, 1565, 1848, 1108, 111, 2505, 2354, 1244, 926, 2156, 158, 1746,
+         2250, 1355, 1323, 2894, 339, 2967, 765, 1595, 2015, 2746, 323, 2475, 1232, 332,
+         852, 1756, 2473, 2354, 1289, 1875, 1046, 847, 2333, 1437, 292, 1265, 2483, 301,
+         2010, 1120, 39, 1036, 338, 2301, 3019, 1892, 866, 2211, 775, 387, 740, 2139,
+         516, 2347, 1927, 1532, 310, 3015, 1442, 2897, 2124, 1825, 1980, 1693, 750,
+         2074, 2725, 2120, 2406, 948, 1152, 2299, 1877, 242, 142, 977, 376, 2015, 1647,
+         1000, 723),
+    ),
+    ("robust_select", 3): (
+        "72362839f92efe6c09293ad7773ac3fd281aa4dd953c8a782e05d683d4a17489",
+        (1412, 2310, 629, 1238, 619, 1616, 2750, 1614, 1297, 850, 1746, 1934, 158, 780,
+         850, 3074, 749, 3016, 2958, 2553, 2134, 2915, 2062, 2532, 798, 29, 2861, 1228,
+         3038, 154, 2626, 2846, 852, 2001, 1753, 2242, 31, 2020, 798, 2066, 1093, 12,
+         1598, 2743, 1608, 1598, 107, 787, 1239, 2419, 2578, 270, 338, 1637, 2299, 2945,
+         1306, 2691, 1382, 2242, 828, 1314, 46, 808, 2165, 2959, 1676, 368, 2190, 1976,
+         1917, 685, 1405, 1107, 1171, 723, 1386, 1050, 150, 1542, 1574, 1119, 359, 2123,
+         1026, 2623, 1326, 1851, 2297, 373, 2183, 950, 2733, 2163, 634, 2764, 2032,
+         2653, 501),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_inputs(tmp_path_factory):
+    pts, _ = generate_synthetic(3 * CHUNK_ROWS + 7, 40, rank=3, noise_sigma=0.3,
+                                outlier_frac=0.05, outlier_scale=3.0, seed=5)
+    folder = tmp_path_factory.mktemp("pinned")
+    write_binary(folder / "x.bin", pts.data)
+    write_csv(folder / "x.csv", pts.data)
+    return folder
+
+
+@pytest.mark.parametrize("fmt", ["bin", "csv"])
+@pytest.mark.parametrize("call, seed", list(PINNED_SELECTIONS))
+def test_streamed_selection_is_pinned(pinned_inputs, fmt, call, seed):
+    # a reordered offer or Gram add would move a selection in memory and
+    # streaming mode alike, which no comparison of the two modes can see
+    src = open_source(pinned_inputs / f"x.{fmt}", "streaming")
+    if call == "select_subset":
+        result = select_subset(src, SamplingConfig(k=3, epsilon=0.5, seed=seed, chain_steps=16))
+    else:
+        result, _ = robust_select(src, 3, 0.5, 0.05, 0.5, seed=seed, chain_steps=16)
+    digest, ids = PINNED_SELECTIONS[call, seed]
+    assert result.selected_ids == ids
+    assert hashlib.sha256(result.basis.vectors.tobytes()).hexdigest() == digest
+
+
+# (exponent, sha256 of the mantissa) of the Gram a streamed
+# length_squared_pass sums over the instance of pinned_inputs, recorded from
+# one-thread passes
+PINNED_GRAM = (2, "59feb1685cb277fa1a075a287cbe83c98e9af7661a0d3846fcd58aef21ebb0d2")
+
+
+@pytest.mark.parametrize("fmt", ["bin", "csv"])
+def test_streamed_gram_is_pinned(pinned_inputs, fmt):
+    # a selection rarely moves with the Gram's last bits, so the order of the
+    # chunks' Gram adds is pinned on its own
+    src = open_source(pinned_inputs / f"x.{fmt}", "streaming")
+    (e, g), _, _ = length_squared_pass(src, 64, derive_rng(0, "pinned-gram"), label="pin")
+    assert (e, hashlib.sha256(g.tobytes()).hexdigest()) == PINNED_GRAM
 
 
 # ---------------------------------------------------------------------------
