@@ -16,7 +16,12 @@ that one Gram, while the trimmed fit sums its own over the
 rows it keeps, which change with every span. The block kernels
 (`_scaled_blocks`, `residual_distances`) work in one reused scratch block
 per call: they form no rescaled copy of X, no n-row product and no
-per-block temporary. Subspaces come from the Gram;
+per-block temporary. The Gram's blocks are RESIDUAL_BLOCK_ROWS rows, the
+rows of a source's chunk; `residual_distances` walks cache-sized tiles
+instead, at most 2**17 floats each (512 rows at d = 200), so a tile and its
+residual stay in a 2 MB L2 cache. Tile rows are a power of two that divides
+the chunk's, so a streamed chunk splits into the same tiles as the whole
+array. Subspaces come from the Gram;
 their errors from a direct residual pass, never trace minus eigenvalues.
 The Gram squares condition numbers, so rank is cut at eigenvalues <= 1e-12
 of the largest (singular values 1e-6). Results repeat bit for bit under
@@ -35,10 +40,16 @@ import numpy as np
 # the largest input row norm are treated as linearly dependent.
 RANK_TOL = 1e-9
 
-# Rows per block of the residual and Gram passes, and per chunk of a source's
-# pass (stream.CHUNK_ROWS), so a streamed Gram sums the kernel's blocks: 1024
-# rows of d = 200 are 1.6 MB.
+# Rows per block of the Gram pass (_scaled_blocks), and per chunk of a
+# source's pass (stream.CHUNK_ROWS), so a streamed Gram sums the kernel's
+# blocks: 1024 rows of d = 200 are 1.6 MB.
 RESIDUAL_BLOCK_ROWS = 1024
+
+# Floats per tile of residual_distances: a tile and its residual, 1 MB each,
+# fit a 2 MB L2 cache. With one BLAS thread on a 2 MB-L2 x86 core, at d = 200
+# and a rank-5 span, 1024-row tiles ran about 29% slower than 512-row ones,
+# and 256-row ones no faster.
+RESIDUAL_TILE_FLOATS = 1 << 17
 
 # A p = 2 error at or below this fraction of ||X||_F^2 is rounding noise (an
 # exact fit): residuals below 1e-12 of the data's scale.
@@ -306,13 +317,23 @@ def extend_basis(basis: OrthonormalBasis, new_rows: np.ndarray,
     return OrthonormalBasis(basis.d, vecs, basis.source_ids + tuple(int(i) for i in new_ids))
 
 
+def _tile_rows(d: int) -> int:
+    """Rows per tile of residual_distances at dimension d: the largest power
+    of two with rows * d <= RESIDUAL_TILE_FLOATS, at most RESIDUAL_BLOCK_ROWS
+    (which it therefore divides) and at least 1."""
+    return min(RESIDUAL_BLOCK_ROWS, 1 << (max(1, RESIDUAL_TILE_FLOATS // d).bit_length() - 1))
+
+
 def residual_distances(rows: np.ndarray, basis: OrthonormalBasis) -> np.ndarray:
     """Euclidean distances of each row to span(basis), vectorized.
 
-    Rows go RESIDUAL_BLOCK_ROWS at a time through one scratch block that
-    holds the projection and then the residual, so the temporaries are one
-    block whatever the row count. Each block's residuals are rescaled in
-    place by their own power of two, so extreme scales cannot overflow.
+    Rows go `_tile_rows(d)` at a time (512 at d = 200, 1024 at d <= 128)
+    through one scratch tile that holds the projection and then the
+    residual, so the temporaries are one tile whatever the row count, and a
+    tile and its residual stay in cache. Each tile's residuals are rescaled
+    in place by their own power of two, so extreme scales cannot overflow.
+    Tiles divide a source's chunk, so a chunk's rows get the bits they get
+    in the whole array.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     if rows.shape[1] != basis.d:
@@ -320,10 +341,11 @@ def residual_distances(rows: np.ndarray, basis: OrthonormalBasis) -> np.ndarray:
     n = len(rows)
     out = np.empty(n)
     v = basis.vectors
-    buf = np.empty((min(n, RESIDUAL_BLOCK_ROWS), basis.d))
+    tile = _tile_rows(basis.d)
+    buf = np.empty((min(n, tile), basis.d))
     coef = np.empty((len(buf), basis.r))
-    for lo in range(0, n, RESIDUAL_BLOCK_ROWS):
-        block = rows[lo:lo + RESIDUAL_BLOCK_ROWS]
+    for lo in range(0, n, tile):
+        block = rows[lo:lo + tile]
         resid, dist = buf[:len(block)], out[lo:lo + len(block)]
         if basis.r:
             np.matmul(np.matmul(block, v.T, out=coef[:len(block)]), v, out=resid)
@@ -333,6 +355,15 @@ def residual_distances(rows: np.ndarray, basis: OrthonormalBasis) -> np.ndarray:
         np.sqrt(np.einsum("ij,ij->i", resid, resid, out=dist), out=dist)
         np.ldexp(dist, e, out=dist)
     return out
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's Euclidean norm, the row rescaled by its own power of two,
+    so no norm overflows or underflows and none depends on the rows it
+    comes with."""
+    e = np.frexp(np.abs(rows).max(axis=1, initial=0.0))[1]
+    y = np.ldexp(rows, -e[:, None])
+    return np.ldexp(np.sqrt(np.einsum("ij,ij->i", y, y)), e)
 
 
 def _check_p(p: float, least: float = 1.0) -> None:

@@ -33,6 +33,7 @@ from .linalg import (
     _check_p,
     _eigh_desc,
     _pow2_exponent,
+    _row_norms,
     _scaled_blocks,
     extend_basis,
     gram_dets,
@@ -44,6 +45,7 @@ from .stream import (
     DatasetSource,
     DegenerateWeightsError,
     PassLog,
+    RowStore,
     _check_beta_lambda,
     as_source,
     length_squared_pass,
@@ -790,14 +792,20 @@ def mcmc_select(source_or_points, pivot: OrthonormalBasis, params: DerivedParams
 
     The pass writes each drawn row's coordinates once, into the banks'
     RowStore of at most 2 min(n, slots) rows, and that store is the pool:
-    no row is copied again. SlotBudgetError is also raised before the pass
-    when that store plus one dealt block would not fit in physical memory
-    (_check_memory). A round in which
-    every pool row that still holds proposals has a residual at most
-    RANK_TOL times its norm (the rows extend_basis would drop as dependent)
-    is saturated: it and every later round select t uniform draws that no
-    chain was dealt, with a warning. The result's basis spans the
-    selection; grading it is the caller's scan.
+    no row is copied again. The pool's pivot residuals d_piv, and so its
+    weights and q, are the ones the pass computed for the rows it stored:
+    no pool row is measured against the pivot again, and the weights are
+    exactly those the residual bank was offered. A later round measures the
+    entries that still hold draws against the span so far. SlotBudgetError
+    is also raised before the pass when that store plus one dealt block
+    would not fit in physical memory (_check_memory). A round in which every
+    pool row that still holds proposals has a residual at most RANK_TOL
+    times its norm (the rows extend_basis would drop as dependent) is
+    saturated: it and every later round select t uniform draws that no
+    chain was dealt, with a warning. The test (_pool_fits) reads one row's
+    norm first, that of the entry with the largest residual, and the
+    others' only when that row does not refute saturation. The result's
+    basis spans the selection; grading it is the caller's scan.
     """
     _check_p(p)
     source = as_source(source_or_points)
@@ -806,7 +814,7 @@ def mcmc_select(source_or_points, pivot: OrthonormalBasis, params: DerivedParams
     t, l, m = params.points_per_round, params.rounds, params.chain_steps
     certify = not params.explicit_m
     slots = _check_memory(n, source.d, params)
-    err_pivot, bank_w, bank_u = proposal_prefetch_pass(
+    err_pivot, bank_w, bank_u, d_piv = proposal_prefetch_pass(
         source, pivot, p, slots, seed, label="mcmc:select")
 
     # the pool is the banks' store: entry c is the row in cell c, a row in
@@ -834,12 +842,8 @@ def mcmc_select(source_or_points, pivot: OrthonormalBasis, params: DerivedParams
     spare = bank_u.counts - stock[uni]
     del bank_w, bank_u  # the pool keeps the store
 
-    def pool_residuals(span: OrthonormalBasis) -> np.ndarray:
-        return np.concatenate([residual_distances(rows, span) for rows in store.blocks()])
-
-    d_piv = pool_residuals(pivot)
+    # the pass's own pivot residuals, so the pool's weights are the bank's
     d_cur = d_piv.copy()
-    fit_tol = RANK_TOL * pool_residuals(OrthonormalBasis.empty(source.d))
     w_pool = d_piv ** p
     q_pool = (proposal_q(w_pool, err_pivot, n) if err_pivot > 0.0
               else np.full(len(pool_ids), 1.0 / n))
@@ -860,7 +864,7 @@ def mcmc_select(source_or_points, pivot: OrthonormalBasis, params: DerivedParams
                 seen = live | (held > 0)
                 d_cur[seen] = residual_distances(store.take(np.flatnonzero(seen)), basis)
                 w_pool[seen] = d_cur[seen] ** p
-            if np.all(d_cur[live] <= fit_tol[live]):
+            if _pool_fits(store, d_cur, live):
                 floor_fill = True
                 warnings.append(
                     f"candidate pool fit up to rounding after {rnd} rounds; "
@@ -901,6 +905,20 @@ def mcmc_select(source_or_points, pivot: OrthonormalBasis, params: DerivedParams
         initial_ids=pivot.source_ids, blocks=tuple(blocks), p=p, params=params,
         passes=PassLog(source.pass_log.entries[start:]), final_states=tuple(states),
         warnings=tuple(warnings), basis=basis, round_stats=tuple(stats))
+
+
+def _pool_fits(store: RowStore, d_cur: np.ndarray, live: np.ndarray) -> bool:
+    """Whether every live pool entry's residual d_cur is at most RANK_TOL
+    times its row's norm (_row_norms). The entry with the largest residual
+    is tried first; the other rows' norms are read only when it does not
+    already refute the fit, which is rare before saturation."""
+    ids = np.flatnonzero(live)
+    if not len(ids):
+        return True
+    top = ids[np.argmax(d_cur[ids])]
+    if d_cur[top] > RANK_TOL * _row_norms(store.take(top[None]))[0]:
+        return False
+    return bool(np.all(d_cur[ids] <= RANK_TOL * _row_norms(store.take(ids))))
 
 
 def _check_memory(n: int, d: int, params: DerivedParams, pivot_store: int = 0) -> int:
@@ -1051,7 +1069,7 @@ def tv_distance_diag(points: PointSet, pivot_ids: Sequence[int],
         raise ValueError("chain_steps must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    norms = residual_distances(points.data, OrthonormalBasis.empty(points.d))
+    norms = _row_norms(points.data)
     d0 = residual_distances(points.data, orthonormal_basis(points, pivot_ids))
     d_cur = residual_distances(points.data, orthonormal_basis(points, current_ids))
     for name, dist in (("pivot", d0), ("current", d_cur)):

@@ -227,10 +227,12 @@ def open_source(path_or_points, mode: str = "memory") -> DatasetSource:
     only its size and mtime_ns, taken before it is read, and a later pass
     raises DatasetFormatError if the file no longer holds n rows of d finite
     entries or either of those moved; an edit that keeps both goes unnoticed.
-    A CSV learns n and d as it is parsed (see _csv_rows); memory mode keeps
-    its chunks and stacks them. A streamed CSV is parsed here and only here:
-    its rows go to an unlinked temporary file (n * d * 8 bytes of temp-dir
-    disk, closed when the source is collected), and a later pass raises
+    A CSV learns n and d as it is parsed (see _csv_rows), and is parsed here
+    and only here: its rows go to an unlinked temporary file (n * d * 8
+    bytes of temp-dir disk). Memory mode reads that spill back into one
+    preallocated n x d array and closes it, so it never holds a second copy
+    of the rows. A streamed CSV keeps its spill (closed when the source is
+    collected), and a later pass raises
     DatasetFormatError if the file's sha256 differs from that of the bytes
     parsed. The pass counter starts at zero after opening.
     """
@@ -260,21 +262,30 @@ def open_source(path_or_points, mode: str = "memory") -> DatasetSource:
 
 
 def _open_csv(path: str, mode: str) -> DatasetSource:
-    if mode == "memory":
-        # the reader checked every chunk; the stacked rows are the one copy kept
-        points = PointSet._adopt(np.vstack([chunk for _, chunk in _csv_rows(path)]))
-        return DatasetSource(points=points, path=path, n=points.n, d=points.d, mode=mode)
-    digest = hashlib.sha256()
+    """Parse a CSV into an unlinked spill; memory mode then reads the spill
+    into one n x d array and closes it, so the parsed rows are held once.
+    Only a streamed spill keeps the file's sha256, for its later passes."""
+    digest = hashlib.sha256() if mode == "streaming" else None
     spill = tempfile.TemporaryFile()
     try:
         for start, chunk in _csv_rows(path, digest):
             spill.write(chunk.astype("<f8", copy=False))
-        spill.flush()  # a pass reads the spill by its file descriptor
+        spill.flush()  # the spill is read by its file descriptor
+        n, d = start + len(chunk), chunk.shape[1]
+        if mode == "memory":
+            data = np.empty((n, d), dtype="<f8")
+            views = (data[lo:lo + CHUNK_ROWS] for lo in range(0, n, CHUNK_ROWS))
+            for _ in _payload_chunks(spill.fileno(), 0, n, d, f"spill of {path}", views):
+                pass
+            spill.close()
+            # the reader checked every chunk; data is the one copy kept
+            return DatasetSource(points=PointSet._adopt(data), path=path, n=n, d=d,
+                                 mode=mode)
     except BaseException:
         spill.close()
         raise
-    return DatasetSource(points=None, path=path, n=start + len(chunk), d=chunk.shape[1],
-                         mode=mode, spill=spill, digest=digest.digest())
+    return DatasetSource(points=None, path=path, n=n, d=d, mode=mode, spill=spill,
+                         digest=digest.digest())
 
 
 def as_source(source_or_points) -> DatasetSource:
@@ -612,11 +623,6 @@ class RowStore:
             out[hit] = page[at]
         return out
 
-    def blocks(self) -> Iterator[np.ndarray]:
-        """The written rows, cells 0..top-1, one page (a view) at a time."""
-        for lo, page in zip(range(0, self.top, self._page_rows), self._pages):
-            yield page[:self.top - lo]
-
     def _by_page(self, cells: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """(page, positions of cells in it, their rows in the page) for each
         page that holds one of `cells`."""
@@ -770,7 +776,7 @@ def _uniform_counts(rng: np.random.Generator, n: int, draws: int,
 def proposal_prefetch_pass(source: DatasetSource, pivot_basis: OrthonormalBasis,
                            p: float, slots: int, seed: int, *,
                            label: str = "mcmc-prefetch",
-                           ) -> tuple[float, ReservoirBank | None, CountBank]:
+                           ) -> tuple[float, ReservoirBank | None, CountBank, np.ndarray]:
     """The single Metropolis pass: accumulate err_p against the pivot span and
     fill two banks of `slots` draws, one weighted by residual^p, one uniform.
 
@@ -779,29 +785,38 @@ def proposal_prefetch_pass(source: DatasetSource, pivot_basis: OrthonormalBasis,
     end, so the caller mixes the banks afterwards. The uniform counts are
     drawn before the pass by _uniform_counts, and the pass only writes their
     rows. Both banks keep their rows in one RowStore of 2 min(n, slots) rows,
-    each row written once, as its chunk is visited. The residuals^p are the
-    pass's prepare stage, so they run ahead on the reader thread; the offers
-    and captures stay on the calling thread, in chunk order. Returns
-    (err_p_pivot, residual bank or None when the pivot span fits
-    everything, uniform bank).
+    each row written once, as its chunk is visited, and the pass keeps the
+    pivot residual of the row in each cell: the distance whose p-th power
+    the residual bank was offered. The residuals are the pass's prepare
+    stage, so they run ahead on the reader thread; the offers and captures
+    stay on the calling thread, in chunk order. Returns (err_p_pivot,
+    residual bank or None when the pivot span fits everything, uniform bank,
+    the pivot residual of each written cell 0..store.top-1).
     """
     store = RowStore(2 * min(source.n, slots), source.d)
     bank_w = ReservoirBank(slots, derive_rng(seed, "bank-residual", label), store)
     rows, counts = _uniform_counts(derive_rng(seed, "bank-uniform", label), source.n, slots)
     bank_u = CountBank(rows, counts, store)
+    d_piv = np.empty(store.capacity)
 
-    weights: deque[np.ndarray] = deque()
+    residuals: deque[tuple[np.ndarray, np.ndarray]] = deque()
 
     def prepare(start: int, chunk: np.ndarray) -> None:
-        weights.append(residual_distances(chunk, pivot_basis) ** p)
+        dist = residual_distances(chunk, pivot_basis)
+        residuals.append((dist, dist ** p))
 
     def visit(start: int, chunk: np.ndarray) -> None:
-        bank_w.offer(start, chunk, weights.popleft())
+        dist, weights = residuals.popleft()
+        bank_w.offer(start, chunk, weights)
         bank_u.capture(start, chunk)
+        # each bank's rows from this chunk, the residual bank's just written
+        for bank in (bank_w, bank_u):
+            lo, hi = np.searchsorted(bank.rows, (start, start + len(chunk)))
+            d_piv[bank.cells[lo:hi]] = dist[bank.rows[lo:hi] - start]
 
     source.stream_pass_chunks(label, visit, prepare=prepare)
     err = bank_w.total_weight
-    return err, (bank_w if err > 0.0 else None), bank_u
+    return err, (bank_w if err > 0.0 else None), bank_u, d_piv[:store.top]
 
 
 def length_squared_pass(source: DatasetSource, slots: int, rng: np.random.Generator, *,

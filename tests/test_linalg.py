@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 
 from subsel.linalg import (
+    RESIDUAL_BLOCK_ROWS,
+    RESIDUAL_TILE_FLOATS,
     OrthonormalBasis,
     PointSet,
     _pow2_exponent,
+    _row_norms,
+    _tile_rows,
     best_rank_k_in_span,
     err_p,
     extend_basis,
@@ -16,6 +20,7 @@ from subsel.linalg import (
     optimal_subspace,
     residual_distances,
 )
+from subsel.outliers import nearest_inliers
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +187,95 @@ def test_residual_distances_blocks_agree_with_one_shot(n):
     assert np.allclose(got, _one_shot_distances(x, basis), rtol=1e-12, atol=0.0)
     assert err_p(PointSet(x), basis, 3.0) == pytest.approx(
         float(np.sum(_one_shot_distances(x, basis) ** 3)), rel=1e-12)
+
+
+@pytest.mark.parametrize("d, tile", [(1, 1024), (7, 1024), (128, 1024), (129, 512),
+                                     (200, 512), (800, 128), (2 ** 17, 1), (2 ** 18, 1)])
+def test_tile_rows(d, tile):
+    # a power of two that divides the chunk, of at most 2**17 floats
+    assert _tile_rows(d) == tile
+    assert RESIDUAL_BLOCK_ROWS % tile == 0 and (tile * d <= RESIDUAL_TILE_FLOATS or tile == 1)
+
+
+def _tile_cases():
+    for d in (1, 7, 200, 800):
+        t = _tile_rows(d)
+        for n in sorted({t - 1, t, t + 1, RESIDUAL_BLOCK_ROWS + 1} - {0}):
+            for r in sorted({0, min(5, d), d}):
+                yield n, d, r
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("n, d, r", list(_tile_cases()))
+def test_residual_distances_tiles(n, d, r):
+    # n around the tile and one row past a chunk: the whole call gives the
+    # bits of its tiles called one by one, so of a chunk's rows called alone,
+    # and each tile takes its own power of two: a tile of rows at 2**600
+    # leaves the others' bits alone
+    rng = np.random.default_rng(n * 1000 + d + r)
+    x = rng.standard_normal((n, d))
+    basis = OrthonormalBasis(d, np.linalg.qr(rng.standard_normal((d, d)))[0][:, :r].T)
+    got = residual_distances(x, basis)
+    t = _tile_rows(d)
+    for size in (t, RESIDUAL_BLOCK_ROWS):
+        parts = [residual_distances(x[lo:lo + size], basis) for lo in range(0, n, size)]
+        assert np.array_equal(_bits(np.concatenate(parts)), _bits(got))
+    assert np.allclose(got, _one_shot_distances(x, basis), rtol=1e-12, atol=1e-13)
+    if n > t:
+        loud = x.copy()
+        loud[:t] = np.ldexp(loud[:t], 600)
+        mixed = residual_distances(loud, basis)
+        assert np.array_equal(_bits(mixed[t:]), _bits(got[t:]))
+        assert np.array_equal(_bits(mixed[:t]), _bits(np.ldexp(got[:t], 600)))
+
+
+@pytest.mark.parametrize("d", [7, 200])
+def test_kernels_repeat_under_power_of_two_scaling(d):
+    # rows scaled by 2**+-600 give the unscaled bits times 2**+-600: the
+    # distances, the p = 1 error, the best span's vectors and the inlier ids.
+    # A squared error scales by 4**e, so it is checked at 2**+-300 (4**+-300
+    # = 2**+-600): at 2**+-600 it would leave the range of a double
+    n = RESIDUAL_BLOCK_ROWS + 1
+    pts = PointSet(np.random.default_rng(d).standard_normal((n, d)))
+    span = orthonormal_basis(pts, range(8))
+    basis = orthonormal_basis(pts, [0, 1, 2])
+    sub, err2 = best_rank_k_in_span(pts, span, 3)
+    inl = nearest_inliers(pts, basis, 0.1)
+    for e in (-600, 600):
+        big = PointSet(np.ldexp(pts.data, e))
+        assert np.array_equal(_bits(residual_distances(big.data, basis)),
+                              _bits(np.ldexp(residual_distances(pts.data, basis), e)))
+        assert _bits(err_p(big, basis, 1.0)) == _bits(math.ldexp(err_p(pts, basis, 1.0), e))
+        # their squared errors leave the range here, and are not checked
+        with np.errstate(over="ignore", under="ignore"):
+            assert np.array_equal(_bits(best_rank_k_in_span(big, span, 3)[0].vectors),
+                                  _bits(sub.vectors))
+            assert np.array_equal(nearest_inliers(big, basis, 0.1).ids, inl.ids)
+    for e in (-300, 300):
+        big = PointSet(np.ldexp(pts.data, e))
+        assert _bits(err_p(big, basis, 2.0)) == _bits(math.ldexp(err_p(pts, basis, 2.0), 2 * e))
+        assert _bits(best_rank_k_in_span(big, span, 3)[1]) == _bits(math.ldexp(err2, 2 * e))
+        assert (_bits(nearest_inliers(big, basis, 0.1).inlier_error)
+                == _bits(math.ldexp(inl.inlier_error, 2 * e)))
+
+
+def test_row_norms_repeat_per_row():
+    # each row's norm has the same bits whatever rows come with it, at
+    # every scale, and none overflows or underflows
+    x = np.random.default_rng(12).standard_normal((300, 9))
+    x[::3] = np.ldexp(x[::3], 900)
+    x[1::3] = np.ldexp(x[1::3], -900)
+    x[5] = 0.0
+    whole = _row_norms(x)
+    assert np.array_equal(_bits(np.concatenate([_row_norms(x[i:i + 1]) for i in range(300)])),
+                          _bits(whole))
+    plain = np.linalg.norm(np.ldexp(x, -np.frexp(np.abs(x).max(axis=1))[1][:, None]), axis=1)
+    assert np.allclose(np.ldexp(whole, -np.frexp(np.abs(x).max(axis=1))[1]), plain,
+                       rtol=1e-15, atol=0.0)
+    assert whole[5] == 0.0
 
 
 def test_err_p_peak_memory():

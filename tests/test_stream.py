@@ -13,10 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subsel.linalg import PointSet, err_p, optimal_subspace, orthonormal_basis, residual_distances
+from subsel import samplers
+from subsel.linalg import (
+    OrthonormalBasis,
+    PointSet,
+    err_p,
+    optimal_subspace,
+    orthonormal_basis,
+    residual_distances,
+)
 from subsel.outliers import robust_select
 from subsel.rng import derive_rng
-from subsel.samplers import SamplingConfig, select_subset
+from subsel.samplers import SamplingConfig, derive_params, mcmc_select, select_subset
 from subsel.stream import (
     CHUNK_ROWS,
     DatasetFormatError,
@@ -465,10 +473,26 @@ def test_memory_open_of_binary_holds_one_copy(tmp_path):
     assert np.array_equal(src.collect("load").data, data)
 
 
+def test_memory_open_of_csv_holds_one_copy(tmp_path):
+    # the rows are parsed into a spill on disk, then read back into one
+    # preallocated array: one payload plus the chunks being parsed
+    n, d = 20 * CHUNK_ROWS, 20
+    data = np.random.default_rng(4).standard_normal((n, d))
+    path = tmp_path / "big.csv"
+    write_csv(path, data)
+    tracemalloc.start()
+    try:
+        src = open_source(path, "memory")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * n * d * 8 + 4 * CHUNK_ROWS * d * 8
+    assert np.array_equal(src.collect("load").data, data)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "bin"])
 def test_memory_open_reads_file_once(tmp_path, monkeypatch, fmt):
-    # after the format sniff, memory mode parses the file in one pass and
-    # keeps the chunks it read
+    # after the format sniff, memory mode reads the file in one pass
     import builtins
 
     data = np.random.default_rng(5).standard_normal((CHUNK_ROWS + 3, 4))
@@ -1114,7 +1138,7 @@ def test_prefetch_accumulates_err_and_fills_banks():
     pts = PointSet(rng.standard_normal((40, 5)))
     src = open_source(pts)
     basis = orthonormal_basis(pts, [0, 1])
-    err, bank_w, bank_u = proposal_prefetch_pass(src, basis, 2.0, 5000, seed=13)
+    err, bank_w, bank_u, _ = proposal_prefetch_pass(src, basis, 2.0, 5000, seed=13)
     assert err == pytest.approx(err_p(pts, basis, 2.0), rel=1e-12)
     src.pass_log.assert_passes(1)
     # weighted bank follows residual^2, uniform bank is flat
@@ -1131,12 +1155,97 @@ def test_prefetch_exact_fit_pivot():
     pts = PointSet(np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
     src = open_source(pts)
     basis = orthonormal_basis(pts, [0])
-    err, bank_w, bank_u = proposal_prefetch_pass(src, basis, 2.0, 4, seed=0)
+    err, bank_w, bank_u, d_piv = proposal_prefetch_pass(src, basis, 2.0, 4, seed=0)
     assert err == 0.0
     assert bank_w is None
+    assert np.all(d_piv == 0.0) and len(d_piv) == bank_u.store.top
     assert bank_u.counts.sum() == 4
     assert all(i >= 0 for i in bank_u.rows)
     assert np.array_equal(bank_u.points_for(bank_u.rows), pts.data[bank_u.rows])
+
+
+@pytest.mark.parametrize("mode", ["memory", "streaming"])
+@pytest.mark.parametrize("d, slots", [(7, 400), (200, 400), (200, 5000), (800, 400)])
+def test_prefetch_keeps_each_stored_rows_pivot_residual(tmp_path, mode, d, slots):
+    # every cell either bank holds keeps the pivot residual the pass offered
+    # for its row: the bits of residual_distances over the whole array, whose
+    # tiles split each chunk as the pass does; 400 slots over 2085 rows
+    # evict rows and reuse their cells
+    x = np.random.default_rng(d).standard_normal((2 * CHUNK_ROWS + 37, d))
+    path = tmp_path / "x.bin"
+    write_binary(path, x)
+    pivot = orthonormal_basis(PointSet(x), [0, 5, 9, 11, 40])
+    whole = residual_distances(x, pivot)
+    err, bank_w, bank_u, d_piv = proposal_prefetch_pass(
+        open_source(path, mode), pivot, 2.0, slots, seed=4)
+    store = bank_u.store
+    assert len(d_piv) == store.top
+    for bank in (bank_w, bank_u):
+        got = d_piv[bank.cells]
+        assert np.array_equal(got.view(np.int64), whole[bank.rows].view(np.int64))
+        assert np.allclose(got, residual_distances(store.take(bank.cells), pivot),
+                           rtol=1e-12, atol=0.0)
+    assert err == pytest.approx(float(np.sum(whole ** 2)), rel=1e-12)
+
+
+def _pool_instances():
+    """Three instances of 1224 x 6 rows and their pivots, over two chunks:
+    one whose pivot spans every row up to rounding, one whose pivot's
+    residuals are exactly zero, and one whose pool round 0 saturates."""
+    rng = np.random.default_rng(61)
+    n = CHUNK_ROWS + 200
+    spanned = rng.standard_normal((n, 3)) @ rng.standard_normal((3, 6))
+    axes = np.zeros((n, 6))
+    axes[:, :3] = rng.standard_normal((n, 3))
+    rank4 = rng.standard_normal((n, 4)) @ rng.standard_normal((4, 6))
+    exact = OrthonormalBasis(6, np.eye(6)[:3], (0, 1, 2))
+    return {
+        "saturated": (spanned, orthonormal_basis(PointSet(spanned), [0, 1, 2])),
+        "exact-fit": (axes, exact),
+        "saturated-later": (rank4, orthonormal_basis(PointSet(rank4), [0, 1, 2])),
+    }
+
+
+# blocks and warnings of mcmc_select on _pool_instances(), recorded when the
+# pool's pivot residuals were measured again after the pass and every pool
+# row's norm was read in every round
+POOL_FILL = "remaining blocks drawn from the uniform floor"
+PINNED_POOLS = {
+    "saturated": (((580, 382, 947, 107), (2, 1102, 548, 865), (28, 264, 1044, 751)),
+                  (f"candidate pool fit up to rounding after 0 rounds; {POOL_FILL}",)),
+    "exact-fit": (((679, 894, 621, 1049), (184, 1071, 197, 1144), (591, 775, 798, 107)),
+                  ("pivot span fits every point; blocks drawn from the uniform floor",)),
+    "saturated-later": (((976, 1192, 733, 946), (241, 935, 8, 105), (1174, 1220, 243, 668)),
+                        (f"candidate pool fit up to rounding after 1 rounds; {POOL_FILL}",)),
+}
+
+
+@pytest.mark.parametrize("mode", ["memory", "streaming"])
+@pytest.mark.parametrize("name", list(PINNED_POOLS))
+def test_saturated_and_exact_fit_pools_are_pinned(tmp_path, mode, name):
+    data, pivot = _pool_instances()[name]
+    path = tmp_path / "x.bin"
+    write_binary(path, data)
+    params = derive_params(3, 0.5, points_per_round=4, rounds=3, chain_steps=8)
+    result = mcmc_select(open_source(path, mode), pivot, params, seed=62)
+    assert (result.blocks, result.warnings) == PINNED_POOLS[name]
+
+
+def test_saturation_test_reads_one_norm_unless_saturated(monkeypatch):
+    # an unsaturated round reads the norm of its largest-residual entry
+    # only; the saturated round reads every live entry's
+    read = []
+    real = samplers._row_norms
+
+    def counting(rows):
+        read.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(samplers, "_row_norms", counting)
+    data, pivot = _pool_instances()["saturated-later"]
+    params = derive_params(3, 0.5, points_per_round=4, rounds=3, chain_steps=8)
+    mcmc_select(PointSet(data), pivot, params, seed=62)
+    assert read[0] == 1 and read[1] == 1 and read[2] > 1 and len(read) == 3
 
 
 def test_uniform_counts_sum_to_the_draws():
