@@ -17,7 +17,6 @@ from .linalg import (
 )
 from .outliers import InlierSet, check_lambda, nearest_inliers, robust_select
 from .samplers import (
-    ChainState,
     DerivedParams,
     DrawBudgetError,
     ExactFitReached,
@@ -50,7 +49,6 @@ from .stream import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChainState",
     "DatasetFormatError",
     "DatasetSource",
     "DerivedParams",

@@ -14,12 +14,16 @@ spill file and the sha256 of the bytes parsed, and a later pass hashes the
 whole file, checks it against that digest, then reads the rows back from the
 spill.
 
-A pass of more than one chunk reads ahead on one reader thread, started
-and joined by the pass: it reads and checks chunk c + 1, and runs the
-caller's `prepare` stage on it, while the caller's visitor uses chunk c on
-the calling thread. The visitor still sees every chunk in order, so the
-arithmetic and the random draws it makes happen in the same order as in a
-one-thread pass. A pass of one chunk starts no thread.
+A pass reads chunk c as a function of c alone, by positional reads. Its
+file checks run on the calling thread before the first read, and chunk 0 is
+read on the calling thread, since the pass waits for it anyway. A pass of
+more than one chunk then reads ahead on the one worker of a one-worker pool,
+started at its second chunk and joined by the pass: the worker reads and
+checks chunk c + 1, and runs the caller's `prepare` stage on it, while the
+caller's visitor uses chunk c on the calling thread. The visitor still sees
+every chunk in order, so the arithmetic and the random draws it makes happen
+in the same order as in a one-thread pass. A pass of one chunk starts no
+thread.
 
 Also provides weighted reservoir sampling (many independent single draws in
 one pass, kept as per-row counts: a chunk thins each row's count by a
@@ -37,14 +41,13 @@ import hashlib
 import io
 import math
 import os
-import queue
 import struct
 import tempfile
-import threading
 import weakref
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Callable, Iterator
 
 import numpy as np
@@ -140,26 +143,43 @@ class DatasetSource:
 
     # -- sequential access ---------------------------------------------------
 
-    def _chunks(self, arrays: Iterator) -> Iterator[tuple[int, np.ndarray]]:
-        """A memory source slices its rows. A streamed binary file is read
-        again by its format's reader, checked against the size and mtime
-        taken at open. A streamed CSV is hashed whole and checked against
-        the digest taken at open, before any row is yielded; its rows then
-        come from the spill, as the reader parsed them. Each chunk takes the
-        next item of `arrays`: a file's chunk is read into it, and a memory
-        source's chunk waits for it all the same, so a read-ahead paces both
-        alike."""
-        if self.mode == "memory":
+    @contextmanager
+    def _reader(self) -> Iterator[Callable[[int, np.ndarray | None], np.ndarray]]:
+        """A pass's chunk reader, read(start, out) -> the chunk of rows from
+        `start`, yielded after the pass's file checks, which run here on the
+        calling thread before any row is read. A memory source returns its
+        slice and ignores `out`. A binary file is reopened, its header must
+        still say n x d and, given the size and mtime taken at open, its
+        must still match; each chunk is read into `out`, the caller's unfilled
+        array of the chunk's shape, and checked finite. A CSV's sha256 must
+        match the digest of the bytes parsed at open; its chunks are read
+        into `out` from the spill, as the parser checked them. Reads are
+        positional, so read may run on any thread and readers may nest."""
+        if self._points is not None:
             data = self._points.data
-            for start, _ in zip(range(0, self.n, CHUNK_ROWS), arrays):
-                yield start, data[start:start + CHUNK_ROWS]
+            yield lambda start, out: data[start:start + CHUNK_ROWS]
         elif self._spill is None:
-            yield from _binary_rows(self.path, (self.n, self.d), arrays, self._stamp)
+            with open(self.path, "rb") as fh:
+                shape = _binary_header(fh, self.path)
+                if shape != (self.n, self.d):
+                    raise DatasetFormatError(f"{self.path}: header says {shape[0]} x "
+                                             f"{shape[1]}, but {self.n} x {self.d} when opened")
+                if self._stamp is not None:
+                    st = os.fstat(fh.fileno())
+                    if (st.st_size, st.st_mtime_ns) != self._stamp:
+                        raise DatasetFormatError(f"{self.path}: changed since it was opened")
+                fd = fh.fileno()
+
+                def read(start: int, out: np.ndarray) -> np.ndarray:
+                    _read_into(fd, _BINARY_HEADER + start * self.d * 8, out, self.path, start)
+                    return _finite(out, self.path, "row", range(start, start + len(out)))
+
+                yield read
         else:
             if _sha256(self.path) != self._digest:
                 raise DatasetFormatError(f"{self.path}: changed since it was opened")
-            yield from _payload_chunks(self._spill.fileno(), 0, self.n, self.d,
-                                       f"spill of {self.path}", arrays)
+            fd, name = self._spill.fileno(), f"spill of {self.path}"
+            yield lambda start, out: _read_into(fd, start * self.d * 8, out, name, start)
 
     def stream_pass_chunks(self, label: str,
                            visitor: Callable[[int, np.ndarray], None], *,
@@ -168,36 +188,47 @@ class DatasetSource:
         """Visit every row once, in index order, as (start, chunk) blocks.
 
         prepare(start, chunk), when given, runs on each chunk before
-        visitor(start, chunk) does. A pass of more than one chunk reads
-        ahead on one reader thread, which lives only as long as the pass:
-        while the visitor runs on chunk c on the calling thread, the reader
+        visitor(start, chunk) does. The file checks run on the calling
+        thread before the first read, and chunk 0 is read on the calling
+        thread and prepared there. Each later chunk is read ahead by the one
+        worker of a one-worker pool that lives only as long as the pass:
+        while the visitor runs on chunk c on the calling thread, the worker
         reads and checks chunk c + 1 and runs prepare on it, so prepare runs
         in chunk order, at most one chunk ahead of the visitor. A pass of
-        one chunk runs both stages inline and starts no thread. prepare
-        hands its results to the visitor through state the caller owns, a
-        deque that prepare appends to and the visitor pops from, and touches
-        nothing else the visitor does. An error of the reader or of prepare
-        is raised here, after the visitor has seen every chunk before the
-        one it concerns. A file source's chunks are fresh arrays, allocated
-        on the calling thread, which a visitor may keep.
+        one chunk starts no thread. prepare hands its results to the visitor
+        through state the caller owns, a deque that prepare appends to and
+        the visitor pops from, and touches nothing else the visitor does. An
+        error of a read or of prepare is raised here, after the visitor has
+        seen every chunk before the one it concerns. A file source's chunks
+        are fresh arrays, allocated on the calling thread, which a visitor
+        may keep.
         """
         entry = PassEntry(label, 0, self.n, reporting)
         self.pass_log.entries.append(entry)
-        # a file's chunks are read into fresh arrays, taken here on the
-        # calling thread; a memory source's views are paced by None
-        arrays = repeat(None) if self.mode == "memory" else _fresh_arrays(self.n, self.d)
-        inline = self.n <= CHUNK_ROWS
-        chunks = self._chunks(arrays) if inline else _read_ahead(self._chunks, arrays, prepare)
-        try:
-            for start, chunk in chunks:
-                if inline and prepare is not None:
+        with self._reader() as read, ThreadPoolExecutor(1, "subsel-read-ahead") as pool:
+
+            def load(start: int, out: np.ndarray | None) -> np.ndarray:
+                chunk = read(start, out)
+                if prepare is not None:
                     prepare(start, chunk)
+                return chunk
+
+            chunk = load(0, self._unfilled(0))
+            for start in range(0, self.n, CHUNK_ROWS):
+                after = start + CHUNK_ROWS
+                ahead = pool.submit(load, after, self._unfilled(after)) if after < self.n else None
                 visitor(start, chunk)
                 entry.rows_visited += len(chunk)
-                del chunk  # freed before a third chunk is allocated
-        finally:
-            chunks.close()  # a pass that stops early stops its reader
+                if ahead is not None:
+                    chunk = ahead.result()
         return entry
+
+    def _unfilled(self, start: int) -> np.ndarray | None:
+        """The array a file source's chunk from `start` is read into, taken
+        on the calling thread; None for a memory source, which slices."""
+        if self._points is not None:
+            return None
+        return np.empty((min(CHUNK_ROWS, self.n - start), self.d), dtype="<f8")
 
     def collect(self, label: str, *, reporting: bool = False) -> PointSet:
         """Materialize all rows with one sequential pass. A streaming source
@@ -251,14 +282,17 @@ def open_source(path_or_points, mode: str = "memory") -> DatasetSource:
     if mode == "streaming":
         st = os.stat(path)
         stamp = (st.st_size, st.st_mtime_ns)
+    source = DatasetSource(points=None, path=path, n=shape[0], d=shape[1], mode=mode,
+                           stamp=stamp)
     data = np.empty(shape) if mode == "memory" else None
-    for start, chunk in _binary_rows(path, shape, _fresh_arrays(*shape), stamp):
-        if data is not None:
-            data[start:start + len(chunk)] = chunk
-    # the reader checked every chunk; data is the one copy kept
-    points = None if data is None else PointSet._adopt(data)
-    return DatasetSource(points=points, path=path, n=shape[0], d=shape[1], mode=mode,
-                         stamp=stamp)
+    with source._reader() as read:
+        for start in range(0, source.n, CHUNK_ROWS):
+            read(start, source._unfilled(start) if data is None
+                 else data[start:start + CHUNK_ROWS])
+    if data is not None:
+        # the reader checked every chunk; data is the one copy kept
+        source._points = PointSet._adopt(data)
+    return source
 
 
 def _open_csv(path: str, mode: str) -> DatasetSource:
@@ -273,10 +307,8 @@ def _open_csv(path: str, mode: str) -> DatasetSource:
         spill.flush()  # the spill is read by its file descriptor
         n, d = start + len(chunk), chunk.shape[1]
         if mode == "memory":
-            data = np.empty((n, d), dtype="<f8")
-            views = (data[lo:lo + CHUNK_ROWS] for lo in range(0, n, CHUNK_ROWS))
-            for _ in _payload_chunks(spill.fileno(), 0, n, d, f"spill of {path}", views):
-                pass
+            data = _read_into(spill.fileno(), 0, np.empty((n, d), dtype="<f8"),
+                              f"spill of {path}", 0)
             spill.close()
             # the reader checked every chunk; data is the one copy kept
             return DatasetSource(points=PointSet._adopt(data), path=path, n=n, d=d,
@@ -442,100 +474,20 @@ def _binary_header(fh, path: str) -> tuple[int, int]:
     return n, d
 
 
-def _binary_rows(path: str, shape: tuple[int, int], arrays: Iterator[np.ndarray],
-                 stamp: tuple[int, int] | None = None,
-                 ) -> Iterator[tuple[int, np.ndarray]]:
-    """(start, chunk) blocks of CHUNK_ROWS rows, each read into the next of
-    `arrays` (see _fresh_arrays) and checked. The header must say the
-    `shape` (n, d) learned before; given the (st_size, st_mtime_ns) taken at
-    open, the file's must still match."""
-    with open(path, "rb") as fh:
-        n, d = _binary_header(fh, path)
-        if (n, d) != shape:
+def _read_into(fd: int, at: int, out: np.ndarray, name: str, start: int) -> np.ndarray:
+    """Fill `out`, rows start.. of `name`, with the little-endian float64s
+    stored from byte `at` of the file open as fd, by positional reads: no
+    read moves a shared file position, so reads of one file (a spill) may
+    nest, on any threads."""
+    view = memoryview(out).cast("B")
+    done = 0
+    while done < len(view):
+        count = os.preadv(fd, [view[done:]], at + done)
+        if not count:
             raise DatasetFormatError(
-                f"{path}: header says {n} x {d}, but {shape[0]} x {shape[1]} when opened")
-        if stamp is not None:
-            st = os.fstat(fh.fileno())
-            if (st.st_size, st.st_mtime_ns) != stamp:
-                raise DatasetFormatError(f"{path}: changed since it was opened")
-        for start, chunk in _payload_chunks(fh.fileno(), _BINARY_HEADER, n, d, path, arrays):
-            yield start, _finite(chunk, path, "row", range(start, start + len(chunk)))
-
-
-def _fresh_arrays(n: int, d: int) -> Iterator[np.ndarray]:
-    """An unfilled array for each chunk of n rows of d little-endian
-    float64s, in order, each allocated as it is taken."""
-    for start in range(0, n, CHUNK_ROWS):
-        yield np.empty((min(CHUNK_ROWS, n - start), d), dtype="<f8")
-
-
-def _payload_chunks(fd: int, offset: int, n: int, d: int, name: str,
-                    arrays: Iterator[np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
-    """n rows of d little-endian float64s stored from byte `offset` of the
-    file open as fd, CHUNK_ROWS at a time, each read into the next of
-    `arrays` by positional reads: no read moves a shared file position, so
-    passes over one file (a spill) may nest, on any threads."""
-    for start, out in zip(range(0, n, CHUNK_ROWS), arrays):
-        at = offset + start * d * 8
-        view = memoryview(out).cast("B")
-        done = 0
-        while done < len(view):
-            count = os.preadv(fd, [view[done:]], at + done)
-            if not count:
-                raise DatasetFormatError(
-                    f"{name}: payload ends inside rows {start}..{start + len(out) - 1}")
-            done += count
-        yield start, out
-
-
-# handed to a reader thread in place of a chunk's array: end the pass
-_STOP = object()
-
-
-def _read_ahead(chunks_of: Callable[[Iterator], Iterator[tuple[int, np.ndarray]]],
-                arrays: Iterator, prepare: Callable[[int, np.ndarray], None] | None,
-                ) -> Iterator[tuple[int, np.ndarray]]:
-    """The chunks of chunks_of(handed), each after prepare(start, chunk) ran
-    on it, read and prepared on one reader thread while the caller uses the
-    chunk before.
-
-    The reader takes each chunk's item of `arrays` from the calling thread,
-    handed over as the caller takes the chunk before, so it runs at most one
-    chunk ahead and allocates no chunk. An error of the reader is raised
-    here, in its place among the chunks. Closing the generator stops the
-    reader, after at most the chunk it is on, and joins it.
-    """
-    inbox, outbox = queue.SimpleQueue(), queue.SimpleQueue()
-
-    def handed() -> Iterator:
-        while (item := inbox.get()) is not _STOP:
-            yield item
-
-    def read() -> None:
-        chunks = chunks_of(handed())
-        try:
-            for start, chunk in chunks:
-                if prepare is not None:
-                    prepare(start, chunk)
-                outbox.put((start, chunk))
-            outbox.put(None)
-        except BaseException as exc:  # raised on the calling thread instead
-            outbox.put(exc)
-        finally:
-            chunks.close()
-
-    reader = threading.Thread(target=read, name="subsel-read-ahead", daemon=True)
-    inbox.put(next(arrays))
-    reader.start()
-    try:
-        while (item := outbox.get()) is not None:
-            if isinstance(item, BaseException):
-                raise item
-            inbox.put(next(arrays, _STOP))
-            yield item
-    finally:
-        inbox.put(_STOP)
-        reader.join()
+                f"{name}: payload ends inside rows {start}..{start + len(out) - 1}")
+        done += count
+    return out
 
 
 def _finite(chunk: np.ndarray, path: str, unit: str, labels) -> np.ndarray:
@@ -788,8 +740,10 @@ def proposal_prefetch_pass(source: DatasetSource, pivot_basis: OrthonormalBasis,
     each row written once, as its chunk is visited, and the pass keeps the
     pivot residual of the row in each cell: the distance whose p-th power
     the residual bank was offered. The residuals are the pass's prepare
-    stage, so they run ahead on the reader thread; the offers and captures
-    stay on the calling thread, in chunk order. Returns (err_p_pivot,
+    stage: the file checks run on the calling thread before the first read,
+    chunk 0 is read on the calling thread and its residuals computed there,
+    and each later chunk's run ahead on the one worker of a one-worker pool;
+    the offers and captures stay on the calling thread, in chunk order. Returns (err_p_pivot,
     residual bank or None when the pivot span fits everything, uniform bank,
     the pivot residual of each written cell 0..store.top-1).
     """
@@ -829,12 +783,14 @@ def length_squared_pass(source: DatasetSource, slots: int, rng: np.random.Genera
     Each chunk is rescaled once, by its own power of two 2**e: its rows'
     squared norms go to the bank in units of 4**e, so no weight overflows or
     underflows, and a streamed pass adds the rescaled chunk's Gram to a
-    _Pow2Sum at 4**e. The rescale (in the reader's one scratch block), that
-    sum and the squared norms are the pass's prepare stage, run ahead on
-    the reader thread in chunk order; the offers, the copies into the kept
-    rows and every draw stay on the calling thread. Chunks are the Gram
-    kernel's blocks, so the sum has the bits of PointSet._full_gram, which
-    a memory source reads instead. Returns
+    _Pow2Sum at 4**e. The rescale (in the pass's one scratch block), that
+    sum and the squared norms are the pass's prepare stage, run in chunk
+    order: the file checks run on the calling thread before the first read,
+    chunk 0 is read on the calling thread and prepared there, and each later
+    chunk ahead on the one worker of a one-worker pool; the offers, the
+    copies into the kept rows and every draw stay on the calling thread.
+    Chunks are the Gram kernel's blocks, so the sum has the bits of
+    PointSet._full_gram, which a memory source reads instead. Returns
     ((e, g), bank, points), the Gram being g * 4**e and the bank's `ids` in
     random order (none when every row is zero). `points` holds every row: a
     memory source's own, or, when n <= slots, the n rows a streamed pass
@@ -842,7 +798,7 @@ def length_squared_pass(source: DatasetSource, slots: int, rng: np.random.Genera
     stores none. Only a streamed pass over more than `slots` rows stores the
     drawn rows, at most `slots` of them, in the bank's RowStore, and returns
     points None. It also holds the d x d Gram, two chunks (the one visited
-    and the one read ahead) and the reader's scratch block.
+    and the one read ahead) and the pass's scratch block.
     """
     points = source._points
     keep = np.empty((source.n, source.d)) if points is None and source.n <= slots else None

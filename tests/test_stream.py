@@ -700,6 +700,37 @@ def test_reader_error_past_a_restored_mtime_names_the_row(tmp_path):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("fmt", ["csv", "bin"])
+def test_file_checks_run_before_any_thread(tmp_path, fmt, monkeypatch):
+    # a same-size edit (a CSV digit, or a binary entry under a new mtime)
+    # fails the next pass on the calling thread, before any read-ahead
+    # thread is asked for and before any row is visited
+    src, data = _three_chunk_source(tmp_path, fmt, seed=16)
+    path = tmp_path / f"three.{fmt}"
+    if fmt == "csv":
+        raw = bytearray(path.read_bytes())
+        at = raw.index(b".") + 1  # first row, first value
+        raw[at] = ord("8") if raw[at] == ord("9") else raw[at] + 1
+        path.write_bytes(bytes(raw))
+    else:
+        opened = os.stat(path).st_mtime_ns
+        edited = data.copy()
+        edited[0, 0] += 1.0
+        write_binary(path, edited)
+        os.utime(path, ns=(opened + 10 ** 9, opened + 10 ** 9))
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started before the file checks")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    seen = []
+    with pytest.raises(DatasetFormatError, match=f"three.{fmt}: changed since it was opened"):
+        src.stream_pass_chunks("after", lambda s, c: seen.append(s),
+                               prepare=lambda s, c: None)
+    assert seen == []
+    assert not src.pass_log.entries[-1].complete
+
+
 @pytest.mark.parametrize("fmt", ["memory", "csv", "bin"])
 def test_one_chunk_pass_starts_no_thread(tmp_path, fmt, monkeypatch):
     def no_thread(*args, **kwargs):
