@@ -21,7 +21,13 @@ rows of a source's chunk; `residual_distances` walks cache-sized tiles
 instead, at most 2**17 floats each (512 rows at d = 200), so a tile and its
 residual stay in a 2 MB L2 cache. Tile rows are a power of two that divides
 the chunk's, so a streamed chunk splits into the same tiles as the whole
-array. Subspaces come from the Gram;
+array. A Gram block whose entries all lie in [2**-UNSCALED_EXP,
+2**UNSCALED_EXP) in magnitude, or a residual tile whose rows' entries are
+at least 2**-UNSCALED_EXP and whose squared distances stay below
+4**UNSCALED_EXP, skips the rescale (`_unscaled_ok`): its sums come out of
+the unscaled rows with the bits of the rescaled ones, and only the d x d
+Gram, the n squared norms or the distances are rescaled, if anything.
+Subspaces come from the Gram;
 their errors from a direct residual pass, never trace minus eigenvalues.
 The Gram squares condition numbers, so rank is cut at eigenvalues <= 1e-12
 of the largest (singular values 1e-6). Results repeat bit for bit under
@@ -50,6 +56,23 @@ RESIDUAL_BLOCK_ROWS = 1024
 # and a rank-5 span, 1024-row tiles ran about 29% slower than 512-row ones,
 # and 256-row ones no faster.
 RESIDUAL_TILE_FLOATS = 1 << 17
+
+# Blocks whose entries all have magnitude in [2**-UNSCALED_EXP,
+# 2**UNSCALED_EXP) take the kernels' unscaled fast paths (`_unscaled_ok`).
+# The proof in `_block_gram` needs 4 * UNSCALED_EXP + 104 <= 1074: such an
+# entry is a multiple of 2**(-UNSCALED_EXP - 52), so a product of two, even
+# rescaled by 4**-UNSCALED_EXP, lies on a grid no finer than 2**-1074, the
+# spacing of the subnormals. The one in `residual_distances` needs
+# 4 * UNSCALED_EXP + 106 <= 1022: a nonzero residual square, rescaled, is
+# then at least 2**-1022, the smallest normal double.
+UNSCALED_EXP = 200
+# bits of 2**-UNSCALED_EXP read as uint64 and of -2**-UNSCALED_EXP read as
+# int64: a positive double's bits order as uint64 below any negative's, a
+# negative double's as int64 below any positive's, each by magnitude
+_TINY_POS = np.float64(2.0 ** -UNSCALED_EXP).view(np.uint64)
+_TINY_NEG = np.float64(-2.0 ** -UNSCALED_EXP).view(np.int64)
+# the bound on a tile's squared distances in residual_distances' fast path
+_UNSCALED_SQ = 4.0 ** UNSCALED_EXP
 
 # A p = 2 error at or below this fraction of ||X||_F^2 is rounding noise (an
 # exact fit): residuals below 1e-12 of the data's scale.
@@ -129,7 +152,7 @@ class OrthonormalBasis:
             raise ValueError("basis vectors must be an (r, d) array")
         if vectors.shape[0] > 0:
             gram = vectors @ vectors.T
-            if not np.allclose(gram, np.eye(vectors.shape[0]), atol=1e-9):
+            if not np.allclose(gram, np.eye(vectors.shape[0]), rtol=0.0, atol=1e-9):
                 raise ValueError("basis rows are not orthonormal within 1e-9")
         vectors.setflags(write=False)
         object.__setattr__(self, "vectors", vectors)
@@ -164,6 +187,18 @@ def _pow2_exponent(a: np.ndarray) -> int:
     return int(np.frexp(top)[1])
 
 
+def _unscaled_ok(a: np.ndarray) -> bool:
+    """Whether a block may take a kernel's unscaled fast path as far as its
+    small entries go: every entry has magnitude at least 2**-UNSCALED_EXP (a
+    zero fails too), and the block is laid out like the kernels' scratch
+    blocks, C-contiguous and aligned, so einsum and BLAS run the same loop on
+    it. The caller bounds the entries from above. Two integer min sweeps of
+    the entries' bits, which allocate nothing."""
+    return bool(a.flags.c_contiguous and a.flags.aligned
+                and a.view(np.uint64).min() >= _TINY_POS
+                and a.view(np.int64).min() >= _TINY_NEG)
+
+
 def _scaled_blocks(x: np.ndarray, e: int, rows: np.ndarray | None = None,
                    ) -> Iterator[tuple[int, np.ndarray]]:
     """(lo, x[rows][lo:lo + RESIDUAL_BLOCK_ROWS] * 2**-e) for each block of
@@ -186,7 +221,8 @@ def _scaled_blocks(x: np.ndarray, e: int, rows: np.ndarray | None = None,
             np.ldexp(x[lo:hi], -e, out=block)
         else:
             np.take(x, rows[lo:hi], axis=0, out=block, mode="clip")
-            np.ldexp(block, -e, out=block)
+            if e:
+                np.ldexp(block, -e, out=block)
         yield lo, block
 
 
@@ -239,20 +275,63 @@ class _Pow2Sum:
         return part
 
 
+def _block_gram(block: np.ndarray, out: np.ndarray, *, gram: bool = True,
+                norms: bool = False) -> tuple[int, np.ndarray | None, np.ndarray | None]:
+    """(e, g, sq) for one block of rows: its Gram g, when `gram`, and its
+    rows' squared norms sq, when `norms` (else None), both in units of 4**e,
+    e = _pow2_exponent(block). They are the products of the block rescaled
+    by 2**-e, formed in `out`, an array of the block's shape that may be the
+    block itself.
+
+    Unscaled fast path: when e <= UNSCALED_EXP and `_unscaled_ok(block)`, the
+    products come from the block as it is, and only they are rescaled, by
+    4**-e: the d x d Gram and the n norms, not the n x d block, so `out` is
+    not written. The bits are those of the rescaled block. Proof: each entry
+    lies in [2**-UNSCALED_EXP, 2**UNSCALED_EXP), so it is a multiple of
+    2**(-UNSCALED_EXP - 52), and 2**-e leaves it normal, so the rescale is
+    exact. Every value a kernel forms from the entries (a product, a sum, a
+    fused multiply-add, in any order) is then, unscaled or rescaled, a
+    multiple of a grid no finer than 2**-1074 (see UNSCALED_EXP) and at most
+    rows * 4**UNSCALED_EXP in magnitude. Such a value is exact where it is
+    subnormal, and rounding to nearest commutes with a power of two where it
+    is normal, so each value formed unscaled is 4**e times the one formed
+    rescaled by the same loop, and the last 4**-e is exact. Both callers,
+    `_gram` and `stream.length_squared_pass`, run it on the same blocks, so a
+    memory source's Gram and a streamed one share their bits by construction.
+    """
+    e = _pow2_exponent(block)
+    fast = e <= UNSCALED_EXP and _unscaled_ok(block)
+    y = block if fast else np.ldexp(block, -e, out=out)
+    g = y.T @ y if gram else None
+    sq = np.einsum("ij,ij->i", y, y) if norms else None
+    if fast:
+        for part in (g, sq):
+            if part is not None:
+                np.ldexp(part, -2 * e, out=part)
+    return e, g, sq
+
+
 def _gram(x: np.ndarray, rows: np.ndarray | None = None) -> tuple[int, np.ndarray]:
     """The Gram kernel: (e, g) with the Gram of x[rows] equal to g * 4**e,
     rows defaulting to every row; e = 0 when every row is zero.
 
-    Each block of RESIDUAL_BLOCK_ROWS rows is rescaled by its own power of
-    two 2**e in one scratch block and its Gram added to a _Pow2Sum at 4**e,
-    so the rescaled rows are never formed and a pass that meets the blocks
-    one at a time sums the same bits.
+    Each block of RESIDUAL_BLOCK_ROWS rows has its Gram formed at its own
+    power of two 4**e by `_block_gram` and added to a _Pow2Sum at 4**e, so
+    a pass that meets the blocks one at a time sums the same bits. With
+    rows None the blocks are views of x, and only a block outside the
+    unscaled window is copied, rescaled, into one scratch block; selected
+    rows are gathered into a scratch block, rescaled there if they must be.
     """
     acc = _Pow2Sum((x.shape[1], x.shape[1]))
-    for _, block in _scaled_blocks(x, 0, rows):
-        e = _pow2_exponent(block)
-        y = np.ldexp(block, -e, out=block)
-        acc.add(2 * e, y.T @ y)
+    if rows is None:
+        buf = np.empty((min(len(x), RESIDUAL_BLOCK_ROWS), x.shape[1]))
+        blocks = (x[lo:lo + RESIDUAL_BLOCK_ROWS] for lo in range(0, len(x), RESIDUAL_BLOCK_ROWS))
+    else:
+        buf = None
+        blocks = (block for _, block in _scaled_blocks(x, 0, rows))
+    for block in blocks:
+        e, g, _ = _block_gram(block, block if buf is None else buf[:len(block)])
+        acc.add(2 * e, g)
     return (acc.e or 0) // 2, acc.m
 
 
@@ -330,10 +409,28 @@ def residual_distances(rows: np.ndarray, basis: OrthonormalBasis) -> np.ndarray:
     Rows go `_tile_rows(d)` at a time (512 at d = 200, 1024 at d <= 128)
     through one scratch tile that holds the projection and then the
     residual, so the temporaries are one tile whatever the row count, and a
-    tile and its residual stay in cache. Each tile's residuals are rescaled
-    in place by their own power of two, so extreme scales cannot overflow.
-    Tiles divide a source's chunk, so a chunk's rows get the bits they get
-    in the whole array.
+    tile and its residual stay in cache. Tiles divide a source's chunk, so a
+    chunk's rows get the bits they get in the whole array.
+
+    Each tile's squared distances are the residual's rows rescaled by the
+    tile's power of two 2**e, so extreme scales cannot overflow, and the
+    distances are scaled back by 2**e. Unscaled fast path: when
+    `_unscaled_ok(tile)` holds for the tile's own rows (swept before the
+    products, which then read the tile from cache), the squares are summed
+    from the residual as it is, and kept when the tile's largest sum S is
+    below 4**U, U = UNSCALED_EXP (anything else, inf or NaN included,
+    rescales). The bits are the rescaled ones. Proof: a residual entry is
+    fl(x - p) for a row entry |x| >= 2**-U and a float p. If |p| <= |x|/2
+    it is at least 2**(-U-1) in magnitude; else x and p are both multiples
+    of 2**(-U-53), so it is 0 or at least that. S < 4**U puts every entry
+    below 2**U, so e <= U and a nonzero entry rescaled is at least
+    2**(-2U-53): the rescale is exact, and each nonzero square and partial
+    sum of the non-negative terms is at least 4**(-2U-53) rescaled and
+    4**(-U-53) unscaled, normal both ways (see UNSCALED_EXP), where rounding
+    to nearest commutes with a power of two. So each unscaled sum, formed
+    by the same einsum loop, is 4**e times the rescaled one, and its square
+    root 2**e times. A tile of huge entries can overflow its sums before the
+    window rejects it, so the attempt runs under np.errstate.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     if rows.shape[1] != basis.d:
@@ -347,9 +444,17 @@ def residual_distances(rows: np.ndarray, basis: OrthonormalBasis) -> np.ndarray:
     for lo in range(0, n, tile):
         block = rows[lo:lo + tile]
         resid, dist = buf[:len(block)], out[lo:lo + len(block)]
+        fast = _unscaled_ok(block)
         if basis.r:
             np.matmul(np.matmul(block, v.T, out=coef[:len(block)]), v, out=resid)
             block = np.subtract(block, resid, out=resid)
+        if fast:
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.einsum("ij,ij->i", block, block, out=dist)
+                fast = dist.max() < _UNSCALED_SQ
+            if fast:
+                np.sqrt(dist, out=dist)
+                continue
         e = _pow2_exponent(block)
         np.ldexp(block, -e, out=resid)
         np.sqrt(np.einsum("ij,ij->i", resid, resid, out=dist), out=dist)

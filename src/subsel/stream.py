@@ -22,8 +22,13 @@ started at its second chunk and joined by the pass: the worker reads and
 checks chunk c + 1, and runs the caller's `prepare` stage on it, while the
 caller's visitor uses chunk c on the calling thread. The visitor still sees
 every chunk in order, so the arithmetic and the random draws it makes happen
-in the same order as in a one-thread pass. A pass of one chunk starts no
-thread.
+in the same order as in a one-thread pass. A pass of one chunk builds no
+pool.
+
+A file chunk is checked finite by one sum (`_finite`): any NaN or infinity
+makes the sum non-finite, and only then are its entries checked one by one,
+to name the first bad row or line, or to pass finite rows whose sum
+overflows.
 
 Also provides weighted reservoir sampling (many independent single draws in
 one pass, kept as per-row counts: a chunk thins each row's count by a
@@ -46,7 +51,7 @@ import tempfile
 import weakref
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -56,7 +61,7 @@ from .linalg import (
     RESIDUAL_BLOCK_ROWS,
     OrthonormalBasis,
     PointSet,
-    _pow2_exponent,
+    _block_gram,
     _Pow2Sum,
     residual_distances,
 )
@@ -195,7 +200,7 @@ class DatasetSource:
         while the visitor runs on chunk c on the calling thread, the worker
         reads and checks chunk c + 1 and runs prepare on it, so prepare runs
         in chunk order, at most one chunk ahead of the visitor. A pass of
-        one chunk starts no thread. prepare hands its results to the visitor
+        one chunk builds no pool. prepare hands its results to the visitor
         through state the caller owns, a deque that prepare appends to and
         the visitor pops from, and touches nothing else the visitor does. An
         error of a read or of prepare is raised here, after the visitor has
@@ -205,7 +210,8 @@ class DatasetSource:
         """
         entry = PassEntry(label, 0, self.n, reporting)
         self.pass_log.entries.append(entry)
-        with self._reader() as read, ThreadPoolExecutor(1, "subsel-read-ahead") as pool:
+        with self._reader() as read, (ThreadPoolExecutor(1, "subsel-read-ahead")
+                                      if self.n > CHUNK_ROWS else nullcontext()) as pool:
 
             def load(start: int, out: np.ndarray | None) -> np.ndarray:
                 chunk = read(start, out)
@@ -491,8 +497,18 @@ def _read_into(fd: int, at: int, out: np.ndarray, name: str, start: int) -> np.n
 
 
 def _finite(chunk: np.ndarray, path: str, unit: str, labels) -> np.ndarray:
+    """The chunk, once every entry is checked finite; else DatasetFormatError
+    naming the line or row (labels[i] for row i) of the first bad entry.
+
+    A chunk whose sum is finite is accepted from that one reduction: a NaN
+    or an infinity among the entries makes any sum of them NaN or infinite,
+    whatever the order. Only a chunk whose sum is not finite, a bad entry or
+    finite entries whose sum overflows, is checked entry by entry."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if math.isfinite(float(chunk.sum())):
+            return chunk
     ok = np.isfinite(chunk).all(axis=1)
-    if not ok.all():  # name the line or row of the first bad entry
+    if not ok.all():
         raise DatasetFormatError(f"{path}: {unit} {labels[int(np.argmin(ok))]}: "
                                  "non-finite entry")
     return chunk
@@ -780,15 +796,18 @@ def length_squared_pass(source: DatasetSource, slots: int, rng: np.random.Genera
     `slots` independent draws with probability ||x||^2 / ||X||_F^2, and the
     rows themselves whenever they fit in the bank's store.
 
-    Each chunk is rescaled once, by its own power of two 2**e: its rows'
-    squared norms go to the bank in units of 4**e, so no weight overflows or
-    underflows, and a streamed pass adds the rescaled chunk's Gram to a
-    _Pow2Sum at 4**e. The rescale (in the pass's one scratch block), that
-    sum and the squared norms are the pass's prepare stage, run in chunk
-    order: the file checks run on the calling thread before the first read,
-    chunk 0 is read on the calling thread and prepared there, and each later
-    chunk ahead on the one worker of a one-worker pool; the offers, the
-    copies into the kept rows and every draw stay on the calling thread.
+    Each chunk's products are taken at its own power of two 2**e by
+    `linalg._block_gram`, the Gram kernel's own step: its rows' squared
+    norms go to the bank in units of 4**e, so no weight overflows or
+    underflows, and a streamed pass adds the chunk's Gram to a _Pow2Sum at
+    4**e. A chunk inside the kernel's unscaled window is not rescaled (the
+    products are, with the same bits); one outside it is rescaled in the
+    pass's one scratch block. That step and the sum are the pass's prepare
+    stage, run in chunk order: the file checks run on the calling thread
+    before the first read, chunk 0 is read on the calling thread and
+    prepared there, and each later chunk ahead on the one worker of a
+    one-worker pool; the offers, the copies into the kept rows and every
+    draw stay on the calling thread.
     Chunks are the Gram kernel's blocks, so the sum has the bits of
     PointSet._full_gram, which a memory source reads instead. Returns
     ((e, g), bank, points), the Gram being g * 4**e and the bank's `ids` in
@@ -809,11 +828,10 @@ def length_squared_pass(source: DatasetSource, slots: int, rng: np.random.Genera
     norms: deque[tuple[int, np.ndarray]] = deque()
 
     def prepare(start: int, chunk: np.ndarray) -> None:
-        e = _pow2_exponent(chunk)
-        y = np.ldexp(chunk, -e, out=buf[:len(chunk)])
+        e, g, sq = _block_gram(chunk, buf[:len(chunk)], gram=acc is not None, norms=True)
         if acc is not None:
-            acc.add(2 * e, y.T @ y)
-        norms.append((2 * e, np.einsum("ij,ij->i", y, y)))
+            acc.add(2 * e, g)
+        norms.append((2 * e, sq))
 
     def visit(start: int, chunk: np.ndarray) -> None:
         if keep is not None:

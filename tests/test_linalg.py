@@ -104,6 +104,14 @@ def test_basis_rejects_non_orthonormal_rows():
         OrthonormalBasis(2, np.array([[1.0, 1.0]]))
 
 
+def test_basis_orthonormality_tolerance_is_absolute():
+    # a squared norm of 1 + 1e-6 is 1e-6 off, not within 1e-9; numpy's
+    # default relative tolerance of 1e-5 would let it through
+    with pytest.raises(ValueError, match="within 1e-9"):
+        OrthonormalBasis(2, np.array([[math.sqrt(1.0 + 1e-6), 0.0]]))
+    OrthonormalBasis(2, np.array([[math.sqrt(1.0 + 5e-10), 0.0]]))
+
+
 # ---------------------------------------------------------------------------
 # orthonormal_basis
 # ---------------------------------------------------------------------------

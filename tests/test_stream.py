@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subsel import samplers
+from subsel import samplers, stream
 from subsel.linalg import (
     OrthonormalBasis,
     PointSet,
@@ -84,6 +84,37 @@ def test_csv_non_finite_rejected(tmp_path):
     path.write_text("1.0,inf\n")
     with pytest.raises(DatasetFormatError, match="non-finite"):
         open_source(path)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "bin"])
+def test_finite_rows_whose_sum_overflows_are_accepted(tmp_path, fmt):
+    # +-1.7e308 rows sum past the float range (to inf, or inf - inf = NaN);
+    # the chunk's one-sum check then reads them entry by entry, and passes them
+    data = np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308], [-1.7e308, -1.7e308],
+                     [-1.7e308, 1.0]])
+    path = tmp_path / f"big.{fmt}"
+    (write_csv if fmt == "csv" else write_binary)(path, data)
+    for mode in ("memory", "streaming"):
+        src = open_source(path, mode)
+        assert np.array_equal(src.collect("all").data, data)
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param([np.nan], id="nan"),
+    pytest.param([np.inf], id="+inf"),
+    pytest.param([-np.inf], id="-inf"),
+    pytest.param([np.inf, -np.inf], id="+inf/-inf"),
+])
+def test_finite_check_names_the_first_bad_row(bad):
+    # the bad entries go to rows 3 and 5 (one entry: row 3 only); the error
+    # names row 3's label, whatever the chunk's sum is
+    chunk = np.random.default_rng(4).standard_normal((8, 3))
+    for row, value in zip((3, 5), bad):
+        chunk[row, 1] = value
+    with pytest.raises(DatasetFormatError, match="f.bin: row 103: non-finite entry"):
+        stream._finite(chunk, "f.bin", "row", range(100, 108))
+    chunk[[3, 5], 1] = 0.0
+    assert stream._finite(chunk, "f.bin", "row", range(100, 108)) is chunk
 
 
 def test_binary_round_trip(tmp_path):
@@ -642,6 +673,21 @@ def test_prepare_runs_ahead_on_one_thread_in_order(tmp_path, fmt):
     assert [s for s, _ in prepared] == [s for s, _ in visited] == [0, CHUNK_ROWS, 2 * CHUNK_ROWS]
     assert {t for _, t in prepared} != {threading.get_ident()}
     assert np.array_equal(np.vstack([c for _, c in visited]), data)
+
+
+def test_one_chunk_pass_builds_no_pool(monkeypatch):
+    # a pass of CHUNK_ROWS rows has nothing to read ahead; one more row does
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was built")
+
+    monkeypatch.setattr(stream, "ThreadPoolExecutor", no_pool)
+    data = np.random.default_rng(2).standard_normal((CHUNK_ROWS + 1, 3))
+    seen = []
+    open_source(PointSet(data[:CHUNK_ROWS])).stream_pass_chunks(
+        "one", lambda s, c: seen.append(s), prepare=lambda s, c: None)
+    assert seen == [0]
+    with pytest.raises(AssertionError, match="a pool was built"):
+        open_source(PointSet(data)).stream_pass_chunks("two", lambda s, c: None)
 
 
 @pytest.mark.parametrize("fmt", ["memory", "csv", "bin"])
